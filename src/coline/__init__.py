@@ -12,15 +12,12 @@ __version__ = "0.1.0"
 
 from .graphcore import (
     Graph,
-    GraphStats,
     add_dominating_vertex,
-    basic_stats,
     build_named,
     coline,
     complement,
     components,
     disjoint_union,
-    graph_power,
     is_connected,
     line_graph,
     strip_isolated,
@@ -70,7 +67,6 @@ from .sweep import (
     bootstrap_catalog,
     enumerate_classes,
     enumerate_labeled,
-    labeled_count,
     run_sweep,
     self_coline_census,
     whitney_census,

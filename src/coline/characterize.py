@@ -29,14 +29,27 @@ from .graphcore import (
 CATALOG_FORMAT = "coline-catalog v1"
 CATALOG_ENV_VAR = "COLINE_CATALOG"
 
-TOUGH_EXCEPTION_COUNT = 18
-TRACE_EXCEPTION_COUNT = 9
-WU_MENG_COUNT = 21
-
 NAMED_CATALOG_GRAPHS = (
     "K5", "H1", "H2", "H3", "K3_circ_K1",
     "K3+P3", "K3+2K2", "C4+K2", "K3_plus", "K4_minus", "K4",
 )
+
+# Catalog sections: (section tag, Catalog field, required member count).
+CATALOG_SECTIONS = (
+    ("tough18", "toughness_exceptions", 18),
+    ("trace9", "trace_exceptions", 9),
+    ("wumeng21", "wu_meng_21", 21),
+)
+
+# The roots whose coline is tough but not Hamiltonian.
+NON_HAMILTONIAN_ROOTS = ("K5", "H1", "H2", "H3")
+# Wu-Meng clause (iii): roots excluded by isomorphism.
+WU_MENG_NAMED = ("K3+P3", "K3+2K2", "C4+K2")
+# Wu-Meng clause (iv): with m edges, a root containing one of these (as a
+# non-induced subgraph) is excluded.
+WU_MENG_BLOCKERS = {6: ("K3_plus",), 7: ("K4_minus", "K3_circ_K1"), 8: ("K4",)}
+# The corona of K3: traceability clause (iv), never a trace9 member.
+CORONA = "K3_circ_K1"
 
 
 class ScopeError(ValueError):
@@ -177,11 +190,36 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
 
 # --- clause machinery ---------------------------------------------------------
 
-def has_adjacent_max_degree_pair(g: Graph) -> bool:
-    delta = g.max_degree()
-    return any(
-        g.degree(u) == delta and g.degree(v) == delta for u, v in g.edges()
-    )
+def counting_clause(core: Graph, slack: int) -> str | None:
+    """The counting clause that fires for a root without isolated vertices.
+
+    "(i)" when m < 2*Delta - slack, "(ii)" when m = 2*Delta - slack and two
+    maximum-degree vertices are adjacent, otherwise None.  Slack is 0 for
+    toughness and the Wu-Meng criterion, 1 for traceability.
+    """
+    delta = core.max_degree()
+    bound = 2 * delta - slack
+    if core.m < bound:
+        return "(i)"
+    if core.m == bound and any(
+        core.degree(u) == delta and core.degree(v) == delta for u, v in core.edges()
+    ):
+        return "(ii)"
+    return None
+
+
+def wu_meng_blocker(core: Graph, named: dict[str, Graph]) -> str | None:
+    """"(iii)" when core is a named Wu-Meng exception, "(iv)" when it has a
+    size-gated blocker subgraph, otherwise None.  The two never overlap:
+    the named exceptions have 5 edges, the blockers apply at 6 to 8."""
+    if any(oracle.is_isomorphic(core, named[name]) for name in WU_MENG_NAMED):
+        return "(iii)"
+    if any(
+        oracle.contains_subgraph(core, named[name])
+        for name in WU_MENG_BLOCKERS.get(core.m, ())
+    ):
+        return "(iv)"
+    return None
 
 
 def _matches_catalog(core: Graph, members: tuple[Graph, ...]) -> bool:
@@ -194,7 +232,8 @@ def _matches_catalog(core: Graph, members: tuple[Graph, ...]) -> bool:
     return False
 
 
-def _verdict(matches: list[str]) -> ClauseVerdict:
+def _verdict(matches: list[str | None]) -> ClauseVerdict:
+    matches = [label for label in matches if label]
     if matches:
         return ClauseVerdict(False, matches[0], tuple(matches))
     return ClauseVerdict(True, "none", ())
@@ -207,12 +246,7 @@ def decide_coline_tough(g: Graph, catalog: Catalog | None = None) -> ClauseVerdi
     m = core.m
     if m < 3:
         raise ScopeError(f"toughness decision needs at least 3 edges, got {m}")
-    delta = core.max_degree()
-    matches = []
-    if m < 2 * delta:
-        matches.append("(i)")
-    if m == 2 * delta and has_adjacent_max_degree_pair(core):
-        matches.append("(ii)")
+    matches = [counting_clause(core, 0)]
     if _matches_catalog(core, catalog.toughness_exceptions):
         matches.append("(iii)")
     return _verdict(matches)
@@ -227,7 +261,7 @@ def decide_coline_hamiltonian(g: Graph, catalog: Catalog | None = None) -> Claus
     matches = []
     if not tough.value:
         matches.append(f"not-tough{tough.clause}")
-    for name in ("K5", "H1", "H2", "H3"):
+    for name in NON_HAMILTONIAN_ROOTS:
         if oracle.is_isomorphic(core, catalog.named[name]):
             matches.append(name)
     return _verdict(matches)
@@ -243,22 +277,7 @@ def decide_wu_meng(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     m = core.m
     if m < 3:
         raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {m}")
-    delta = core.max_degree()
-    matches = []
-    if m < 2 * delta:
-        matches.append("(i)")
-    if m == 2 * delta and has_adjacent_max_degree_pair(core):
-        matches.append("(ii)")
-    if any(
-        oracle.is_isomorphic(core, catalog.named[name])
-        for name in ("K3+P3", "K3+2K2", "C4+K2")
-    ):
-        matches.append("(iii)")
-    blockers = {6: ("K3_plus",), 7: ("K4_minus", "K3_circ_K1"), 8: ("K4",)}
-    if m in blockers and any(
-        oracle.contains_subgraph(core, catalog.named[name]) for name in blockers[m]
-    ):
-        matches.append("(iv)")
+    matches = [counting_clause(core, 0), wu_meng_blocker(core, catalog.named)]
     if oracle.is_isomorphic(core, catalog.named["K5"]):
         matches.append("(v)")
     return _verdict(matches)
@@ -271,15 +290,10 @@ def decide_coline_traceable(g: Graph, catalog: Catalog | None = None) -> ClauseV
     m = core.m
     if m < 2:
         raise ScopeError(f"traceability decision needs at least 2 edges, got {m}")
-    delta = core.max_degree()
-    matches = []
-    if m < 2 * delta - 1:
-        matches.append("(i)")
-    if m == 2 * delta - 1 and has_adjacent_max_degree_pair(core):
-        matches.append("(ii)")
+    matches = [counting_clause(core, 1)]
     if _matches_catalog(core, catalog.trace_exceptions):
         matches.append("(iii)")
-    if oracle.is_isomorphic(core, catalog.named["K3_circ_K1"]):
+    if oracle.is_isomorphic(core, catalog.named[CORONA]):
         matches.append("(iv)")
     return _verdict(matches)
 
@@ -346,13 +360,9 @@ def emit_catalog(catalog: Catalog) -> str:
     lines.append("[named]")
     for name in NAMED_CATALOG_GRAPHS:
         lines.append(f"{name} {emit_graph6(catalog.named[name])}")
-    for section, graphs in (
-        ("tough18", catalog.toughness_exceptions),
-        ("trace9", catalog.trace_exceptions),
-        ("wumeng21", catalog.wu_meng_21),
-    ):
+    for section, field, _ in CATALOG_SECTIONS:
         lines.append(f"[{section}]")
-        lines.extend(emit_graph6(g) for g in graphs)
+        lines.extend(emit_graph6(g) for g in getattr(catalog, field))
     return "\n".join(lines) + "\n"
 
 
@@ -361,7 +371,7 @@ def parse_catalog(text: str) -> Catalog:
     if not lines or lines[0] != CATALOG_FORMAT:
         raise CatalogError(f"bad or missing format header, expected {CATALOG_FORMAT!r}")
     named: dict[str, Graph] = {}
-    sections: dict[str, list[Graph]] = {"tough18": [], "trace9": [], "wumeng21": []}
+    sections: dict[str, list[Graph]] = {section: [] for section, _, _ in CATALOG_SECTIONS}
     current = None
     for line in lines[1:]:
         if line.startswith("["):
@@ -380,10 +390,8 @@ def parse_catalog(text: str) -> Catalog:
             sections[current].append(parse_graph6(line))
     return Catalog(
         named=named,
-        toughness_exceptions=tuple(sections["tough18"]),
-        trace_exceptions=tuple(sections["trace9"]),
-        wu_meng_21=tuple(sections["wumeng21"]),
         version=CATALOG_FORMAT,
+        **{field: tuple(sections[section]) for section, field, _ in CATALOG_SECTIONS},
     )
 
 
@@ -398,35 +406,34 @@ def validate_catalog(catalog: Catalog) -> None:
             raise CatalogError(f"missing named graph {name}")
         if oracle.is_isomorphic(catalog.named[name], build_named(name)) is None:
             raise CatalogError(f"named graph {name} does not match its construction")
-    counts = (
-        (catalog.toughness_exceptions, TOUGH_EXCEPTION_COUNT, "tough18"),
-        (catalog.trace_exceptions, TRACE_EXCEPTION_COUNT, "trace9"),
-        (catalog.wu_meng_21, WU_MENG_COUNT, "wumeng21"),
-    )
-    for graphs, expected, label in counts:
+    for section, field, expected in CATALOG_SECTIONS:
+        graphs = getattr(catalog, field)
         if len(graphs) != expected:
-            raise CatalogError(f"{label} has {len(graphs)} members, expected {expected}")
+            raise CatalogError(f"{section} has {len(graphs)} members, expected {expected}")
         if len({oracle.canonical_form(g) for g in graphs}) != expected:
-            raise CatalogError(f"{label} contains isomorphic duplicates")
-    corona = build_named("K3_circ_K1")
+            raise CatalogError(f"{section} contains isomorphic duplicates")
+    corona = build_named(CORONA)
     for g in catalog.toughness_exceptions:
-        delta = g.max_degree()
-        if g.m < 2 * delta or (g.m == 2 * delta and has_adjacent_max_degree_pair(g)):
+        if counting_clause(g, 0):
             raise CatalogError("tough18 member already covered by a counting clause")
         l, _ = coline(g)
         if oracle.is_tough(l).value:
             raise CatalogError(f"tough18 member {emit_graph6(g)} has a tough coline")
     for g in catalog.trace_exceptions:
-        delta = g.max_degree()
-        if g.m < 2 * delta - 1 or (g.m == 2 * delta - 1 and has_adjacent_max_degree_pair(g)):
+        if counting_clause(g, 1):
             raise CatalogError("trace9 member already covered by a counting clause")
         if oracle.is_isomorphic(g, corona):
             raise CatalogError("trace9 must not contain the corona of K3")
         l, _ = coline(g)
         if oracle.hamiltonian_path(l) is not None:
             raise CatalogError(f"trace9 member {emit_graph6(g)} has a traceable coline")
+    # Past the counting clauses, Wu-Meng (iii)/(iv) exclude exactly the
+    # non-tough roots and the tough non-Hamiltonian ones except K5, which
+    # is clause (v).
     tough_keys = {oracle.canonical_form(g) for g in catalog.toughness_exceptions}
-    h_keys = {oracle.canonical_form(build_named(name)) for name in ("H1", "H2", "H3")}
+    h_keys = {
+        oracle.canonical_form(build_named(name)) for name in NON_HAMILTONIAN_ROOTS if name != "K5"
+    }
     wu_keys = {oracle.canonical_form(g) for g in catalog.wu_meng_21}
     if wu_keys != tough_keys | h_keys:
         raise CatalogError("wumeng21 must equal tough18 plus H1, H2, H3")

@@ -136,9 +136,3 @@ def parse_edge_list(text: str) -> Graph:
     if max_seen >= n:
         raise ValueError(f"edge endpoint {max_seen} exceeds declared n={n}")
     return Graph.from_edges(n, edges)
-
-
-def emit_edge_list(g: Graph) -> str:
-    lines = [f"n={g.n}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"

@@ -119,18 +119,19 @@ def components(g: Graph, within: int | None = None) -> tuple[int, ...]:
 
     ``within`` restricts the search to an induced vertex subset.
     """
+    adj = g.adj
     remaining = (1 << g.n) - 1 if within is None else within
     comps = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
             grow = 0
-            for v in _bits(frontier):
-                grow |= g.adj[v] & remaining & ~comp
-            comp |= grow
-            frontier = grow
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= adj[low.bit_length() - 1]
+            frontier = grow & remaining & ~comp
+            comp |= frontier
         comps.append(comp)
         remaining &= ~comp
     return tuple(comps)
@@ -138,20 +139,6 @@ def components(g: Graph, within: int | None = None) -> tuple[int, ...]:
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) <= 1
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    m: int
-    max_degree: int
-    degrees: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-
-
-def basic_stats(g: Graph) -> GraphStats:
-    """Edge count, maximum degree, degree sequence and component partition."""
-    comps = tuple(tuple(_bits(mask)) for mask in components(g))
-    return GraphStats(g.m, g.max_degree(), g.degrees(), comps)
 
 
 def complement(g: Graph) -> Graph:
@@ -166,15 +153,14 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
     exactly when the corresponding edges of ``g`` share an endpoint.
     """
     edge_list = g.edges()
-    k = len(edge_list)
-    adj = [0] * k
+    incident = [0] * g.n  # incident[v]: bitmask of the edges at v
     for i, (a, b) in enumerate(edge_list):
-        for j in range(i + 1, k):
-            c, d = edge_list[j]
-            if a == c or a == d or b == c or b == d:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(k, tuple(adj)), edge_list
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    adj = tuple(
+        (incident[a] | incident[b]) & ~(1 << i) for i, (a, b) in enumerate(edge_list)
+    )
+    return Graph(len(edge_list), adj), edge_list
 
 
 def coline(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
@@ -194,37 +180,6 @@ def add_dominating_vertex(g: Graph) -> Graph:
     adj = [mask | 1 << new for mask in g.adj]
     adj.append((1 << g.n) - 1)
     return Graph(g.n + 1, tuple(adj))
-
-
-def distances_from(g: Graph, source: int) -> list[int]:
-    """BFS distances; -1 for unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        grow = 0
-        for v in _bits(frontier):
-            grow |= g.adj[v] & ~seen
-        for v in _bits(grow):
-            dist[v] = d
-        seen |= grow
-        frontier = grow
-    return dist
-
-
-def graph_power(g: Graph, k: int) -> Graph:
-    """Same vertices; u ~ v iff their distance in ``g`` is between 1 and k."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    adj = [0] * g.n
-    for v in range(g.n):
-        for u, d in enumerate(distances_from(g, v)):
-            if 0 < d <= k:
-                adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
 
 
 def strip_isolated(g: Graph) -> tuple[Graph, tuple[int, ...]]:

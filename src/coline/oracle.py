@@ -64,26 +64,6 @@ class IsoCertificate:
     mapping: tuple[int, ...]
 
 
-def _component_count(adj: tuple[int, ...], remaining: int) -> int:
-    count = 0
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                grow |= adj[low.bit_length() - 1] & remaining & ~comp
-            comp |= grow
-            frontier = grow
-        remaining &= ~comp
-        count += 1
-    return count
-
-
 def is_tough(g: Graph) -> ToughnessResult:
     """1-toughness: connected and c(G - S) <= |S| for every cutset S.
 
@@ -104,7 +84,7 @@ def is_tough(g: Graph) -> ToughnessResult:
             mask = 0
             for v in cut:
                 mask |= 1 << v
-            count = _component_count(g.adj, full & ~mask)
+            count = len(components(g, full & ~mask))
             if count > size and count >= 2:
                 return ToughnessResult(False, ToughnessWitness(cut, count), False)
     return ToughnessResult(True, None, False)
@@ -124,7 +104,7 @@ def vertex_connectivity(g: Graph) -> int:
             mask = 0
             for v in cut:
                 mask |= 1 << v
-            if _component_count(g.adj, full & ~mask) >= 2:
+            if len(components(g, full & ~mask)) >= 2:
                 return size
     return g.n - 1
 
@@ -145,7 +125,7 @@ def _cycle_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
         r ^= low
         if (g.adj[low.bit_length() - 1] & (remaining | ends)).bit_count() < 2:
             return False
-    if _component_count(g.adj, remaining | 1 << current) > 1:
+    if len(components(g, remaining | 1 << current)) > 1:
         return False
     for v in _bits(g.adj[current] & remaining):
         path.append(v)
@@ -173,7 +153,7 @@ def _path_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
         return True
     current = path[-1]
     remaining = full & ~visited
-    if _component_count(g.adj, remaining | 1 << current) > 1:
+    if len(components(g, remaining | 1 << current)) > 1:
         return False
     # At most one remaining vertex may be a dead end (the final endpoint).
     dead_ends = 0

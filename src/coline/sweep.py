@@ -22,13 +22,17 @@ from multiprocessing import Pool
 
 from . import characterize, lemmacheck, oracle
 from .characterize import (
+    CATALOG_SECTIONS,
+    CORONA,
+    NON_HAMILTONIAN_ROOTS,
     Catalog,
     CatalogError,
     ClauseVerdict,
     ColineCase,
+    counting_clause,
     emit_catalog,
-    has_adjacent_max_degree_pair,
     validate_catalog,
+    wu_meng_blocker,
 )
 from .graphcore import Graph, build_named, coline, components, is_connected, line_graph
 
@@ -48,7 +52,8 @@ ALL_CHECKS = frozenset(
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 10
 
-_SUBGRAPH_BLOCKERS = {6: ("K3_plus",), 7: ("K4_minus", "K3_circ_K1"), 8: ("K4",)}
+# Every coline graph is (K2+3K1)-free.
+_FORBIDDEN_PATTERN = build_named("K2+3K1")
 
 
 @dataclass(frozen=True)
@@ -95,16 +100,6 @@ def enumerate_labeled(max_vertices: int, max_edges: int):
         yield Graph.from_edges(
             max_vertices, [slots[i] for i in range(len(slots)) if mask >> i & 1]
         )
-
-
-def labeled_count(max_vertices: int, max_edges: int) -> int:
-    """How many graphs enumerate_labeled yields, without enumerating."""
-    from math import comb
-
-    if max_vertices < 0 or max_edges < 0:
-        raise ValueError("bounds must be non-negative")
-    slots = max_vertices * (max_vertices - 1) // 2
-    return sum(comb(slots, m) for m in range(min(max_edges, slots) + 1))
 
 
 def enumerate_classes(max_vertices: int, max_edges: int):
@@ -182,7 +177,7 @@ def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
 
     if "induced_freeness" in checks:
         start = time.perf_counter()
-        if not oracle.is_induced_free(l, _forbidden_pattern()):
+        if not oracle.is_induced_free(l, _FORBIDDEN_PATTERN):
             record["mismatches"].append(("induced-freeness", "free", "induced copy found"))
         clock("induced_freeness", start)
 
@@ -204,15 +199,6 @@ def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
                 clock("lemma_properties", start)
 
     return record
-
-
-_PATTERN_CACHE: dict[str, Graph] = {}
-
-
-def _forbidden_pattern() -> Graph:
-    if "K2+3K1" not in _PATTERN_CACHE:
-        _PATTERN_CACHE["K2+3K1"] = build_named("K2+3K1")
-    return _PATTERN_CACHE["K2+3K1"]
 
 
 def _fmt(verdict: ClauseVerdict) -> str:
@@ -263,8 +249,9 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     completed classes) rather than a crash.
     """
     catalog = catalog or characterize.load_catalog()
-    classes = list(enumerate_classes(config.max_vertices, config.max_edges))
     start = time.perf_counter()
+    classes = list(enumerate_classes(config.max_vertices, config.max_edges))
+    enumerated = time.perf_counter()
     records: list[dict] = []
     extras: dict = {}
     partial = False
@@ -291,7 +278,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
 
     mismatches = []
     census: dict[str, set[str]] = {}
-    timings: dict[str, float] = {}
+    timings = {"enumeration": enumerated - start}
     for record in records:
         for check, theorem, seen in record["mismatches"]:
             mismatches.append((record["canon"], check, theorem, seen))
@@ -337,14 +324,12 @@ def expected_census(catalog: Catalog, max_vertices: int, max_edges: int) -> dict
             oracle.canonical_form(g).decode("ascii") for g in graphs if in_range(g)
         )
 
-    exceptional = [catalog.named[name] for name in ("K5", "H1", "H2", "H3")]
-    corona = catalog.named["K3_circ_K1"]
     return {
         "tough-exceptions": forms(catalog.toughness_exceptions),
         "trace-exceptions": forms(catalog.trace_exceptions),
-        "trace-corona": forms([corona]),
+        "trace-corona": forms([catalog.named[CORONA]]),
         "wu-meng-21": forms(catalog.wu_meng_21),
-        "tough-not-hamiltonian": forms(exceptional),
+        "tough-not-hamiltonian": forms(catalog.named[name] for name in NON_HAMILTONIAN_ROOTS),
     }
 
 
@@ -390,39 +375,25 @@ def bootstrap_catalog(
     Counts that differ from 18/9/21 abort loudly: that means an oracle or
     enumeration bug (or a genuine discrepancy), never data to adjust.
     """
-    corona = build_named("K3_circ_K1")
+    corona = build_named(CORONA)
     named = {name: build_named(name) for name in characterize.NAMED_CATALOG_GRAPHS}
     tough_exceptions: dict[bytes, Graph] = {}
     trace_exceptions: dict[bytes, Graph] = {}
     wu_meng: dict[bytes, Graph] = {}
 
     for g in enumerate_classes(max_vertices, max_edges):
-        delta = g.max_degree()
-        first = g.m < 2 * delta
-        second = g.m == 2 * delta and has_adjacent_max_degree_pair(g)
-        if g.m >= 3 and not first and not second:
+        if g.m >= 3 and counting_clause(g, 0) is None:
             l, _ = coline(g)
             if not oracle.is_tough(l).value:
                 tough_exceptions[oracle.canonical_form(g)] = g
-            named_match = any(
-                oracle.is_isomorphic(g, named[name])
-                for name in ("K3+P3", "K3+2K2", "C4+K2")
-            )
-            subgraph_match = g.m in _SUBGRAPH_BLOCKERS and any(
-                oracle.contains_subgraph(g, named[name])
-                for name in _SUBGRAPH_BLOCKERS[g.m]
-            )
-            if named_match or subgraph_match:
+            if wu_meng_blocker(g, named):
                 wu_meng[oracle.canonical_form(g)] = g
-        if g.m >= 2:
-            trace_first = g.m < 2 * delta - 1
-            trace_second = g.m == 2 * delta - 1 and has_adjacent_max_degree_pair(g)
-            if not trace_first and not trace_second:
-                if oracle.is_isomorphic(g, corona):
-                    continue
-                l, _ = coline(g)
-                if oracle.hamiltonian_path(l) is None:
-                    trace_exceptions[oracle.canonical_form(g)] = g
+        if g.m >= 2 and counting_clause(g, 1) is None:
+            if oracle.is_isomorphic(g, corona):
+                continue
+            l, _ = coline(g)
+            if oracle.hamiltonian_path(l) is None:
+                trace_exceptions[oracle.canonical_form(g)] = g
 
     summary = {
         "tough_count": len(tough_exceptions),
@@ -432,23 +403,21 @@ def bootstrap_catalog(
             (g.n for g in tough_exceptions.values()), default=0
         ),
     }
-    expected = (
-        (len(tough_exceptions), characterize.TOUGH_EXCEPTION_COUNT, "tough"),
-        (len(trace_exceptions), characterize.TRACE_EXCEPTION_COUNT, "trace"),
-        (len(wu_meng), characterize.WU_MENG_COUNT, "wu-meng"),
-    )
-    for got, want, label in expected:
-        if got != want:
+    found = {
+        "toughness_exceptions": tough_exceptions,
+        "trace_exceptions": trace_exceptions,
+        "wu_meng_21": wu_meng,
+    }
+    for section, field, want in CATALOG_SECTIONS:
+        if len(found[field]) != want:
             raise CatalogError(
-                f"bootstrap found {got} {label} exceptions, expected {want}; "
+                f"bootstrap found {len(found[field])} {section} members, expected {want}; "
                 "this signals a bug or a genuine discrepancy, not data to adjust"
             )
     catalog = Catalog(
         named=named,
-        toughness_exceptions=tuple(tough_exceptions[k] for k in sorted(tough_exceptions)),
-        trace_exceptions=tuple(trace_exceptions[k] for k in sorted(trace_exceptions)),
-        wu_meng_21=tuple(wu_meng[k] for k in sorted(wu_meng)),
         version=characterize.CATALOG_FORMAT,
+        **{field: tuple(found[field][k] for k in sorted(found[field])) for field in found},
     )
     validate_catalog(catalog)
     if output_path:

@@ -20,6 +20,7 @@ from coline.characterize import (
     rho,
     validate_catalog,
 )
+from coline.graph6 import emit_graph6
 from coline.graphcore import Graph, build_named, coline
 from coline.oracle import canonical_form, is_isomorphic
 
@@ -236,6 +237,22 @@ def test_catalog_rejects_corruption(catalog, tmp_path):
     path = tmp_path / "missing.txt"
     with pytest.raises(CatalogError):
         load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "section, replacement, message",
+    [
+        ("tough18", "K1_3", "tough18 member already covered by a counting clause"),
+        ("trace9", "K1_3", "trace9 member already covered by a counting clause"),
+        ("trace9", "K3_circ_K1", "trace9 must not contain the corona"),
+        ("wumeng21", "K5", "wumeng21 must equal tough18 plus H1, H2, H3"),
+    ],
+)
+def test_catalog_rejects_wrong_member(catalog, section, replacement, message):
+    lines = emit_catalog(catalog).splitlines()
+    lines[lines.index(f"[{section}]") + 1] = emit_graph6(build_named(replacement))
+    with pytest.raises(CatalogError, match=message):
+        validate_catalog(parse_catalog("\n".join(lines) + "\n"))
 
 
 def test_load_catalog_env_override(catalog, tmp_path, monkeypatch):

@@ -1,14 +1,15 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from coline.graphcore import (
     Graph,
     add_dominating_vertex,
-    basic_stats,
     build_named,
     coline,
     complement,
     disjoint_union,
-    graph_power,
     line_graph,
     strip_isolated,
 )
@@ -81,6 +82,26 @@ def test_coline_is_complement_of_line_graph():
         assert cg.n == g.m
 
 
+def _pairwise_line_graph(g: Graph) -> Graph:
+    """Reference line graph: test every pair of edges for a shared endpoint."""
+    edge_list = g.edges()
+    adj = [0] * len(edge_list)
+    for i, j in combinations(range(len(edge_list)), 2):
+        if set(edge_list[i]) & set(edge_list[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(len(edge_list), tuple(adj))
+
+
+def test_line_graph_matches_pairwise_definition(classes_up_to_6):
+    rng = random.Random(60)
+    sparse = Graph.from_edges(60, rng.sample(list(combinations(range(60), 2)), 180))
+    for g in classes_up_to_6 + [sparse]:
+        reference = _pairwise_line_graph(g)
+        assert line_graph(g) == (reference, g.edges())
+        assert coline(g) == (complement(reference), g.edges())
+
+
 def test_coline_examples():
     pet = build_named("Petersen")
     assert is_isomorphic(coline(build_named("K5"))[0], pet)
@@ -114,29 +135,6 @@ def test_add_dominating_vertex():
     assert is_isomorphic(lhs, rhs)
 
 
-def test_graph_power():
-    for name in ("P4", "C6", "H1"):
-        g = build_named(name)
-        assert graph_power(g, 1) == g
-    p4 = graph_power(build_named("P4"), 2)
-    assert p4.m == 5
-    assert is_isomorphic(graph_power(build_named("C5"), 2), build_named("K5"))
-    with pytest.raises(ValueError):
-        graph_power(build_named("C5"), 0)
-
-
-def test_graph_power_monotone_and_component_bound():
-    g = build_named("P5+K3")
-    prev = graph_power(g, 1)
-    for k in range(2, 6):
-        nxt = graph_power(g, k)
-        assert set(prev.edges()) <= set(nxt.edges())
-        prev = nxt
-    # vertices in different components never become adjacent
-    top = graph_power(g, 7)
-    assert all(u < 5 and v < 5 or u >= 5 and v >= 5 for u, v in top.edges())
-
-
 def test_build_named():
     assert is_isomorphic(build_named("F2"), build_named("K3"))
     assert is_isomorphic(build_named("F3"), build_named("K3_plus"))
@@ -163,17 +161,6 @@ def test_h_graphs_shape():
     assert build_named("H1").n == 6
     assert build_named("H2").n == 7
     assert build_named("H3").n == 8
-
-
-def test_basic_stats():
-    stats = basic_stats(build_named("K5"))
-    assert (stats.m, stats.max_degree, len(stats.components)) == (10, 4, 1)
-    stats = basic_stats(build_named("K3_circ_K1"))
-    assert (stats.m, stats.max_degree, len(stats.components)) == (6, 3, 1)
-    stats = basic_stats(build_named("H1"))
-    assert (stats.m, stats.max_degree, len(stats.components)) == (7, 3, 1)
-    stats = basic_stats(build_named("C4+K2"))
-    assert len(stats.components) == 2
 
 
 def test_strip_isolated():

@@ -7,7 +7,6 @@ from coline.graphcore import build_named, coline, strip_isolated
 from coline.oracle import canonical_form, hamiltonian_cycle, is_tough
 from coline.sweep import (
     SweepConfig,
-    labeled_count,
     bootstrap_catalog,
     enumerate_classes,
     enumerate_labeled,
@@ -23,13 +22,6 @@ def test_enumerate_labeled_counts():
     assert sum(1 for _ in enumerate_labeled(4, 6)) == 64
     assert sum(1 for _ in enumerate_labeled(3, 3)) == 8
     assert sum(1 for _ in enumerate_labeled(5, 4)) == sum(comb(10, k) for k in range(5))
-
-
-def test_labeled_count_formula():
-    for bounds in ((4, 6), (3, 3), (5, 4), (6, 15), (2, 1)):
-        assert labeled_count(*bounds) == sum(1 for _ in enumerate_labeled(*bounds))
-    # the full sweep range is the binomial sum over 28 possible edges
-    assert labeled_count(8, 10) == sum(comb(28, m) for m in range(11))
 
 
 def test_enumerate_labeled_is_deterministic():
@@ -76,6 +68,14 @@ def test_small_sweep_is_clean(catalog):
     expected = expected_census(catalog, 6, 9)
     for key, want in expected.items():
         assert report.exception_census.get(key, frozenset()) == want
+
+
+def test_sweep_timings_cover_enumeration(catalog):
+    report = run_sweep(SweepConfig(max_vertices=5, max_edges=6, worker_count=1), catalog)
+    timings = dict(report.timings)
+    total = timings.pop("total")
+    assert "enumeration" in timings
+    assert total >= sum(timings.values())
 
 
 def test_sweep_identical_single_and_multi_worker(catalog):
