@@ -57,12 +57,18 @@ def test_parse_errors_carry_offsets():
     assert err.value.offset == 1
 
 
+def test_edge_list_round_trip(classes_up_to_6):
+    h2 = "n=7\n0 1\n0 2\n0 3\n1 2\n1 4\n2 5\n3 6\n"
+    assert parse_edge_list(h2) == build_named("H2")
+    for g in classes_up_to_6:
+        text = f"n={g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert parse_edge_list(text) == g
+
+
 def test_edge_list_format():
     text = "# comment\nn=5\n0 1\n1 2\n"
     g = parse_edge_list(text)
     assert g.n == 5 and g.m == 2
-    h2 = "n=7\n0 1\n0 2\n0 3\n1 2\n1 4\n2 5\n3 6\n"
-    assert parse_edge_list(h2) == build_named("H2")
     with pytest.raises(ValueError):
         parse_edge_list("0 1 2\n")
     with pytest.raises(ValueError):
