@@ -7,7 +7,7 @@ that triggered them.
 
 from __future__ import annotations
 
-from .graphcore import Graph
+from .graphcore import MAX_INPUT_VERTICES, Graph
 
 
 class Graph6Error(ValueError):
@@ -68,6 +68,8 @@ def parse_graph6(text: str | bytes) -> Graph:
     else:
         n = data[0] - 63
         pos = 1
+    if n > MAX_INPUT_VERTICES:
+        raise Graph6Error(f"{n} vertices exceed the limit of {MAX_INPUT_VERTICES}", 0)
     bits_needed = n * (n - 1) // 2
     bytes_needed = (bits_needed + 5) // 6
     if len(data) - pos < bytes_needed:
@@ -105,6 +107,7 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines starting with ``#`` are comments; an optional ``n=<count>`` line
     declares the vertex count (needed for trailing isolated vertices).
+    At most ``MAX_INPUT_VERTICES`` vertices are accepted.
     """
     n_declared: int | None = None
     edges: list[tuple[int, int]] = []
@@ -133,6 +136,8 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         max_seen = max(max_seen, u, v)
     n = max_seen + 1 if n_declared is None else n_declared
+    if n > MAX_INPUT_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_INPUT_VERTICES}")
     if max_seen >= n:
         raise ValueError(f"edge endpoint {max_seen} exceeds declared n={n}")
     return Graph.from_edges(n, edges)

@@ -16,6 +16,11 @@ from typing import Iterator
 
 Edge = tuple[int, int]
 
+# Largest vertex count that build_named, parse_graph6 and parse_edge_list
+# accept, so that no input makes them (or what runs on the graph) allocate
+# without bound.
+MAX_INPUT_VERTICES = 1000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -261,6 +266,8 @@ def _build_atom(name: str) -> Graph:
             value = int(match.group(1))
             if value < minimum:
                 raise ValueError(f"parameter {value} too small for {name!r}")
+            if value > MAX_INPUT_VERTICES:
+                raise ValueError(f"{name!r} has more than {MAX_INPUT_VERTICES} vertices")
             return builder(value)
     raise ValueError(f"unknown graph name {name!r}")
 
@@ -271,9 +278,11 @@ def build_named(spec: str) -> Graph:
     Atoms: ``K<n>``, ``C<n>``, ``P<n>``, ``K1_<leaves>``, ``F<k>``,
     ``K4_minus``, ``K3_plus``, ``K3_circ_K1``, ``H1``, ``H2``, ``H3``,
     ``Petersen``.  Atoms may be joined with ``+`` for disjoint unions and
-    prefixed with a count, e.g. ``K3+2K2``.
+    prefixed with a count, e.g. ``K3+2K2``.  At most ``MAX_INPUT_VERTICES``
+    vertices in all.
     """
     result: Graph | None = None
+    total = 0
     for part in spec.split("+"):
         part = part.strip()
         count = 1
@@ -284,6 +293,9 @@ def build_named(spec: str) -> Graph:
         if count < 1 or not part:
             raise ValueError(f"bad component {part!r} in {spec!r}")
         atom = _build_atom(part)
+        total += count * atom.n
+        if total > MAX_INPUT_VERTICES:
+            raise ValueError(f"{spec!r} has more than {MAX_INPUT_VERTICES} vertices")
         for _ in range(count):
             result = atom if result is None else disjoint_union(result, atom)
     if result is None:

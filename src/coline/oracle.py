@@ -69,7 +69,8 @@ def is_tough(g: Graph) -> ToughnessResult:
 
     Cutsets are enumerated by increasing size, lexicographically inside a
     size, and the first violating witness is returned.  Complete graphs
-    have no cutset and come back vacuously tough.
+    have no cutset and come back vacuously tough.  Since c(G - S) <= n - |S|,
+    a violating S has |S| < n/2, so larger cutsets are never tried.
     """
     if g.n == 0:
         return ToughnessResult(True, None, True)
@@ -79,7 +80,7 @@ def is_tough(g: Graph) -> ToughnessResult:
     if g.m == g.n * (g.n - 1) // 2:
         return ToughnessResult(True, None, True)
     full = (1 << g.n) - 1
-    for size in range(1, g.n - 1):
+    for size in range(1, (g.n + 1) // 2):
         for cut in combinations(range(g.n), size):
             mask = 0
             for v in cut:
@@ -274,33 +275,127 @@ def _adjacency_rows(g: Graph, ordering: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _orbit_root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _join_orbits(parent: list[int], gamma: tuple[int, ...]) -> None:
+    """Merge the orbits of ``gamma`` into the union-find ``parent``.
+
+    Each root is the smallest vertex of its orbit.
+    """
+    for v, w in enumerate(gamma):
+        if v != w:
+            a, b = _orbit_root(parent, v), _orbit_root(parent, w)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+
+
+class _Node:
+    """An internal node of the search tree on the current path."""
+
+    __slots__ = ("colors", "cell", "next", "orbits")
+
+    def __init__(self, colors: tuple[int, ...], cell: list[int]):
+        self.colors = colors
+        self.cell = cell  # the target cell, whose vertices are the children
+        self.next = 0  # index in cell of the next child
+        # Orbits of the generators that fix this node's prefix pointwise,
+        # built when the second child is due.
+        self.orbits: list[int] | None = None
+
+
 def _canonical_adj(g: Graph) -> tuple[int, ...]:
+    """Adjacency rows of the minimum leaf of the individualisation-refinement
+    tree.
+
+    A node individualises each vertex of the first non-singleton cell of its
+    refined colouring in turn; a leaf's colouring is discrete and orders the
+    vertices.  Two leaves with equal rows give an automorphism, and an
+    automorphism that fixes a node's individualised prefix pointwise maps
+    the subtree of one child onto the subtree of another with the same
+    leaf rows.  So a child in the orbit of an explored sibling is skipped,
+    and a leaf matching the first or best leaf returns straight to the node
+    where its path leaves that leaf's path, whose subtree below is then an
+    image of an explored one (McKay & Piperno, "Practical graph isomorphism
+    II", J. Symb. Comp. 2014).  Only equivalent subtrees are skipped, so
+    the minimum leaf is the one the full search would find.
+    """
     n = g.n
     if n <= 1:
         return g.adj
-    best: tuple[int, ...] | None = None
-
-    def descend(colors: tuple[int, ...]) -> None:
-        nonlocal best
-        colors = _refine(g, colors)
+    path: list[int] = []  # path[level]: the vertex individualised at that level
+    stack: list[_Node] = []  # stack[level]: the node whose prefix is path[:level]
+    generators: list[tuple[int, ...]] = []
+    first = best = None  # (rows, ordering, path) of the first and best leaf
+    colors = _refine(g, tuple(g.degree(v) for v in range(n)))
+    while True:
         cells = _cells(colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
-        if target is None:
+        if target is not None:
+            stack.append(_Node(colors, target))
+        else:
             ordering = [cell[0] for cell in cells]
             rows = _adjacency_rows(g, ordering)
-            if best is None or rows < best:
-                best = rows
-            return
-        for v in target:
-            forced = tuple(
-                c if u != v else -1 for u, c in enumerate(colors)
-            )
-            descend(forced)
-
-    initial = tuple(g.degree(v) for v in range(n))
-    descend(initial)
-    assert best is not None
-    return best
+            if first is None:
+                first = best = (rows, ordering, path[:])
+            elif rows == first[0] or rows == best[0]:
+                _, ref_ordering, ref_path = first if rows == first[0] else best
+                mapping = [0] * n
+                for u, v in zip(ref_ordering, ordering):
+                    mapping[u] = v
+                gamma = tuple(mapping)
+                fixed = 0  # gamma fixes path[:fixed] pointwise
+                while fixed < len(path) and gamma[path[fixed]] == path[fixed]:
+                    fixed += 1
+                if fixed < len(path):  # otherwise gamma is the identity
+                    generators.append(gamma)
+                    for node in stack[: fixed + 1]:
+                        if node.orbits is not None:
+                            _join_orbits(node.orbits, gamma)
+                # Neither path of two distinct leaves is a prefix of the
+                # other.  Where they part, gamma maps the explored child's
+                # subtree onto the current one: go back to that node.
+                split = 0
+                while path[split] == ref_path[split]:
+                    split += 1
+                if split <= fixed and gamma[ref_path[split]] == path[split]:
+                    del stack[split + 1 :]
+            elif rows < best[0]:
+                best = (rows, ordering, path[:])
+        # Advance to the next child that no automorphism rules out.
+        while stack:
+            level = len(stack) - 1
+            node = stack[-1]
+            cell, index, orbits = node.cell, node.next, node.orbits
+            if index > 0:
+                if orbits is None:
+                    orbits = node.orbits = list(range(n))
+                    prefix = path[:level]
+                    for gamma in generators:
+                        if all(gamma[p] == p for p in prefix):
+                            _join_orbits(orbits, gamma)
+                # Every earlier vertex of the cell was explored or is in the
+                # orbit of one that was, so a vertex that is not the smallest
+                # of its orbit is covered.
+                while index < len(cell) and _orbit_root(orbits, cell[index]) != cell[index]:
+                    index += 1
+            if index == len(cell):
+                stack.pop()
+                continue
+            v = cell[index]
+            node.next = index + 1
+            del path[level:]
+            path.append(v)
+            colors = _refine(g, tuple(c if u != v else -1 for u, c in enumerate(node.colors)))
+            break
+        else:
+            return best[0]
 
 
 @lru_cache(maxsize=200_000)

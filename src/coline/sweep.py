@@ -115,12 +115,15 @@ _WORKER_STATE: dict = {}
 
 
 def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
+    start = time.perf_counter()
     canon = oracle.canonical_form(g).decode("ascii")
     record: dict = {"canon": canon, "mismatches": [], "census": [], "timings": {}}
     l, _ = coline(g)
 
     def clock(name: str, start: float) -> None:
         record["timings"][name] = record["timings"].get(name, 0.0) + time.perf_counter() - start
+
+    clock("canonical_coline", start)
 
     tough_oracle = None
     ham_exists = None
@@ -274,6 +277,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
             except Exception as exc:  # noqa: BLE001
                 partial = True
                 extras["error"] = repr(exc)
+    began = time.perf_counter()
     records.sort(key=lambda r: r["canon"])
 
     mismatches = []
@@ -286,16 +290,21 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
             census.setdefault(key, set()).add(record["canon"])
         for check, dt in record["timings"].items():
             timings[check] = timings.get(check, 0.0) + dt
+    timings["merge"] = time.perf_counter() - began
 
     if "self_coline" in config.checks:
+        began = time.perf_counter()
         forms = self_coline_census(min(config.max_vertices, 7))
         census["self-coline"] = {f.decode("ascii") for f in forms}
+        timings["self_coline"] = time.perf_counter() - began
     if "whitney" in config.checks:
+        began = time.perf_counter()
         pairs = whitney_census(min(config.max_vertices, 6))
         census["whitney-pairs"] = {
             " ".join(sorted(oracle.canonical_form(g).decode("ascii") for g in pair))
             for pair in pairs
         }
+        timings["whitney"] = time.perf_counter() - began
     timings["total"] = time.perf_counter() - start
     report = SweepReport(
         graphs_scanned=len(records),

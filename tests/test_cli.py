@@ -89,6 +89,23 @@ def test_unknown_name_is_usage_error(capsys):
     assert code == 2
 
 
+def test_oversized_inputs_are_usage_errors(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "classify", "--named", "K99999999")
+    assert code == 2 and "1000 vertices" in err
+    code, _, err = run_cli(capsys, "classify", "--named", "99999999K2")
+    assert code == 2 and "1000 vertices" in err
+    path = tmp_path / "huge.txt"
+    path.write_text("n=2000000\n0 1\n")
+    code, _, err = run_cli(capsys, "classify", "-i", str(path))
+    assert code == 2 and "limit" in err
+    path.write_text("0 1\n1 99999999\n")
+    code, _, err = run_cli(capsys, "classify", "-i", str(path))
+    assert code == 2 and "limit" in err
+    header = bytes([126, 63, 63 + (2000 >> 6), 63 + (2000 & 63)]).decode("ascii")
+    code, _, err = run_cli(capsys, "classify", "--graph6", header)
+    assert code == 2 and "limit" in err
+
+
 def test_missing_input_file_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", "-i", str(tmp_path / "nope.txt"))
     assert code == 3

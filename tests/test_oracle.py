@@ -1,8 +1,13 @@
+import hashlib
+import json
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
+from coline import oracle
+from coline.graph6 import emit_graph6, parse_graph6
 from coline.graphcore import Graph, add_dominating_vertex, build_named, coline, components
 from coline.oracle import (
     CycleOrPath,
@@ -18,9 +23,12 @@ from coline.oracle import (
     is_isomorphic,
     is_tough,
     is_valid_in,
+    iter_graph_classes,
     longest_cycle,
     vertex_connectivity,
 )
+
+SYMMETRIC_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_symmetric.json"
 
 
 def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -133,6 +141,45 @@ def test_tough_witness_recomputes(classes_up_to_6):
         assert count > len(result.witness.cutset)
 
 
+def _reference_component_count(g: Graph, removed: set[int]) -> int:
+    left = set(range(g.n)) - removed
+    count = 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            v = stack.pop()
+            for u in [u for u in left if g.has_edge(u, v)]:
+                left.remove(u)
+                stack.append(u)
+    return count
+
+
+def _reference_toughness(g: Graph):
+    """Every cutset size up to n - 2, in the order is_tough documents."""
+    if g.n == 0:
+        return True, None
+    count = _reference_component_count(g, set())
+    if count > 1:
+        return False, ((), count)
+    for size in range(1, g.n - 1):
+        for cut in combinations(range(g.n), size):
+            count = _reference_component_count(g, set(cut))
+            if count > size and count >= 2:
+                return False, (cut, count)
+    return True, None
+
+
+def test_is_tough_matches_all_subsets_reference(classes_up_to_6):
+    for g in classes_up_to_6:
+        for h in (g, coline(g)[0]):
+            result = is_tough(h)
+            witness = result.witness
+            if witness is not None:
+                witness = (witness.cutset, witness.components_after)
+            assert (result.value, witness) == _reference_toughness(h)
+
+
 def test_complete_graphs_vacuously_tough():
     for n in (1, 2, 4):
         result = is_tough(build_named(f"K{n}"))
@@ -220,6 +267,60 @@ def test_canonical_form_invariant_under_relabeling(classes_sweep_range):
         shuffled = relabel(g, perm)
         assert canonical_form(shuffled) == canonical_form(g)
         assert is_isomorphic(shuffled, g) is not None
+
+
+def _sha1_lines(lines) -> str:
+    return hashlib.sha1("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def test_canonical_forms_are_pinned():
+    # Digests of the forms an unpruned search gives: the packaged catalog
+    # and every sweep key depend on them, so pruning must not move them.
+    classes = [emit_graph6(g) for g in iter_graph_classes(7, 9)]
+    assert len(classes) == 373
+    assert _sha1_lines(classes) == "b81cddbacf4567f4c30a2b3b373a0f4b3f3e2d77"
+    inputs = json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]
+    assert len(inputs) == 46
+    forms = [emit_graph6(canonical_graph(parse_graph6(entry["graph6"]))) for entry in inputs]
+    assert _sha1_lines(forms) == "1b3f6922b79c9a8ffc2786fa55dd1b27ccc00bce"
+
+
+def _symmetric_graphs():
+    names = [f"K{n}" for n in range(1, 13)]
+    names += [f"K1_{n}" for n in (1, 2, 3, 5, 9, 10, 17, 40)]
+    names += [f"{n}K2" for n in range(1, 9)]
+    names += [f"C{n}" for n in (3, 4, 5, 6, 9, 12, 40)]
+    names += ["K5"] + [f"K5+{k}K1" for k in range(1, 8)]
+    names.append("Petersen")
+    return [build_named(name) for name in names]
+
+
+def test_canonical_form_invariant_on_symmetric_graphs():
+    rng = random.Random(2014)
+    for g in _symmetric_graphs():
+        form = canonical_form(g)
+        assert is_isomorphic(canonical_graph(g), g) is not None
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == form
+
+
+def test_canonical_search_work_is_polynomial_on_symmetric_graphs(monkeypatch):
+    calls = 0
+    real_refine = oracle._refine
+
+    def counting_refine(g, colors):
+        nonlocal calls
+        calls += 1
+        return real_refine(g, colors)
+
+    monkeypatch.setattr(oracle, "_refine", counting_refine)
+    for name in ("K12", "K1_40", "K5+7K1"):
+        g = build_named(name)
+        calls = 0
+        oracle._canonical_adj(g)
+        assert 0 < calls <= 4 * g.n**2, name
 
 
 # --- containment -----------------------------------------------------------------
