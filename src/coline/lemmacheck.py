@@ -35,18 +35,15 @@ class Violation:
 class LongestCycleContext:
     """A host graph with an oriented cycle and the derived off-cycle data.
 
-    ``offsets``: position of each cycle vertex; ``off_components``: the
-    connected components of host minus the cycle, each a sorted vertex
-    tuple; ``neighbor_sets``: per component, its on-cycle neighbours.
+    ``off_components``: the connected components of host minus the cycle,
+    each a sorted vertex tuple; ``neighbor_sets``: per component, its
+    on-cycle neighbours.
     """
 
     host: Graph
     cycle: CycleOrPath
     off_components: tuple[tuple[int, ...], ...]
     neighbor_sets: tuple[tuple[int, ...], ...]
-
-    def position(self, v: int) -> int:
-        return self.cycle.vertices.index(v)
 
     def succ(self, v: int) -> int:
         vs = self.cycle.vertices

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graph6 import emit_graph6
-from .graphcore import Graph, _bits, add_dominating_vertex, coline, components, is_connected
+from .graphcore import Graph, _bits, coline, components, is_connected
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ The labelled stream is still available for small ranges.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from multiprocessing import Pool
 
@@ -36,19 +38,6 @@ from .characterize import (
 )
 from .graphcore import Graph, build_named, coline, components, is_connected, line_graph
 
-ALL_CHECKS = frozenset(
-    {
-        "toughness",
-        "hamiltonicity",
-        "traceability",
-        "classification",
-        "lemma_properties",
-        "induced_freeness",
-        "self_coline",
-        "whitney",
-    }
-)
-
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 10
 
@@ -60,7 +49,6 @@ _FORBIDDEN_PATTERN = build_named("K2+3K1")
 class SweepConfig:
     max_vertices: int = DEFAULT_MAX_VERTICES
     max_edges: int = DEFAULT_MAX_EDGES
-    checks: frozenset[str] = ALL_CHECKS
     worker_count: int = 1
     output_path: str | None = None
 
@@ -69,9 +57,6 @@ class SweepConfig:
             raise ValueError("max_vertices must be between 2 and 10")
         if not 1 <= self.max_edges <= self.max_vertices * (self.max_vertices - 1) // 2:
             raise ValueError("max_edges must fit on max_vertices vertices")
-        unknown = self.checks - ALL_CHECKS
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
 
@@ -84,7 +69,6 @@ class SweepReport:
     timings: dict[str, float]
     config: SweepConfig
     partial: bool = False
-    resume_at: int = 0
     extras: dict = field(default_factory=dict)
 
 
@@ -102,19 +86,13 @@ def enumerate_labeled(max_vertices: int, max_edges: int):
         )
 
 
-def enumerate_classes(max_vertices: int, max_edges: int):
-    """Canonical representatives of every isomorphism class with 1 to
-    max_edges edges and no isolated vertices on at most max_vertices
-    vertices, in deterministic order."""
-    yield from oracle.iter_graph_classes(max_vertices, max_edges)
+# The package's public name for the class enumeration.
+enumerate_classes = oracle.iter_graph_classes
 
 
 # --- per-class examination ---------------------------------------------------
 
-_WORKER_STATE: dict = {}
-
-
-def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
+def _examine_class(g: Graph, catalog: Catalog) -> dict:
     start = time.perf_counter()
     canon = oracle.canonical_form(g).decode("ascii")
     record: dict = {"canon": canon, "mismatches": [], "census": [], "timings": {}}
@@ -125,9 +103,7 @@ def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
 
     clock("canonical_coline", start)
 
-    tough_oracle = None
-    ham_exists = None
-    if "toughness" in checks and g.m >= 3:
+    if g.m >= 3:
         start = time.perf_counter()
         verdict = characterize.decide_coline_tough(g, catalog)
         tough_oracle = oracle.is_tough(l)
@@ -139,7 +115,6 @@ def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
             record["census"].append("tough-exceptions")
         clock("toughness", start)
 
-    if "hamiltonicity" in checks and g.m >= 3:
         start = time.perf_counter()
         main = characterize.decide_coline_hamiltonian(g, catalog)
         five_clause = characterize.decide_wu_meng(g, catalog)
@@ -156,7 +131,7 @@ def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
             record["census"].append("wu-meng-21")
         clock("hamiltonicity", start)
 
-    if "traceability" in checks and g.m >= 2:
+    if g.m >= 2:
         start = time.perf_counter()
         verdict = characterize.decide_coline_traceable(g, catalog)
         path = oracle.hamiltonian_path(l)
@@ -170,36 +145,32 @@ def _examine_class(g: Graph, catalog: Catalog, checks: frozenset[str]) -> dict:
             record["census"].append("trace-corona")
         clock("traceability", start)
 
-    if "classification" in checks:
-        start = time.perf_counter()
-        klass = characterize.classify_disconnected_coline(g)
-        problem = _classification_problem(g, l, klass)
-        if problem:
-            record["mismatches"].append(("classification", str(klass.case.value), problem))
-        clock("classification", start)
+    start = time.perf_counter()
+    klass = characterize.classify_disconnected_coline(g)
+    problem = _classification_problem(g, l, klass)
+    if problem:
+        record["mismatches"].append(("classification", str(klass.case.value), problem))
+    clock("classification", start)
 
-    if "induced_freeness" in checks:
-        start = time.perf_counter()
-        if not oracle.is_induced_free(l, _FORBIDDEN_PATTERN):
-            record["mismatches"].append(("induced-freeness", "free", "induced copy found"))
-        clock("induced_freeness", start)
+    start = time.perf_counter()
+    if not oracle.is_induced_free(l, _FORBIDDEN_PATTERN):
+        record["mismatches"].append(("induced-freeness", "free", "induced copy found"))
+    clock("induced_freeness", start)
 
-    if tough_oracle is not None and ham_exists is not None:
-        if tough_oracle.value and not ham_exists:
-            record["census"].append("tough-not-hamiltonian")
-            if "lemma_properties" in checks:
-                start = time.perf_counter()
-                cycle = oracle.longest_cycle(l)
-                ctx = lemmacheck.make_context(l, cycle)
-                for violation in lemmacheck.run_all_checks(ctx):
-                    record["mismatches"].append(
-                        (f"lemma:{violation.kind}", "no violation", violation.detail)
-                    )
-                for violation in lemmacheck.check_trivial_components(ctx, g):
-                    record["mismatches"].append(
-                        ("lemma:trivial-components", "no violation", violation.detail)
-                    )
-                clock("lemma_properties", start)
+    if g.m >= 3 and tough_oracle.value and not ham_exists:
+        record["census"].append("tough-not-hamiltonian")
+        start = time.perf_counter()
+        cycle = oracle.longest_cycle(l)
+        ctx = lemmacheck.make_context(l, cycle)
+        for violation in lemmacheck.run_all_checks(ctx):
+            record["mismatches"].append(
+                (f"lemma:{violation.kind}", "no violation", violation.detail)
+            )
+        for violation in lemmacheck.check_trivial_components(ctx, g):
+            record["mismatches"].append(
+                ("lemma:trivial-components", "no violation", violation.detail)
+            )
+        clock("lemma_properties", start)
 
     return record
 
@@ -234,49 +205,31 @@ def _classification_problem(g: Graph, l: Graph, klass) -> str | None:
 
 # --- sweep driver --------------------------------------------------------------
 
-def _init_worker(catalog: Catalog, checks: frozenset[str]) -> None:
-    _WORKER_STATE["catalog"] = catalog
-    _WORKER_STATE["checks"] = checks
-
-
-def _examine_batch(graphs: list[Graph]) -> list[dict]:
-    catalog = _WORKER_STATE["catalog"]
-    checks = _WORKER_STATE["checks"]
-    return [_examine_class(g, catalog, checks) for g in graphs]
-
-
 def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:
     """Cross-verify every decision procedure over the configured range.
 
-    Worker failures surface as a partial report (the resume cursor counts
-    completed classes) rather than a crash.
+    A failure surfaces as a partial report, whose graphs_scanned counts
+    the classes examined before it, rather than as a crash.  One worker
+    examines in-process; more share a pool.
     """
     catalog = catalog or characterize.load_catalog()
     start = time.perf_counter()
-    classes = list(enumerate_classes(config.max_vertices, config.max_edges))
+    classes = list(oracle.iter_graph_classes(config.max_vertices, config.max_edges))
     enumerated = time.perf_counter()
+    examine = partial(_examine_class, catalog=catalog)
+    workers = config.worker_count
     records: list[dict] = []
     extras: dict = {}
-    partial = False
-    if config.worker_count == 1:
+    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
+        if pool is None:
+            results = map(examine, classes)
+        else:
+            results = pool.imap(examine, classes, chunksize=max(1, len(classes) // (workers * 8)))
         try:
-            for g in classes:
-                records.append(_examine_class(g, catalog, config.checks))
+            for record in results:
+                records.append(record)
         except Exception as exc:  # noqa: BLE001 - partial report carries the error
-            partial = True
             extras["error"] = repr(exc)
-    else:
-        size = max(1, len(classes) // (config.worker_count * 8))
-        batches = [classes[i : i + size] for i in range(0, len(classes), size)]
-        with Pool(
-            config.worker_count, initializer=_init_worker, initargs=(catalog, config.checks)
-        ) as pool:
-            try:
-                for batch in pool.imap(_examine_batch, batches):
-                    records.extend(batch)
-            except Exception as exc:  # noqa: BLE001
-                partial = True
-                extras["error"] = repr(exc)
     began = time.perf_counter()
     records.sort(key=lambda r: r["canon"])
 
@@ -292,19 +245,17 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
             timings[check] = timings.get(check, 0.0) + dt
     timings["merge"] = time.perf_counter() - began
 
-    if "self_coline" in config.checks:
-        began = time.perf_counter()
-        forms = self_coline_census(min(config.max_vertices, 7))
-        census["self-coline"] = {f.decode("ascii") for f in forms}
-        timings["self_coline"] = time.perf_counter() - began
-    if "whitney" in config.checks:
-        began = time.perf_counter()
-        pairs = whitney_census(min(config.max_vertices, 6))
-        census["whitney-pairs"] = {
-            " ".join(sorted(oracle.canonical_form(g).decode("ascii") for g in pair))
-            for pair in pairs
-        }
-        timings["whitney"] = time.perf_counter() - began
+    began = time.perf_counter()
+    forms = self_coline_census(min(config.max_vertices, 7))
+    census["self-coline"] = {f.decode("ascii") for f in forms}
+    timings["self_coline"] = time.perf_counter() - began
+    began = time.perf_counter()
+    pairs = whitney_census(min(config.max_vertices, 6))
+    census["whitney-pairs"] = {
+        " ".join(sorted(oracle.canonical_form(g).decode("ascii") for g in pair))
+        for pair in pairs
+    }
+    timings["whitney"] = time.perf_counter() - began
     timings["total"] = time.perf_counter() - start
     report = SweepReport(
         graphs_scanned=len(records),
@@ -312,8 +263,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
         exception_census={k: frozenset(v) for k, v in sorted(census.items())},
         timings=timings,
         config=config,
-        partial=partial,
-        resume_at=len(records),
+        partial="error" in extras,
         extras=extras,
     )
     if config.output_path:
@@ -350,10 +300,11 @@ def report_to_text(report: SweepReport) -> str:
         "bound rationale: the counting clauses settle every graph analytically; "
         "all catalogued exceptions have at most 8 edges and 8 non-isolated "
         "vertices, and the largest named exception has 10 edges.",
-        f"checks: {', '.join(sorted(cfg.checks))}",
+        "checks: classification, hamiltonicity, induced_freeness, lemma_properties, "
+        "self_coline, toughness, traceability, whitney",
         f"workers: {cfg.worker_count}",
         f"classes scanned: {report.graphs_scanned}",
-        f"partial: {report.partial} (resume cursor {report.resume_at})",
+        f"partial: {report.partial}",
         "",
         f"mismatches: {len(report.mismatches)}",
     ]
@@ -390,7 +341,7 @@ def bootstrap_catalog(
     trace_exceptions: dict[bytes, Graph] = {}
     wu_meng: dict[bytes, Graph] = {}
 
-    for g in enumerate_classes(max_vertices, max_edges):
+    for g in oracle.iter_graph_classes(max_vertices, max_edges):
         if g.m >= 3 and counting_clause(g, 0) is None:
             l, _ = coline(g)
             if not oracle.is_tough(l).value:
@@ -443,7 +394,7 @@ def self_coline_census(max_vertices: int = 7) -> frozenset[bytes]:
     if max_vertices > 8:
         raise ValueError("census budget is max_vertices <= 8")
     found = set()
-    for g in enumerate_classes(max_vertices, max_vertices):
+    for g in oracle.iter_graph_classes(max_vertices, max_vertices):
         if g.m != g.n:
             continue
         l, _ = coline(g)
@@ -460,7 +411,7 @@ def whitney_census(max_vertices: int = 6) -> tuple[tuple[Graph, Graph], ...]:
         raise ValueError("census budget is max_vertices <= 6")
     groups: dict[bytes, list[Graph]] = {}
     limit = max_vertices * (max_vertices - 1) // 2
-    for g in enumerate_classes(max_vertices, limit):
+    for g in oracle.iter_graph_classes(max_vertices, limit):
         if not is_connected(g):
             continue
         lg, _ = line_graph(g)

@@ -12,7 +12,7 @@ def catalog():
 @pytest.fixture(scope="session")
 def full_sweep(catalog):
     """The acceptance-range sweep: every class on <= 8 non-isolated
-    vertices with <= 10 edges, all checks enabled."""
+    vertices with <= 10 edges, every check run."""
     config = SweepConfig(max_vertices=8, max_edges=10, worker_count=1)
     return run_sweep(config, catalog)
 

@@ -56,6 +56,16 @@ def test_classify_c6_all_true(capsys):
     assert verdicts["traceable"]["value"]
 
 
+def test_classify_verify_edge_budget(capsys):
+    code, _, err = run_cli(capsys, "classify", "--named", "K7", "--verify")  # 21 edges
+    assert code == 2
+    assert "16 edges" in err
+    code, _, _ = run_cli(capsys, "classify", "--named", "K7")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "classify", "--named", "C6", "--verify")
+    assert code == 0
+
+
 def test_classify_graph6_input(capsys):
     code, out, _ = run_cli(capsys, "classify", "--graph6", emit_graph6(build_named("C6")))
     assert code == 0
@@ -167,6 +177,9 @@ def test_sweep_command(capsys, tmp_path):
 def test_sweep_bad_flags(capsys):
     code, _, err = run_cli(capsys, "sweep", "--max-vertices", "40")
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--checks", "all"])
+    assert exc.value.code == 2
 
 
 def test_catalog_validate_and_show(capsys):
