@@ -7,7 +7,9 @@ that triggered them.
 
 from __future__ import annotations
 
-from .graphcore import MAX_INPUT_VERTICES, Graph
+import math
+
+from .graphcore import MAX_INPUT_EDGES, MAX_INPUT_VERTICES, Graph
 
 
 class Graph6Error(ValueError):
@@ -18,10 +20,10 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def _triangle_bits(g: Graph):
-    for col in range(1, g.n):
-        for row in range(col):
-            yield g.adj[row] >> col & 1
+# Adds graph6's printable offset of 63 to every 6-bit value.
+_PLUS_63 = bytes(range(63, 127)) + bytes(192)
+# Takes the offset off again; bytes outside 63..126 are rejected before use.
+_MINUS_63 = bytes(63) + bytes(range(64)) + bytes(129)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -30,22 +32,21 @@ def emit_graph6(g: Graph) -> str:
     if n < 0 or n > 258047:
         raise ValueError("graph6 size header supports 0 <= n <= 258047 here")
     if n <= 62:
-        header = [n + 63]
+        header = bytes([n + 63])
     else:
-        header = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    out = bytearray(header)
-    acc = 0
-    filled = 0
-    for bit in _triangle_bits(g):
-        acc = acc << 1 | bit
-        filled += 1
-        if filled == 6:
-            out.append(acc + 63)
-            acc = 0
-            filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return out.decode("ascii")
+        header = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    # Bit k of the upper triangle, taken column by column, is bit 5 - k % 6
+    # of body byte k // 6; column col holds rows 0..col-1.
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for col in range(1, n):
+        rows = g.adj[col] & ((1 << col) - 1)
+        base = col * (col - 1) // 2
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            k = base + low.bit_length() - 1
+            body[k // 6] |= 32 >> k % 6
+    return (header + body.translate(_PLUS_63)).decode("ascii")
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -76,30 +77,26 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise Graph6Error("truncated adjacency data", len(data))
     if len(data) - pos > bytes_needed:
         raise Graph6Error("trailing garbage", pos + bytes_needed)
+    body = data[pos:].translate(_MINUS_63)
+    padding = 6 * bytes_needed - bits_needed
+    if padding and body[-1] & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bits", pos + bits_needed // 6)
+    edges = int.from_bytes(body, "big").bit_count()
+    if edges > MAX_INPUT_EDGES:
+        raise Graph6Error(f"{edges} edges exceed the limit of {MAX_INPUT_EDGES}", pos)
     adj = [0] * n
-    index = 0
-    for byte in data[pos:]:
-        value = byte - 63
-        for shift in range(5, -1, -1):
-            if index >= bits_needed:
-                if value >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", pos + index // 6)
-                continue
-            if value >> shift & 1:
-                col = _column_of(index)
-                row = index - col * (col - 1) // 2
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            index += 1
+    for index, value in enumerate(body):
+        while value:
+            low = value & -value
+            value ^= low
+            # bit k of the triangle sits in column col, with
+            # col * (col - 1) / 2 <= k < col * (col + 1) / 2
+            k = 6 * index + 6 - low.bit_length()
+            col = (math.isqrt(8 * k + 1) + 1) // 2
+            row = k - col * (col - 1) // 2
+            adj[row] |= 1 << col
+            adj[col] |= 1 << row
     return Graph(n, tuple(adj))
-
-
-def _column_of(index: int) -> int:
-    # Smallest col with col*(col-1)/2 > index, minus 1.
-    col = 1
-    while (col + 1) * col // 2 <= index:
-        col += 1
-    return col
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -107,7 +104,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines starting with ``#`` are comments; an optional ``n=<count>`` line
     declares the vertex count (needed for trailing isolated vertices).
-    At most ``MAX_INPUT_VERTICES`` vertices are accepted.
+    At most ``MAX_INPUT_VERTICES`` vertices and ``MAX_INPUT_EDGES`` edges
+    are accepted.
     """
     n_declared: int | None = None
     edges: list[tuple[int, int]] = []
@@ -140,4 +138,6 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"{n} vertices exceed the limit of {MAX_INPUT_VERTICES}")
     if max_seen >= n:
         raise ValueError(f"edge endpoint {max_seen} exceeds declared n={n}")
+    if len(edges) > MAX_INPUT_EDGES:
+        raise ValueError(f"{len(edges)} edges exceed the limit of {MAX_INPUT_EDGES}")
     return Graph.from_edges(n, edges)

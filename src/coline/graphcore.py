@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
 Edge = tuple[int, int]
 
-# Largest vertex count that build_named, parse_graph6 and parse_edge_list
-# accept, so that no input makes them (or what runs on the graph) allocate
-# without bound.
+# Largest vertex and edge counts that build_named, parse_graph6 and
+# parse_edge_list accept, so that no input makes them (or what runs on the
+# graph) allocate without bound.  The coline of an m-edge graph has m
+# vertices and up to m(m-1)/2 edges; 5000 admits K100 and rejects K101.
 MAX_INPUT_VERTICES = 1000
+MAX_INPUT_EDGES = 5000
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,11 @@ class Graph:
                 raise ValueError(f"vertex {v} has neighbours outside 0..{self.n - 1}")
             if mask >> v & 1:
                 raise ValueError(f"vertex {v} has a self-loop")
-        for v in range(self.n):
-            for u in _bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        packed, transposed, stride = _pack_and_transpose(self.n, self.adj)
+        asymmetric = packed & ~transposed
+        if asymmetric:
+            v, u = divmod((asymmetric & -asymmetric).bit_length() - 1, stride)
+            raise ValueError(f"adjacency not symmetric at ({v}, {u})")
 
     @property
     def m(self) -> int:
@@ -109,6 +113,43 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(n, tuple(adj))
+
+
+def _pack_and_transpose(n: int, rows: tuple[int, ...]) -> tuple[int, int, int]:
+    """The rows packed into one integer, its bit transpose, and the row stride.
+
+    Bit ``v * stride + u`` of the packed integer is bit ``u`` of row ``v``;
+    the stride is a power of two of at least 8 bits, so each row is whole
+    bytes.  The transpose treats the integer as a stride x stride bit matrix
+    and swaps its off-diagonal blocks at each of the log2(stride) block sizes
+    with a masked delta swap (Warren, *Hacker's Delight*, section 7-3).  The
+    rows must lie within 0..n-1.
+    """
+    stride = max(8, 1 << (n - 1).bit_length())
+    width = stride // 8
+    packed = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]), "little")
+    matrix = packed
+    empty_rows = bytes(width)
+    for block, columns in _column_patterns(stride):
+        # rows r with r & block == 0, columns c with c & block != 0; each such
+        # bit swaps with the one ``block`` rows down and ``block`` columns left
+        mask = int.from_bytes((columns * block + empty_rows * block) * (stride // (2 * block)), "little")
+        delta = block * (stride - 1)
+        swap = ((matrix >> delta) ^ matrix) & mask
+        matrix ^= swap ^ (swap << delta)
+    return packed, matrix, stride
+
+
+@cache
+def _column_patterns(stride: int) -> tuple[tuple[int, bytes], ...]:
+    """For each block size from stride/2 down to 1, one row with the columns c & block set."""
+    patterns = []
+    block = stride // 2
+    while block:
+        row = sum(((1 << block) - 1) << c for c in range(block, stride, 2 * block))
+        patterns.append((block, row.to_bytes(stride // 8, "little")))
+        block //= 2
+    return tuple(patterns)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -248,19 +289,20 @@ _FIXED = {
     "Petersen": _petersen,
 }
 
+# pattern, builder, smallest parameter, edge count of the atom
 _PARAMETRIC = (
-    (re.compile(r"^K(\d+)$"), lambda n: _complete(n), 0),
-    (re.compile(r"^C(\d+)$"), lambda n: _cycle(n), 3),
-    (re.compile(r"^P(\d+)$"), lambda n: _path(n), 1),
-    (re.compile(r"^K1_(\d+)$"), lambda n: _star(n), 1),
-    (re.compile(r"^F(\d+)$"), lambda n: _f_graph(n), 2),
+    (re.compile(r"^K(\d+)$"), _complete, 0, lambda n: n * (n - 1) // 2),
+    (re.compile(r"^C(\d+)$"), _cycle, 3, lambda n: n),
+    (re.compile(r"^P(\d+)$"), _path, 1, lambda n: n - 1),
+    (re.compile(r"^K1_(\d+)$"), _star, 1, lambda n: n),
+    (re.compile(r"^F(\d+)$"), _f_graph, 2, lambda n: n + 1),
 )
 
 
 def _build_atom(name: str) -> Graph:
     if name in _FIXED:
         return _FIXED[name]()
-    for pattern, builder, minimum in _PARAMETRIC:
+    for pattern, builder, minimum, edge_count in _PARAMETRIC:
         match = pattern.match(name)
         if match:
             value = int(match.group(1))
@@ -268,6 +310,8 @@ def _build_atom(name: str) -> Graph:
                 raise ValueError(f"parameter {value} too small for {name!r}")
             if value > MAX_INPUT_VERTICES:
                 raise ValueError(f"{name!r} has more than {MAX_INPUT_VERTICES} vertices")
+            if edge_count(value) > MAX_INPUT_EDGES:
+                raise ValueError(f"{name!r} has more than {MAX_INPUT_EDGES} edges")
             return builder(value)
     raise ValueError(f"unknown graph name {name!r}")
 
@@ -279,10 +323,11 @@ def build_named(spec: str) -> Graph:
     ``K4_minus``, ``K3_plus``, ``K3_circ_K1``, ``H1``, ``H2``, ``H3``,
     ``Petersen``.  Atoms may be joined with ``+`` for disjoint unions and
     prefixed with a count, e.g. ``K3+2K2``.  At most ``MAX_INPUT_VERTICES``
-    vertices in all.
+    vertices and ``MAX_INPUT_EDGES`` edges in all.
     """
     result: Graph | None = None
     total = 0
+    total_edges = 0
     for part in spec.split("+"):
         part = part.strip()
         count = 1
@@ -294,8 +339,11 @@ def build_named(spec: str) -> Graph:
             raise ValueError(f"bad component {part!r} in {spec!r}")
         atom = _build_atom(part)
         total += count * atom.n
+        total_edges += count * atom.m
         if total > MAX_INPUT_VERTICES:
             raise ValueError(f"{spec!r} has more than {MAX_INPUT_VERTICES} vertices")
+        if total_edges > MAX_INPUT_EDGES:
+            raise ValueError(f"{spec!r} has more than {MAX_INPUT_EDGES} edges")
         for _ in range(count):
             result = atom if result is None else disjoint_union(result, atom)
     if result is None:

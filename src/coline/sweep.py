@@ -15,6 +15,7 @@ The labelled stream is still available for small ranges.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -59,6 +60,9 @@ class SweepConfig:
             raise ValueError("max_edges must fit on max_vertices vertices")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
+        most = max(2, os.cpu_count() or 1)  # one process per CPU, 2 even on one
+        if self.worker_count > most:
+            raise ValueError(f"worker_count must be at most {most}")
 
 
 @dataclass

@@ -1,10 +1,11 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from coline.cli import main
 from coline.graph6 import emit_graph6
-from coline.graphcore import build_named
+from coline.graphcore import Graph, build_named
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,17 @@ def test_oversized_inputs_are_usage_errors(capsys, tmp_path):
     header = bytes([126, 63, 63 + (2000 >> 6), 63 + (2000 & 63)]).decode("ascii")
     code, _, err = run_cli(capsys, "classify", "--graph6", header)
     assert code == 2 and "limit" in err
+    # edge limit: K100 has 4950 edges and is accepted, K101 has 5050
+    assert build_named("K100").m == 4950
+    for spec in ("K101", "K100+C51", "2K100"):
+        code, _, err = run_cli(capsys, "classify", "--named", spec)
+        assert code == 2 and "5000 edges" in err, spec
+    k101 = emit_graph6(Graph.from_edges(101, combinations(range(101), 2)))
+    code, _, err = run_cli(capsys, "classify", "--graph6", k101)
+    assert code == 2 and "5050 edges exceed the limit of 5000" in err
+    path.write_text("".join(f"{u} {v}\n" for u, v in combinations(range(101), 2)))
+    code, _, err = run_cli(capsys, "classify", "-i", str(path))
+    assert code == 2 and "5050 edges exceed the limit of 5000" in err
 
 
 def test_missing_input_file_is_io_error(capsys, tmp_path):
@@ -180,6 +192,17 @@ def test_sweep_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--checks", "all"])
     assert exc.value.code == 2
+
+
+def test_sweep_worker_cap_starts_no_processes(capsys, monkeypatch):
+    import coline.sweep as sweep_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(sweep_module, "Pool", no_pool)
+    code, _, err = run_cli(capsys, "sweep", "--workers", "1000000")
+    assert code == 2 and "worker_count must be at most" in err
 
 
 def test_catalog_validate_and_show(capsys):

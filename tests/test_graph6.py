@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from coline.graph6 import (
@@ -6,7 +9,7 @@ from coline.graph6 import (
     parse_edge_list,
     parse_graph6,
 )
-from coline.graphcore import Graph, build_named
+from coline.graphcore import MAX_INPUT_EDGES, Graph, build_named
 from coline.oracle import is_isomorphic
 
 
@@ -75,3 +78,90 @@ def test_edge_list_format():
         parse_edge_list("n=2\n0 5\n")
     with pytest.raises(ValueError):
         parse_edge_list("a b\n")
+
+
+def _reference_emit(g: Graph) -> str:
+    """graph6 written one upper-triangle bit at a time."""
+    n = g.n
+    out = bytearray([n + 63] if n <= 62 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    bits = [g.adj[row] >> col & 1 for col in range(1, n) for row in range(col)]
+    bits += [0] * (-len(bits) % 6)
+    for i in range(0, len(bits), 6):
+        out.append(sum(bit << (5 - j) for j, bit in enumerate(bits[i:i + 6])) + 63)
+    return out.decode("ascii")
+
+
+def _reference_parse(code: str) -> Graph:
+    """graph6 read one body bit at a time; raises on nonzero padding."""
+    data = code.encode("ascii")
+    if data[0] == 126:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    else:
+        n, pos = data[0] - 63, 1
+    pairs = [(row, col) for col in range(1, n) for row in range(col)]
+    adj = [0] * n
+    for offset, byte in enumerate(data[pos:]):
+        for j in range(6):
+            if (byte - 63) >> (5 - j) & 1:
+                index = 6 * offset + j
+                if index >= len(pairs):
+                    raise Graph6Error("nonzero padding bits", pos + offset)
+                row, col = pairs[index]
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
+    return Graph(n, tuple(adj))
+
+
+def test_codec_matches_per_bit_reference():
+    rng = random.Random(6)
+    for n in list(range(13)) + [62, 63, 64, 100, 300]:
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+            g = Graph.from_edges(n, edges)
+            code = emit_graph6(g)
+            assert code == _reference_emit(g)
+            if g.m > MAX_INPUT_EDGES:
+                with pytest.raises(Graph6Error, match=f"{g.m} edges exceed the limit"):
+                    parse_graph6(code)
+            else:
+                assert parse_graph6(code) == _reference_parse(code) == g
+
+
+def test_parse_matches_per_bit_reference_on_random_bodies():
+    rng = random.Random(63)
+    for n in list(range(2, 13)) + [62, 63, 64, 100]:
+        header = _reference_emit(Graph(n, (0,) * n))
+        header = header[: 1 if n <= 62 else 4]
+        length = (n * (n - 1) // 2 + 5) // 6
+        for _ in range(20):
+            # sparse random bodies, so the edge limit stays out of the way
+            body = "".join(chr(63 + (rng.getrandbits(6) if rng.random() < 0.2 else 0)) for _ in range(length))
+            code = header + body
+            try:
+                expected = _reference_parse(code)
+            except Graph6Error as exc:
+                with pytest.raises(Graph6Error) as err:
+                    parse_graph6(code)
+                assert str(err.value) == str(exc) and err.value.offset == exc.offset
+            else:
+                assert parse_graph6(code) == expected
+
+
+def test_nonzero_padding_keeps_its_offset():
+    # K4 has 6 triangle bits, so one byte and no padding; K5 has 10 bits,
+    # two bytes and 2 padding bits in the last.
+    assert parse_graph6("D~{") == build_named("K5")
+    for last in ("|", "}", "~"):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6("D~" + last)
+        assert err.value.offset == 2 and "nonzero padding bits" in str(err.value)
+    # 64 vertices give 2016 bits, 336 whole bytes; 65 give 2080 bits and
+    # 2 padding bits in the last of 347 bytes
+    g = Graph.from_edges(64, [(0, 63)])
+    code = emit_graph6(g)
+    assert len(code) == 4 + 336 and parse_graph6(code) == g
+    code = emit_graph6(Graph(65, (0,) * 65))
+    with pytest.raises(Graph6Error) as err:
+        parse_graph6(code[:-1] + chr(63 + 1))
+    assert err.value.offset == len(code) - 1

@@ -31,6 +31,73 @@ def test_graph_validation():
     assert g.edges() == ((0, 1), (1, 2))
 
 
+def _reference_validation_error(n: int, adj: tuple[int, ...]) -> str | None:
+    """The constructor's checks as a loop over every matrix bit."""
+    if n < 0:
+        return "vertex count must be non-negative"
+    if len(adj) != n:
+        return "adjacency length does not match vertex count"
+    full = (1 << n) - 1
+    for v, mask in enumerate(adj):
+        if mask & ~full:
+            return f"vertex {v} has neighbours outside 0..{n - 1}"
+        if mask >> v & 1:
+            return f"vertex {v} has a self-loop"
+    for v in range(n):
+        for u in range(n):
+            if adj[v] >> u & 1 and not adj[u] >> v & 1:
+                return f"adjacency not symmetric at ({v}, {u})"
+    return None
+
+
+def _random_symmetric(rng: random.Random, n: int, density: float) -> list[int]:
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+def test_graph_validation_matches_per_bit_reference():
+    rng = random.Random(2024)
+    for n in list(range(41)) + [63, 64, 65, 127, 128, 129]:
+        cases = []
+        for density in (0.0, 0.1, 0.5, 1.0):
+            cases.append(_random_symmetric(rng, n, density))
+        if n >= 2:
+            for _ in range(3):
+                adj = _random_symmetric(rng, n, rng.random())
+                u, v = rng.sample(range(n), 2)
+                adj[u] ^= 1 << v  # one flipped bit
+                cases.append(adj)
+            # asymmetric: independent random off-diagonal bits
+            cases.append([rng.getrandbits(n) & ~(1 << v) for v in range(n)])
+        if n >= 1:
+            adj = _random_symmetric(rng, n, 0.3)
+            v = rng.randrange(n)
+            adj[v] |= 1 << v  # self-loop
+            cases.append(adj)
+            adj = _random_symmetric(rng, n, 0.3)
+            adj[rng.randrange(n)] |= 1 << (n + rng.randrange(3))  # out of range
+            cases.append(adj)
+            adj = _random_symmetric(rng, n, 0.3)
+            adj[rng.randrange(n)] = -1
+            cases.append(adj)
+        cases.append(_random_symmetric(rng, n + 1, 0.5))  # too many rows
+        for adj in cases:
+            expected = _reference_validation_error(n, tuple(adj))
+            if expected is None:
+                assert Graph(n, tuple(adj)).adj == tuple(adj)
+            else:
+                with pytest.raises(ValueError) as err:
+                    Graph(n, tuple(adj))
+                assert type(err.value) is ValueError
+                assert str(err.value) == expected, (n, adj)
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(-1, ())
+
+
 def test_edge_count_is_half_degree_sum():
     for name in ("K5", "C6", "H1", "H2", "H3", "K3_circ_K1", "Petersen"):
         g = build_named(name)

@@ -57,6 +57,18 @@ def test_sweep_config_validation():
         SweepConfig(worker_count=0)
 
 
+def test_worker_count_is_capped(monkeypatch):
+    import coline.sweep as sweep_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(sweep_module, "Pool", no_pool)
+    with pytest.raises(ValueError, match="at most"):
+        SweepConfig(worker_count=10**6)
+    assert SweepConfig(worker_count=2).worker_count == 2
+
+
 def test_small_sweep_is_clean(catalog):
     config = SweepConfig(max_vertices=6, max_edges=9)
     report = run_sweep(config, catalog)
@@ -90,7 +102,7 @@ def test_sweep_timings_cover_enumeration(catalog):
 
 def test_sweep_identical_single_and_multi_worker(catalog):
     base = SweepConfig(max_vertices=6, max_edges=8, worker_count=1)
-    multi = SweepConfig(max_vertices=6, max_edges=8, worker_count=3)
+    multi = SweepConfig(max_vertices=6, max_edges=8, worker_count=2)
     one = run_sweep(base, catalog)
     many = run_sweep(multi, catalog)
     assert one.graphs_scanned == many.graphs_scanned
