@@ -56,7 +56,6 @@ from .characterize import (
     decide_coline_tough,
     decide_coline_traceable,
     decide_wu_meng,
-    is_pseudo_tough,
     is_type_A,
     load_catalog,
     rho,

@@ -19,7 +19,6 @@ from . import oracle
 from .graph6 import emit_graph6, parse_graph6
 from .graphcore import (
     Graph,
-    add_dominating_vertex,
     build_named,
     coline,
     components,
@@ -162,7 +161,7 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
     adjacent), so stars take precedence; the concrete small graphs are
     matched before the type-A fallback.
     """
-    core, _ = strip_isolated(g)
+    core = strip_isolated(g)
     l, _ = coline(core)
     count = len(components(l))
     if count < 2:
@@ -222,16 +221,6 @@ def wu_meng_blocker(core: Graph, named: dict[str, Graph]) -> str | None:
     return None
 
 
-def _matches_catalog(core: Graph, members: tuple[Graph, ...]) -> bool:
-    key = (core.n, core.m, tuple(sorted(core.degrees())))
-    for member in members:
-        if key != (member.n, member.m, tuple(sorted(member.degrees()))):
-            continue
-        if oracle.is_isomorphic(core, member):
-            return True
-    return False
-
-
 def _verdict(matches: list[str | None]) -> ClauseVerdict:
     matches = [label for label in matches if label]
     if matches:
@@ -242,12 +231,12 @@ def _verdict(matches: list[str | None]) -> ClauseVerdict:
 def decide_coline_tough(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     """Is co(G) tough?  Requires m >= 3 (smaller colines are degenerate)."""
     catalog = catalog or load_catalog()
-    core, _ = strip_isolated(g)
+    core = strip_isolated(g)
     m = core.m
     if m < 3:
         raise ScopeError(f"toughness decision needs at least 3 edges, got {m}")
     matches = [counting_clause(core, 0)]
-    if _matches_catalog(core, catalog.toughness_exceptions):
+    if any(oracle.is_isomorphic(core, h) for h in catalog.toughness_exceptions):
         matches.append("(iii)")
     return _verdict(matches)
 
@@ -256,8 +245,8 @@ def decide_coline_hamiltonian(g: Graph, catalog: Catalog | None = None) -> Claus
     """Is co(G) Hamiltonian?  Tough colines are Hamiltonian except for four
     root graphs; non-tough colines never are."""
     catalog = catalog or load_catalog()
-    tough = decide_coline_tough(g, catalog)
-    core, _ = strip_isolated(g)
+    core = strip_isolated(g)
+    tough = decide_coline_tough(core, catalog)
     matches = []
     if not tough.value:
         matches.append(f"not-tough{tough.clause}")
@@ -273,7 +262,7 @@ def decide_wu_meng(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     Subgraph tests in clause (iv) are non-induced containment.
     """
     catalog = catalog or load_catalog()
-    core, _ = strip_isolated(g)
+    core = strip_isolated(g)
     m = core.m
     if m < 3:
         raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {m}")
@@ -286,32 +275,27 @@ def decide_wu_meng(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
 def decide_coline_traceable(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     """Does co(G) have a spanning path?  Requires m >= 2."""
     catalog = catalog or load_catalog()
-    core, _ = strip_isolated(g)
+    core = strip_isolated(g)
     m = core.m
     if m < 2:
         raise ScopeError(f"traceability decision needs at least 2 edges, got {m}")
     matches = [counting_clause(core, 1)]
-    if _matches_catalog(core, catalog.trace_exceptions):
+    if any(oracle.is_isomorphic(core, h) for h in catalog.trace_exceptions):
         matches.append("(iii)")
     if oracle.is_isomorphic(core, catalog.named[CORONA]):
         matches.append("(iv)")
     return _verdict(matches)
 
 
-def is_pseudo_tough(l: Graph) -> bool:
-    """Is l with one added dominating vertex tough?"""
-    return oracle.is_tough(add_dominating_vertex(l)).value
-
-
 def build_report(g: Graph, catalog: Catalog | None = None, verify: bool = False) -> DecisionReport:
     """Full per-graph verdict bundle; with verify=True every verdict is
     confirmed against the exact oracle and witnesses are attached."""
     catalog = catalog or load_catalog()
-    core, _ = strip_isolated(g)
-    tough = decide_coline_tough(g, catalog)
-    hamiltonian = decide_coline_hamiltonian(g, catalog)
-    wu_meng = decide_wu_meng(g, catalog)
-    traceable = decide_coline_traceable(g, catalog)
+    core = strip_isolated(g)
+    tough = decide_coline_tough(core, catalog)
+    hamiltonian = decide_coline_hamiltonian(core, catalog)
+    wu_meng = decide_wu_meng(core, catalog)
+    traceable = decide_coline_traceable(core, catalog)
     confirmed = None
     if verify:
         l, _ = coline(core)

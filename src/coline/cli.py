@@ -3,7 +3,7 @@
 Subcommands: classify, sweep, cms, catalog {bootstrap, validate, show},
 roots.  Reports are JSON on stdout with a stable key layout; the sweep
 additionally writes a text report.  Exit codes: 0 success/agreement,
-1 verified mismatch, 2 usage error, 3 I/O error.
+1 verified mismatch or internal error, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from . import __version__, characterize, oracle, sweep
 from .characterize import Catalog, CatalogError, ScopeError
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6
-from .graphcore import Graph, build_named, coline, components, strip_isolated
+from .graphcore import Graph, build_named, coline, components
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,26 +52,25 @@ def _verdict_json(verdict: characterize.ClauseVerdict) -> dict:
 
 
 def _graph_json(g: Graph) -> dict:
-    core, _ = strip_isolated(g)
     return {
         "canonical_graph6": emit_graph6(oracle.canonical_graph(g)),
         "n": g.n,
         "m": g.m,
         "max_degree": g.max_degree(),
-        "non_isolated": core.n,
+        "non_isolated": sum(map(bool, g.adj)),
     }
 
 
 def _base_report(g: Graph, catalog: Catalog) -> dict:
     l, _ = coline(g)
-    core, _ = strip_isolated(g)
+    graph = _graph_json(g)
     return {
-        "graph": _graph_json(g),
+        "graph": graph,
         "coline": {"n": l.n, "components": len(components(l))},
         # inside the exhaustively swept range verdicts are oracle-verified;
         # beyond it they are asserted by the characterisations alone
-        "within_verified_range": core.n <= sweep.DEFAULT_MAX_VERTICES
-        and core.m <= sweep.DEFAULT_MAX_EDGES,
+        "within_verified_range": graph["non_isolated"] <= sweep.DEFAULT_MAX_VERTICES
+        and g.m <= sweep.DEFAULT_MAX_EDGES,
         "versions": {"tool": __version__, "catalog": catalog.version},
     }
 
@@ -258,6 +257,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        # a bug, not a bad input: report it without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

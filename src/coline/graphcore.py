@@ -228,12 +228,12 @@ def add_dominating_vertex(g: Graph) -> Graph:
     return Graph(g.n + 1, tuple(adj))
 
 
-def strip_isolated(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Drop degree-0 vertices; returns the core and the kept original indices."""
+def strip_isolated(g: Graph) -> Graph:
+    """Drop degree-0 vertices; a graph without any is returned as is."""
     kept = tuple(v for v in range(g.n) if g.adj[v])
     if len(kept) == g.n:
-        return g, kept
-    return g.subgraph(kept), kept
+        return g
+    return g.subgraph(kept)
 
 
 # --- named constructions ---------------------------------------------------

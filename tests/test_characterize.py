@@ -13,7 +13,6 @@ from coline.characterize import (
     decide_coline_traceable,
     decide_wu_meng,
     emit_catalog,
-    is_pseudo_tough,
     is_type_A,
     load_catalog,
     parse_catalog,
@@ -169,14 +168,6 @@ def test_verdicts_isomorphism_invariant(catalog, classes_sweep_range):
         assert decide_coline_traceable(g, catalog) == decide_coline_traceable(
             relabeled, catalog
         )
-
-
-def test_is_pseudo_tough():
-    corona_coline, _ = coline(build_named("K3_circ_K1"))
-    assert is_pseudo_tough(corona_coline)
-    assert not is_pseudo_tough(Graph(2, (0, 0)))
-    prism, _ = coline(build_named("C6"))
-    assert is_pseudo_tough(prism)
 
 
 def test_report_implications(catalog, classes_sweep_range):

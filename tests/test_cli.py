@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from coline import characterize
 from coline.cli import main
 from coline.graph6 import emit_graph6
 from coline.graphcore import Graph, build_named
@@ -65,6 +66,37 @@ def test_classify_verify_edge_budget(capsys):
     assert code == 0
     code, _, _ = run_cli(capsys, "classify", "--named", "C6", "--verify")
     assert code == 0
+
+
+def test_classify_padded_input_relabels_once(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "classify", "--named", "H1")
+    plain = json.loads(out)
+    relabels = []
+    subgraph = Graph.subgraph
+
+    def counting_subgraph(self, vertices):
+        relabels.append(vertices)
+        return subgraph(self, vertices)
+
+    monkeypatch.setattr(Graph, "subgraph", counting_subgraph)
+    code, out, _ = run_cli(capsys, "classify", "--named", "H1+3K1")
+    assert code == 0
+    padded = json.loads(out)
+    assert padded["verdicts"] == plain["verdicts"]
+    assert padded["graph"]["n"] == 9 and padded["graph"]["non_isolated"] == 6
+    assert padded["within_verified_range"] is True
+    assert len(relabels) == 1
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("escaped the classification")
+
+    monkeypatch.setattr(characterize, "build_report", broken)
+    code, out, err = run_cli(capsys, "classify", "--named", "C6")
+    assert code == 1
+    assert err == "internal error: AssertionError: escaped the classification\n"
+    assert "Traceback" not in err and out == ""
 
 
 def test_classify_graph6_input(capsys):

@@ -33,7 +33,7 @@ def test_enumerate_labeled_is_deterministic():
 def test_class_enumeration_matches_labeled_dedup():
     labeled = {}
     for g in enumerate_labeled(5, 8):
-        core, _ = strip_isolated(g)
+        core = strip_isolated(g)
         if core.m >= 1:
             labeled.setdefault(core.m, set()).add(canonical_form(core))
     classes = {}
