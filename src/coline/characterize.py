@@ -5,7 +5,8 @@ Hamiltonicity of co(G) reduce to edge/degree counts, a handful of subgraph
 tests and membership in small frozen exception catalogs.  The catalogs are
 not hand-entered; they are produced once by the exhaustive sweep (see
 ``coline.sweep.bootstrap_catalog``) and validated against their defining
-predicates on load.
+predicates on load.  The named roots the clauses test against are built
+here, from code, and never stored in the catalog file.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
 
 from . import oracle
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphcore import (
     Graph,
     build_named,
@@ -25,19 +27,19 @@ from .graphcore import (
     strip_isolated,
 )
 
-CATALOG_FORMAT = "coline-catalog v1"
-CATALOG_ENV_VAR = "COLINE_CATALOG"
+CATALOG_FORMAT = "coline-catalog v2"
 
 NAMED_CATALOG_GRAPHS = (
     "K5", "H1", "H2", "H3", "K3_circ_K1",
     "K3+P3", "K3+2K2", "C4+K2", "K3_plus", "K4_minus", "K4",
 )
+# The named roots every clause below tests against; the only copy.
+NAMED = {name: build_named(name) for name in NAMED_CATALOG_GRAPHS}
 
 # Catalog sections: (section tag, Catalog field, required member count).
 CATALOG_SECTIONS = (
     ("tough18", "toughness_exceptions", 18),
     ("trace9", "trace_exceptions", 9),
-    ("wumeng21", "wu_meng_21", 21),
 )
 
 # The roots whose coline is tough but not Hamiltonian.
@@ -95,11 +97,17 @@ class ClauseVerdict:
 
 @dataclass(frozen=True)
 class Catalog:
-    named: dict[str, Graph]
     toughness_exceptions: tuple[Graph, ...]
     trace_exceptions: tuple[Graph, ...]
-    wu_meng_21: tuple[Graph, ...]
-    version: str
+
+    @property
+    def wu_meng_21(self) -> tuple[Graph, ...]:
+        """The roots Wu-Meng clauses (iii)/(iv) exclude past the counting
+        clauses: the non-tough ones and the tough non-Hamiltonian ones
+        except K5, which is clause (v).  Bootstrap checks this equality."""
+        return self.toughness_exceptions + tuple(
+            NAMED[name] for name in NON_HAMILTONIAN_ROOTS if name != "K5"
+        )
 
 
 @dataclass(frozen=True)
@@ -207,14 +215,14 @@ def counting_clause(core: Graph, slack: int) -> str | None:
     return None
 
 
-def wu_meng_blocker(core: Graph, named: dict[str, Graph]) -> str | None:
+def wu_meng_blocker(core: Graph) -> str | None:
     """"(iii)" when core is a named Wu-Meng exception, "(iv)" when it has a
     size-gated blocker subgraph, otherwise None.  The two never overlap:
     the named exceptions have 5 edges, the blockers apply at 6 to 8."""
-    if any(oracle.is_isomorphic(core, named[name]) for name in WU_MENG_NAMED):
+    if any(oracle.is_isomorphic(core, NAMED[name]) for name in WU_MENG_NAMED):
         return "(iii)"
     if any(
-        oracle.contains_subgraph(core, named[name])
+        oracle.contains_subgraph(core, NAMED[name])
         for name in WU_MENG_BLOCKERS.get(core.m, ())
     ):
         return "(iv)"
@@ -251,23 +259,23 @@ def decide_coline_hamiltonian(g: Graph, catalog: Catalog | None = None) -> Claus
     if not tough.value:
         matches.append(f"not-tough{tough.clause}")
     for name in NON_HAMILTONIAN_ROOTS:
-        if oracle.is_isomorphic(core, catalog.named[name]):
+        if oracle.is_isomorphic(core, NAMED[name]):
             matches.append(name)
     return _verdict(matches)
 
 
-def decide_wu_meng(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
+def decide_wu_meng(g: Graph) -> ClauseVerdict:
     """The five-clause Hamiltonicity criterion for co(G).
 
-    Subgraph tests in clause (iv) are non-induced containment.
+    Subgraph tests in clause (iv) are non-induced containment.  Every
+    clause is a count or a named root, so no catalog is read.
     """
-    catalog = catalog or load_catalog()
     core = strip_isolated(g)
     m = core.m
     if m < 3:
         raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {m}")
-    matches = [counting_clause(core, 0), wu_meng_blocker(core, catalog.named)]
-    if oracle.is_isomorphic(core, catalog.named["K5"]):
+    matches = [counting_clause(core, 0), wu_meng_blocker(core)]
+    if oracle.is_isomorphic(core, NAMED["K5"]):
         matches.append("(v)")
     return _verdict(matches)
 
@@ -282,7 +290,7 @@ def decide_coline_traceable(g: Graph, catalog: Catalog | None = None) -> ClauseV
     matches = [counting_clause(core, 1)]
     if any(oracle.is_isomorphic(core, h) for h in catalog.trace_exceptions):
         matches.append("(iii)")
-    if oracle.is_isomorphic(core, catalog.named[CORONA]):
+    if oracle.is_isomorphic(core, NAMED[CORONA]):
         matches.append("(iv)")
     return _verdict(matches)
 
@@ -294,7 +302,7 @@ def build_report(g: Graph, catalog: Catalog | None = None, verify: bool = False)
     core = strip_isolated(g)
     tough = decide_coline_tough(core, catalog)
     hamiltonian = decide_coline_hamiltonian(core, catalog)
-    wu_meng = decide_wu_meng(core, catalog)
+    wu_meng = decide_wu_meng(core)
     traceable = decide_coline_traceable(core, catalog)
     confirmed = None
     if verify:
@@ -341,9 +349,6 @@ def build_report(g: Graph, catalog: Catalog | None = None, verify: bool = False)
 
 def emit_catalog(catalog: Catalog) -> str:
     lines = [CATALOG_FORMAT]
-    lines.append("[named]")
-    for name in NAMED_CATALOG_GRAPHS:
-        lines.append(f"{name} {emit_graph6(catalog.named[name])}")
     for section, field, _ in CATALOG_SECTIONS:
         lines.append(f"[{section}]")
         lines.extend(emit_graph6(g) for g in getattr(catalog, field))
@@ -351,32 +356,24 @@ def emit_catalog(catalog: Catalog) -> str:
 
 
 def parse_catalog(text: str) -> Catalog:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CATALOG_FORMAT:
+    lines = [(k, line.strip()) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1] != CATALOG_FORMAT:
         raise CatalogError(f"bad or missing format header, expected {CATALOG_FORMAT!r}")
-    named: dict[str, Graph] = {}
     sections: dict[str, list[Graph]] = {section: [] for section, _, _ in CATALOG_SECTIONS}
     current = None
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         if line.startswith("["):
-            current = line.strip("[]")
-            if current != "named" and current not in sections:
-                raise CatalogError(f"unknown section {current!r}")
+            current = line[1:-1] if line.endswith("]") else None
+            if current not in sections:
+                raise CatalogError(f"line {number}: unknown section header {line!r}")
             continue
         if current is None:
-            raise CatalogError(f"data before any section: {line!r}")
-        if current == "named":
-            name, _, code = line.partition(" ")
-            if not code:
-                raise CatalogError(f"named entry without graph6 data: {line!r}")
-            named[name] = parse_graph6(code)
-        else:
+            raise CatalogError(f"line {number}: data before any section: {line!r}")
+        try:
             sections[current].append(parse_graph6(line))
-    return Catalog(
-        named=named,
-        version=CATALOG_FORMAT,
-        **{field: tuple(sections[section]) for section, field, _ in CATALOG_SECTIONS},
-    )
+        except Graph6Error as exc:
+            raise CatalogError(f"[{current}] line {number}: {exc}") from exc
+    return Catalog(**{field: tuple(sections[section]) for section, field, _ in CATALOG_SECTIONS})
 
 
 def validate_catalog(catalog: Catalog) -> None:
@@ -385,18 +382,12 @@ def validate_catalog(catalog: Catalog) -> None:
     Raises CatalogError on the first failure; a failure signals a corrupted
     file or a bootstrap bug, never something to adjust silently.
     """
-    for name in NAMED_CATALOG_GRAPHS:
-        if name not in catalog.named:
-            raise CatalogError(f"missing named graph {name}")
-        if oracle.is_isomorphic(catalog.named[name], build_named(name)) is None:
-            raise CatalogError(f"named graph {name} does not match its construction")
     for section, field, expected in CATALOG_SECTIONS:
         graphs = getattr(catalog, field)
         if len(graphs) != expected:
             raise CatalogError(f"{section} has {len(graphs)} members, expected {expected}")
         if len({oracle.canonical_form(g) for g in graphs}) != expected:
             raise CatalogError(f"{section} contains isomorphic duplicates")
-    corona = build_named(CORONA)
     for g in catalog.toughness_exceptions:
         if counting_clause(g, 0):
             raise CatalogError("tough18 member already covered by a counting clause")
@@ -406,59 +397,36 @@ def validate_catalog(catalog: Catalog) -> None:
     for g in catalog.trace_exceptions:
         if counting_clause(g, 1):
             raise CatalogError("trace9 member already covered by a counting clause")
-        if oracle.is_isomorphic(g, corona):
+        if oracle.is_isomorphic(g, NAMED[CORONA]):
             raise CatalogError("trace9 must not contain the corona of K3")
         l, _ = coline(g)
         if oracle.hamiltonian_path(l) is not None:
             raise CatalogError(f"trace9 member {emit_graph6(g)} has a traceable coline")
-    # Past the counting clauses, Wu-Meng (iii)/(iv) exclude exactly the
-    # non-tough roots and the tough non-Hamiltonian ones except K5, which
-    # is clause (v).
-    tough_keys = {oracle.canonical_form(g) for g in catalog.toughness_exceptions}
-    h_keys = {
-        oracle.canonical_form(build_named(name)) for name in NON_HAMILTONIAN_ROOTS if name != "K5"
-    }
-    wu_keys = {oracle.canonical_form(g) for g in catalog.wu_meng_21}
-    if wu_keys != tough_keys | h_keys:
-        raise CatalogError("wumeng21 must equal tough18 plus H1, H2, H3")
-    for g in catalog.wu_meng_21:
-        l, _ = coline(g)
-        if oracle.hamiltonian_cycle(l) is not None:
-            raise CatalogError(f"wumeng21 member {emit_graph6(g)} has a Hamiltonian coline")
 
 
-_DEFAULT_CATALOG: Catalog | None = None
+def _checked(text: str) -> Catalog:
+    catalog = parse_catalog(text)
+    validate_catalog(catalog)
+    return catalog
+
+
+@cache
+def _packaged_catalog() -> Catalog:
+    try:
+        text = resources.files("coline").joinpath("data/catalog.txt").read_text()
+    except FileNotFoundError as exc:
+        raise CatalogError("packaged catalog missing; run the catalog bootstrap") from exc
+    return _checked(text)
 
 
 def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
-    """Load and validate a catalog.
-
-    Resolution order: explicit path, the COLINE_CATALOG environment
-    variable, then the packaged data file.  The packaged catalog is cached
-    after the first load.
-    """
-    global _DEFAULT_CATALOG
+    """Load and validate the catalog at ``path``, or the packaged one, which
+    is read once per process."""
     if path is None:
-        path = os.environ.get(CATALOG_ENV_VAR) or None
-    if path is None:
-        if _DEFAULT_CATALOG is None:
-            try:
-                text = (
-                    resources.files("coline").joinpath("data/catalog.txt").read_text()
-                )
-            except FileNotFoundError as exc:
-                raise CatalogError(
-                    "packaged catalog missing; run the catalog bootstrap"
-                ) from exc
-            catalog = parse_catalog(text)
-            validate_catalog(catalog)
-            _DEFAULT_CATALOG = catalog
-        return _DEFAULT_CATALOG
+        return _packaged_catalog()
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog at {path}: {exc}") from exc
-    catalog = parse_catalog(text)
-    validate_catalog(catalog)
-    return catalog
+    return _checked(text)

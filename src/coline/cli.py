@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__, characterize, oracle, sweep
-from .characterize import Catalog, CatalogError, ScopeError
+from .characterize import CATALOG_FORMAT, CatalogError, ScopeError
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6
 from .graphcore import Graph, build_named, coline, components
 
@@ -61,7 +61,7 @@ def _graph_json(g: Graph) -> dict:
     }
 
 
-def _base_report(g: Graph, catalog: Catalog) -> dict:
+def _base_report(g: Graph) -> dict:
     l, _ = coline(g)
     graph = _graph_json(g)
     return {
@@ -71,7 +71,7 @@ def _base_report(g: Graph, catalog: Catalog) -> dict:
         # beyond it they are asserted by the characterisations alone
         "within_verified_range": graph["non_isolated"] <= sweep.DEFAULT_MAX_VERTICES
         and g.m <= sweep.DEFAULT_MAX_EDGES,
-        "versions": {"tool": __version__, "catalog": catalog.version},
+        "versions": {"tool": __version__, "catalog": CATALOG_FORMAT},
     }
 
 
@@ -80,7 +80,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.verify and g.m > VERIFY_MAX_EDGES:
         raise ScopeError(f"--verify search budget is {VERIFY_MAX_EDGES} edges, got {g.m}")
-    report = _base_report(g, catalog)
+    report = _base_report(g)
     try:
         decision = characterize.build_report(g, catalog, verify=args.verify)
     except ScopeError as exc:
@@ -116,7 +116,7 @@ def cmd_cms(args: argparse.Namespace) -> int:
         raise ScopeError("cms needs at least one edge")
     if g.m > 12:
         raise ScopeError(f"cms search budget is 12 edges, got {g.m}")
-    report = _base_report(g, catalog)
+    report = _base_report(g)
     value = oracle.cms_exact(g)
     report["cms"] = value
     try:
@@ -133,14 +133,14 @@ def cmd_cms(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    catalog = characterize.load_catalog(args.catalog)
+    characterize.load_catalog(args.catalog)  # reject a bad --catalog here too
     g = _load_graph(args)
     result = oracle.find_roots(g, args.max_vertices)
     report = {
         "graph": _graph_json(g),
         "roots": [emit_graph6(r) for r in result.roots],
         "complete": result.complete,
-        "versions": {"tool": __version__, "catalog": catalog.version},
+        "versions": {"tool": __version__, "catalog": CATALOG_FORMAT},
     }
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -195,10 +195,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         print(f"catalog valid: {counts}")
         return EXIT_OK
     # show
-    print(f"format: {catalog.version}")
-    print("[named]")
-    for name in characterize.NAMED_CATALOG_GRAPHS:
-        print(f"  {name} {emit_graph6(catalog.named[name])}")
+    print(f"format: {CATALOG_FORMAT}")
     for section, graphs in sections:
         print(f"[{section}] ({len(graphs)})")
         for g in graphs:
@@ -211,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coline",
         description="Decide Hamiltonicity, toughness and traceability of coline graphs.",
     )
-    parser.add_argument("--catalog", help="catalog file path (overrides COLINE_CATALOG)")
+    parser.add_argument("--catalog", help="catalog file path (default: the packaged catalog)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="per-graph verdicts as JSON")
@@ -231,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cms.set_defaults(func=cmd_cms)
 
     p_catalog = sub.add_parser("catalog", help="manage the exception catalogs")
-    p_catalog.add_argument("action", choices=("bootstrap", "validate", "show"))
+    p_catalog.add_argument(
+        "action",
+        choices=("bootstrap", "validate", "show"),
+        help="bootstrap derives a catalog by the sweep; validate and show read its "
+        "[tough18] and [trace9] sections (the Wu-Meng 21 and named roots are built in)",
+    )
     p_catalog.add_argument("--output", default="coline-catalog.txt", help="bootstrap target file")
     p_catalog.set_defaults(func=cmd_catalog)
 

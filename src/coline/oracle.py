@@ -647,6 +647,8 @@ def find_roots(l: Graph, max_vertices: int = 8) -> RootSearch:
     if max_vertices > 8:
         raise ValueError("root search budget is max_vertices <= 8")
     m = l.n
+    if m > max_vertices * (max_vertices - 1) // 2:
+        return RootSearch((), False)  # no m-edge graph fits on max_vertices vertices
     target = canonical_form(l)
     roots = []
     if m == 0:

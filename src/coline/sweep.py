@@ -27,6 +27,7 @@ from . import characterize, lemmacheck, oracle
 from .characterize import (
     CATALOG_SECTIONS,
     CORONA,
+    NAMED,
     NON_HAMILTONIAN_ROOTS,
     Catalog,
     CatalogError,
@@ -121,7 +122,7 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
 
         start = time.perf_counter()
         main = characterize.decide_coline_hamiltonian(g, catalog)
-        five_clause = characterize.decide_wu_meng(g, catalog)
+        five_clause = characterize.decide_wu_meng(g)
         ham_exists = oracle.hamiltonian_cycle(l) is not None
         if main.value != ham_exists:
             record["mismatches"].append(("hamiltonicity", _fmt(main), str(ham_exists)))
@@ -290,9 +291,9 @@ def expected_census(catalog: Catalog, max_vertices: int, max_edges: int) -> dict
     return {
         "tough-exceptions": forms(catalog.toughness_exceptions),
         "trace-exceptions": forms(catalog.trace_exceptions),
-        "trace-corona": forms([catalog.named[CORONA]]),
+        "trace-corona": forms([NAMED[CORONA]]),
         "wu-meng-21": forms(catalog.wu_meng_21),
-        "tough-not-hamiltonian": forms(catalog.named[name] for name in NON_HAMILTONIAN_ROOTS),
+        "tough-not-hamiltonian": forms(NAMED[name] for name in NON_HAMILTONIAN_ROOTS),
     }
 
 
@@ -336,24 +337,24 @@ def bootstrap_catalog(
 ) -> tuple[Catalog, dict]:
     """Derive the exception catalogs from the oracle alone and freeze them.
 
-    Counts that differ from 18/9/21 abort loudly: that means an oracle or
-    enumeration bug (or a genuine discrepancy), never data to adjust.
+    Counts that differ from 18/9, or Wu-Meng clauses (iii)/(iv) excluding
+    other roots than ``Catalog.wu_meng_21``, abort loudly: that means an
+    oracle or enumeration bug (or a genuine discrepancy), never data to
+    adjust.
     """
-    corona = build_named(CORONA)
-    named = {name: build_named(name) for name in characterize.NAMED_CATALOG_GRAPHS}
     tough_exceptions: dict[bytes, Graph] = {}
     trace_exceptions: dict[bytes, Graph] = {}
-    wu_meng: dict[bytes, Graph] = {}
+    wu_meng: set[bytes] = set()
 
     for g in oracle.iter_graph_classes(max_vertices, max_edges):
         if g.m >= 3 and counting_clause(g, 0) is None:
             l, _ = coline(g)
             if not oracle.is_tough(l).value:
                 tough_exceptions[oracle.canonical_form(g)] = g
-            if wu_meng_blocker(g, named):
-                wu_meng[oracle.canonical_form(g)] = g
+            if wu_meng_blocker(g):
+                wu_meng.add(oracle.canonical_form(g))
         if g.m >= 2 and counting_clause(g, 1) is None:
-            if oracle.is_isomorphic(g, corona):
+            if oracle.is_isomorphic(g, NAMED[CORONA]):
                 continue
             l, _ = coline(g)
             if oracle.hamiltonian_path(l) is None:
@@ -367,22 +368,19 @@ def bootstrap_catalog(
             (g.n for g in tough_exceptions.values()), default=0
         ),
     }
-    found = {
-        "toughness_exceptions": tough_exceptions,
-        "trace_exceptions": trace_exceptions,
-        "wu_meng_21": wu_meng,
-    }
+    found = {"toughness_exceptions": tough_exceptions, "trace_exceptions": trace_exceptions}
     for section, field, want in CATALOG_SECTIONS:
         if len(found[field]) != want:
             raise CatalogError(
                 f"bootstrap found {len(found[field])} {section} members, expected {want}; "
                 "this signals a bug or a genuine discrepancy, not data to adjust"
             )
-    catalog = Catalog(
-        named=named,
-        version=characterize.CATALOG_FORMAT,
-        **{field: tuple(found[field][k] for k in sorted(found[field])) for field in found},
-    )
+    catalog = Catalog(**{field: tuple(found[field][k] for k in sorted(found[field])) for field in found})
+    if wu_meng != {oracle.canonical_form(g) for g in catalog.wu_meng_21}:
+        raise CatalogError(
+            f"Wu-Meng clauses (iii)/(iv) exclude {len(wu_meng)} roots, "
+            "expected the tough18 roots plus H1, H2, H3"
+        )
     validate_catalog(catalog)
     if output_path:
         with open(output_path, "w", encoding="ascii") as handle:

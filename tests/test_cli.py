@@ -242,7 +242,9 @@ def test_catalog_validate_and_show(capsys):
     assert code == 0 and "valid" in out
     code, out, _ = run_cli(capsys, "catalog", "show")
     assert code == 0
-    assert "[tough18] (18)" in out and "[trace9] (9)" in out and "[wumeng21] (21)" in out
+    assert out.startswith(f"format: {characterize.CATALOG_FORMAT}\n")
+    assert "[tough18] (18)" in out and "[trace9] (9)" in out
+    assert "[named]" not in out and "[wumeng21]" not in out
 
 
 def test_catalog_bootstrap_writes_file(capsys, tmp_path):
@@ -251,16 +253,6 @@ def test_catalog_bootstrap_writes_file(capsys, tmp_path):
     assert code == 0
     assert target.exists()
     code, out, _ = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
-    assert code == 0
-
-
-def test_env_var_catalog(capsys, tmp_path, monkeypatch):
-    from coline.characterize import emit_catalog, load_catalog
-
-    target = tmp_path / "catalog.txt"
-    target.write_text(emit_catalog(load_catalog()), encoding="ascii")
-    monkeypatch.setenv("COLINE_CATALOG", str(target))
-    code, out, _ = run_cli(capsys, "catalog", "validate")
     assert code == 0
 
 
@@ -276,3 +268,13 @@ def test_corrupt_catalog_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
     assert code == 1
     assert "catalog error" in err
+    # a member that is not graph6, named by section and line
+    target.write_text(text.replace(lines[index], "!!!"), encoding="ascii")
+    code, _, err = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
+    assert code == 1
+    assert err.startswith(f"catalog error: [tough18] line {index + 1}: byte 33 outside graph6 range")
+    # a header must be exactly [tag]
+    target.write_text(text.replace("[tough18]\n", "[tough18\n"), encoding="ascii")
+    code, out, err = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
+    assert code == 1 and out == ""
+    assert err.startswith("catalog error: line 2: unknown section header '[tough18'")

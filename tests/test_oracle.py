@@ -285,6 +285,16 @@ def test_canonical_forms_are_pinned():
     assert _sha1_lines(forms) == "1b3f6922b79c9a8ffc2786fa55dd1b27ccc00bce"
 
 
+def test_class_counts_match_oeis(classes_up_to_6):
+    # A000664: graphs with m edges and no isolated vertices; 2m vertices
+    # hold every one of them, the matching mK2 exactly.
+    for m, want in enumerate((1, 2, 5, 11, 26, 68, 177), 1):
+        assert sum(g.m == m for g in iter_graph_classes(2 * m, m)) == want
+    # A000088 minus the edgeless graph: 156 graphs on 6 vertices, 1044 on 7
+    assert len(classes_up_to_6) == 155
+    assert sum(1 for _ in iter_graph_classes(7, 21)) == 1043
+
+
 def _symmetric_graphs():
     names = [f"K{n}" for n in range(1, 13)]
     names += [f"K1_{n}" for n in (1, 2, 3, 5, 9, 10, 17, 40)]
@@ -385,6 +395,15 @@ def test_find_roots_c5():
 def test_find_roots_budget():
     with pytest.raises(ValueError):
         find_roots(build_named("C5"), max_vertices=9)
+
+
+def test_find_roots_more_edges_than_fit_skips_enumeration(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated classes for an impossible root")
+
+    monkeypatch.setattr(oracle, "iter_graph_classes", no_enumeration)
+    # P40 has 40 vertices, so a root needs 40 edges; 8 vertices hold 28
+    assert find_roots(build_named("P40")) == oracle.RootSearch((), False)
 
 
 def test_find_roots_petersen():

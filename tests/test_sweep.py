@@ -1,7 +1,9 @@
+from importlib import resources
 from math import comb
 
 import pytest
 
+from coline import characterize
 from coline.characterize import CatalogError
 from coline.graphcore import build_named, coline, strip_isolated
 from coline.oracle import canonical_form, hamiltonian_cycle, is_tough
@@ -121,7 +123,10 @@ def test_report_text_roundtrip(catalog, tmp_path):
 
 
 def test_bootstrap_reproduces_packaged_catalog(catalog, tmp_path):
-    rebuilt, summary = bootstrap_catalog(output_path=str(tmp_path / "cat.txt"))
+    target = tmp_path / "cat.txt"
+    rebuilt, summary = bootstrap_catalog(output_path=str(target))
+    packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
+    assert target.read_bytes() == packaged
     assert summary["tough_count"] == 18
     assert summary["trace_count"] == 9
     assert summary["wu_meng_count"] == 21
@@ -135,6 +140,14 @@ def test_bootstrap_reproduces_packaged_catalog(catalog, tmp_path):
     assert [canonical_form(g) for g in rebuilt.wu_meng_21] == [
         canonical_form(g) for g in catalog.wu_meng_21
     ]
+
+
+def test_bootstrap_checks_wu_meng_exclusions(monkeypatch):
+    # without the 6-edge blocker, clause (iv) misses the 6-edge tough18
+    # roots, so the enumerated exclusions no longer equal Catalog.wu_meng_21
+    monkeypatch.delitem(characterize.WU_MENG_BLOCKERS, 6)
+    with pytest.raises(CatalogError, match=r"Wu-Meng clauses \(iii\)/\(iv\) exclude 17 roots"):
+        bootstrap_catalog(8, 10)
 
 
 def test_bootstrap_count_check_fires_on_narrow_range():
