@@ -35,6 +35,6 @@ print(f"longest cycle has length {len(best)}: {best.vertices}")
 path = hamiltonian_path(l)
 print(f"but a spanning path exists: {path.vertices}")
 
-result = find_roots(l, max_vertices=8)
+result = find_roots(l)
 print(f"root graphs on <= 8 vertices: {[emit_graph6(g) for g in result.roots]}"
       f" (K5 is {emit_graph6(k5)}; search complete: {result.complete})")

@@ -112,7 +112,6 @@ class Catalog:
 
 @dataclass(frozen=True)
 class DecisionReport:
-    graph_id: str  # canonical graph6 of G
     m: int
     max_degree: int
     tough: ClauseVerdict
@@ -334,7 +333,6 @@ def build_report(g: Graph, catalog: Catalog | None = None, verify: bool = False)
             },
         }
     return DecisionReport(
-        graph_id=emit_graph6(oracle.canonical_graph(g)),
         m=core.m,
         max_degree=core.max_degree(),
         tough=tough,

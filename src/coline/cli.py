@@ -2,15 +2,18 @@
 
 Subcommands: classify, sweep, cms, catalog {bootstrap, validate, show},
 roots.  Reports are JSON on stdout with a stable key layout; the sweep
-additionally writes a text report.  Exit codes: 0 success/agreement,
-1 verified mismatch or internal error, 2 usage error, 3 I/O error.
+prints a summary and can write its text report.  Exit codes: 0 success,
+agreement or a stdout closed by its reader, 1 verified mismatch or
+internal error, 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 from . import __version__, characterize, oracle, sweep
 from .characterize import CATALOG_FORMAT, CatalogError, ScopeError
@@ -135,7 +138,7 @@ def cmd_cms(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     characterize.load_catalog(args.catalog)  # reject a bad --catalog here too
     g = _load_graph(args)
-    result = oracle.find_roots(g, args.max_vertices)
+    result = oracle.find_roots(g)
     report = {
         "graph": _graph_json(g),
         "roots": [emit_graph6(r) for r in result.roots],
@@ -148,40 +151,28 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     catalog = characterize.load_catalog(args.catalog)
-    config = sweep.SweepConfig(
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        worker_count=args.workers,
-        output_path=args.output,
-    )
+    config = sweep.SweepConfig(args.max_vertices, args.max_edges, args.workers)
     report = sweep.run_sweep(config, catalog)
-    expected = sweep.expected_census(catalog, config.max_vertices, config.max_edges)
-    census_ok = True
+    if args.output:
+        Path(args.output).write_text(sweep.report_to_text(report), encoding="ascii")
+    census = report.exception_census
     print(f"classes scanned: {report.graphs_scanned}")
     print(f"mismatches: {len(report.mismatches)}")
     for canon, check, theorem, seen in report.mismatches:
         print(f"  {canon}  {check}  theorem={theorem}  oracle={seen}")
-    for key in sorted(expected):
-        if key not in report.exception_census:
-            continue
-        got = report.exception_census[key]
-        want = expected[key]
-        status = "ok" if got == want else "MISMATCH"
-        if got != want:
-            census_ok = False
-        print(f"{key}: {len(got)} ({status})")
-    for key in sorted(set(report.exception_census) - set(expected)):
-        print(f"{key}: {len(report.exception_census[key])}")
+    for key, ok in report.census_ok.items():
+        print(f"{key}: {len(census[key])} ({'ok' if ok else 'MISMATCH'})")
+    for key in sorted(census.keys() - report.census_ok.keys()):
+        print(f"{key}: {len(census[key])}")
     if report.partial:
-        print(f"partial run after {report.graphs_scanned} classes: {report.extras.get('error')}")
-    if report.mismatches or report.partial or not census_ok:
-        return EXIT_MISMATCH
-    return EXIT_OK
+        print(f"partial run after {report.graphs_scanned} classes: {report.extras['error']}")
+    return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "bootstrap":
-        catalog, summary = sweep.bootstrap_catalog(output_path=args.output)
+        catalog, summary = sweep.bootstrap_catalog()
+        Path(args.output).write_text(characterize.emit_catalog(catalog), encoding="ascii")
         print(f"wrote {args.output}")
         print(json.dumps(summary, indent=2))
         return EXIT_OK
@@ -239,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_roots = sub.add_parser("roots", help="all root graphs with this coline graph")
     _add_input_flags(p_roots)
-    p_roots.add_argument("--max-vertices", type=int, default=8)
     p_roots.set_defaults(func=cmd_roots)
 
     return parser
@@ -249,7 +239,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`coline ... | head`): nothing is lost that
+        # was wanted, so exit cleanly and keep the final flush from raising
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
     except (Graph6Error, ScopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -640,12 +640,11 @@ def iter_graph_classes(max_vertices: int, max_edges: int):
         level = nxt
 
 
-def find_roots(l: Graph, max_vertices: int = 8) -> RootSearch:
+def find_roots(l: Graph) -> RootSearch:
     """All isomorphism classes of graphs G without isolated vertices on at
-    most ``max_vertices`` vertices with coline(G) isomorphic to ``l``.
+    most 8 vertices (the search budget) with coline(G) isomorphic to ``l``.
     """
-    if max_vertices > 8:
-        raise ValueError("root search budget is max_vertices <= 8")
+    max_vertices = 8
     m = l.n
     if m > max_vertices * (max_vertices - 1) // 2:
         return RootSearch((), False)  # no m-edge graph fits on max_vertices vertices

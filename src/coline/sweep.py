@@ -4,7 +4,8 @@ The sweep walks every isomorphism class of graphs without isolated
 vertices inside configurable size bounds, decides toughness, Hamiltonicity
 and traceability of each coline graph twice (characterisation vs exact
 oracle) and records any disagreement.  It also accumulates the exception
-censuses and can bootstrap the frozen catalogs from scratch.
+censuses and compares them with the catalog, so its report alone says
+whether a sweep passed; and it can bootstrap the catalogs from scratch.
 
 Verdicts are isomorphism-invariant (a tested property), so checking one
 canonical representative per class is equivalent to checking every
@@ -34,10 +35,10 @@ from .characterize import (
     ClauseVerdict,
     ColineCase,
     counting_clause,
-    emit_catalog,
     validate_catalog,
     wu_meng_blocker,
 )
+from .graph6 import emit_graph6
 from .graphcore import Graph, build_named, coline, components, is_connected, line_graph
 
 DEFAULT_MAX_VERTICES = 8
@@ -52,7 +53,6 @@ class SweepConfig:
     max_vertices: int = DEFAULT_MAX_VERTICES
     max_edges: int = DEFAULT_MAX_EDGES
     worker_count: int = 1
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not 2 <= self.max_vertices <= 10:
@@ -73,8 +73,18 @@ class SweepReport:
     exception_census: dict[str, frozenset[str]]
     timings: dict[str, float]
     config: SweepConfig
-    partial: bool = False
+    census_ok: dict[str, bool]  # catalog census -> equals expected_census
     extras: dict = field(default_factory=dict)
+
+    @property
+    def partial(self) -> bool:
+        """A failure stopped the examination; extras["error"] says which."""
+        return "error" in self.extras
+
+    @property
+    def passed(self) -> bool:
+        """No verdict mismatch, no failure and every catalog census as expected."""
+        return not (self.mismatches or self.partial) and all(self.census_ok.values())
 
 
 def enumerate_labeled(max_vertices: int, max_edges: int):
@@ -99,7 +109,7 @@ enumerate_classes = oracle.iter_graph_classes
 
 def _examine_class(g: Graph, catalog: Catalog) -> dict:
     start = time.perf_counter()
-    canon = oracle.canonical_form(g).decode("ascii")
+    canon = emit_graph6(g)  # classes arrive canonically labelled
     record: dict = {"canon": canon, "mismatches": [], "census": [], "timings": {}}
     l, _ = coline(g)
 
@@ -211,7 +221,8 @@ def _classification_problem(g: Graph, l: Graph, klass) -> str | None:
 # --- sweep driver --------------------------------------------------------------
 
 def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:
-    """Cross-verify every decision procedure over the configured range.
+    """Cross-verify every decision procedure over the configured range and
+    compare each catalog census with ``expected_census`` for ``catalog``.
 
     A failure surfaces as a partial report, whose graphs_scanned counts
     the classes examined before it, rather than as a crash.  One worker
@@ -239,15 +250,17 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     records.sort(key=lambda r: r["canon"])
 
     mismatches = []
-    census: dict[str, set[str]] = {}
+    expected = expected_census(catalog, config.max_vertices, config.max_edges)
+    census: dict[str, set[str]] = {key: set() for key in expected}
     timings = {"enumeration": enumerated - start}
     for record in records:
         for check, theorem, seen in record["mismatches"]:
             mismatches.append((record["canon"], check, theorem, seen))
         for key in record["census"]:
-            census.setdefault(key, set()).add(record["canon"])
+            census[key].add(record["canon"])
         for check, dt in record["timings"].items():
             timings[check] = timings.get(check, 0.0) + dt
+    census_ok = {key: census[key] == want for key, want in sorted(expected.items())}
     timings["merge"] = time.perf_counter() - began
 
     began = time.perf_counter()
@@ -257,24 +270,20 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     began = time.perf_counter()
     pairs = whitney_census(min(config.max_vertices, 6))
     census["whitney-pairs"] = {
-        " ".join(sorted(oracle.canonical_form(g).decode("ascii") for g in pair))
+        " ".join(sorted(emit_graph6(g) for g in pair))
         for pair in pairs
     }
     timings["whitney"] = time.perf_counter() - began
     timings["total"] = time.perf_counter() - start
-    report = SweepReport(
+    return SweepReport(
         graphs_scanned=len(records),
         mismatches=mismatches,
         exception_census={k: frozenset(v) for k, v in sorted(census.items())},
         timings=timings,
         config=config,
-        partial="error" in extras,
+        census_ok=census_ok,
         extras=extras,
     )
-    if config.output_path:
-        with open(config.output_path, "w", encoding="ascii") as handle:
-            handle.write(report_to_text(report))
-    return report
 
 
 def expected_census(catalog: Catalog, max_vertices: int, max_edges: int) -> dict[str, frozenset[str]]:
@@ -310,6 +319,7 @@ def report_to_text(report: SweepReport) -> str:
         f"workers: {cfg.worker_count}",
         f"classes scanned: {report.graphs_scanned}",
         f"partial: {report.partial}",
+        f"passed: {report.passed}",
         "",
         f"mismatches: {len(report.mismatches)}",
     ]
@@ -331,34 +341,33 @@ def report_to_text(report: SweepReport) -> str:
 # --- catalog bootstrap ----------------------------------------------------------
 
 def bootstrap_catalog(
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    output_path: str | None = None,
+    max_vertices: int = DEFAULT_MAX_VERTICES, max_edges: int = DEFAULT_MAX_EDGES
 ) -> tuple[Catalog, dict]:
-    """Derive the exception catalogs from the oracle alone and freeze them.
+    """Derive the exception catalogs from the oracle alone and validate them.
 
     Counts that differ from 18/9, or Wu-Meng clauses (iii)/(iv) excluding
     other roots than ``Catalog.wu_meng_21``, abort loudly: that means an
     oracle or enumeration bug (or a genuine discrepancy), never data to
     adjust.
     """
-    tough_exceptions: dict[bytes, Graph] = {}
-    trace_exceptions: dict[bytes, Graph] = {}
-    wu_meng: set[bytes] = set()
+    # classes arrive canonically labelled, so their graph6 is the class key
+    tough_exceptions: dict[str, Graph] = {}
+    trace_exceptions: dict[str, Graph] = {}
+    wu_meng: set[str] = set()
 
     for g in oracle.iter_graph_classes(max_vertices, max_edges):
         if g.m >= 3 and counting_clause(g, 0) is None:
             l, _ = coline(g)
             if not oracle.is_tough(l).value:
-                tough_exceptions[oracle.canonical_form(g)] = g
+                tough_exceptions[emit_graph6(g)] = g
             if wu_meng_blocker(g):
-                wu_meng.add(oracle.canonical_form(g))
+                wu_meng.add(emit_graph6(g))
         if g.m >= 2 and counting_clause(g, 1) is None:
             if oracle.is_isomorphic(g, NAMED[CORONA]):
                 continue
             l, _ = coline(g)
             if oracle.hamiltonian_path(l) is None:
-                trace_exceptions[oracle.canonical_form(g)] = g
+                trace_exceptions[emit_graph6(g)] = g
 
     summary = {
         "tough_count": len(tough_exceptions),
@@ -376,15 +385,12 @@ def bootstrap_catalog(
                 "this signals a bug or a genuine discrepancy, not data to adjust"
             )
     catalog = Catalog(**{field: tuple(found[field][k] for k in sorted(found[field])) for field in found})
-    if wu_meng != {oracle.canonical_form(g) for g in catalog.wu_meng_21}:
+    if wu_meng != {emit_graph6(oracle.canonical_graph(g)) for g in catalog.wu_meng_21}:
         raise CatalogError(
             f"Wu-Meng clauses (iii)/(iv) exclude {len(wu_meng)} roots, "
             "expected the tough18 roots plus H1, H2, H3"
         )
     validate_catalog(catalog)
-    if output_path:
-        with open(output_path, "w", encoding="ascii") as handle:
-            handle.write(emit_catalog(catalog))
     return catalog, summary
 
 
@@ -400,7 +406,7 @@ def self_coline_census(max_vertices: int = 7) -> frozenset[bytes]:
         if g.m != g.n:
             continue
         l, _ = coline(g)
-        key = oracle.canonical_form(g)
+        key = emit_graph6(g).encode("ascii")  # g is canonically labelled
         if oracle.canonical_form(l) == key:
             found.add(key)
     return frozenset(found)

@@ -1,4 +1,6 @@
 import json
+import sys
+from importlib import resources
 from itertools import combinations
 
 import pytest
@@ -218,6 +220,27 @@ def test_sweep_command(capsys, tmp_path):
     assert out_path.exists()
 
 
+def test_sweep_census_mismatch_exits_1(capsys, monkeypatch, tmp_path):
+    import coline.sweep as sweep_module
+
+    real = sweep_module._examine_class
+
+    def no_corona(g, catalog):
+        record = real(g, catalog)
+        record["census"] = [key for key in record["census"] if key != "trace-corona"]
+        return record
+
+    monkeypatch.setattr(sweep_module, "_examine_class", no_corona)
+    report = tmp_path / "report.txt"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-vertices", "6", "--max-edges", "8", "--output", str(report)
+    )
+    assert code == 1
+    assert "mismatches: 0" in out
+    assert "trace-corona: 0 (MISMATCH)\n" in out
+    assert "passed: False" in report.read_text()
+
+
 def test_sweep_bad_flags(capsys):
     code, _, err = run_cli(capsys, "sweep", "--max-vertices", "40")
     assert code == 2
@@ -251,9 +274,27 @@ def test_catalog_bootstrap_writes_file(capsys, tmp_path):
     target = tmp_path / "catalog.txt"
     code, out, _ = run_cli(capsys, "catalog", "bootstrap", "--output", str(target))
     assert code == 0
-    assert target.exists()
+    packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
+    assert target.read_bytes() == packaged
     code, out, _ = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
     assert code == 0
+
+
+@pytest.mark.parametrize("closed_on", ["write", "flush"])  # unbuffered or buffered stdout
+def test_closed_stdout_exits_0(capsys, monkeypatch, closed_on):
+    class ClosedPipe:
+        def write(self, text):
+            if closed_on == "write":
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["catalog", "show"]) == 0
+    assert not isinstance(sys.stdout, ClosedPipe)  # so the exit-time flush cannot raise
+    assert capsys.readouterr().err == ""
 
 
 def test_corrupt_catalog_exits_1(capsys, tmp_path):

@@ -392,11 +392,6 @@ def test_find_roots_c5():
     assert not result.complete  # roots on up to 10 vertices are conceivable
 
 
-def test_find_roots_budget():
-    with pytest.raises(ValueError):
-        find_roots(build_named("C5"), max_vertices=9)
-
-
 def test_find_roots_more_edges_than_fit_skips_enumeration(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated classes for an impossible root")

@@ -4,9 +4,10 @@ from math import comb
 import pytest
 
 from coline import characterize
-from coline.characterize import CatalogError
+from coline.characterize import CatalogError, emit_catalog
+from coline.cli import main
 from coline.graphcore import build_named, coline, strip_isolated
-from coline.oracle import canonical_form, hamiltonian_cycle, is_tough
+from coline.oracle import canonical_form, canonical_graph, hamiltonian_cycle, is_tough
 from coline.sweep import (
     SweepConfig,
     bootstrap_catalog,
@@ -44,6 +45,12 @@ def test_class_enumeration_matches_labeled_dedup():
     assert labeled == classes
 
 
+def test_classes_are_canonically_labelled():
+    # the sweep keys each class by its graph6 without relabelling it
+    for g in enumerate_classes(7, 9):
+        assert canonical_graph(g) == g
+
+
 def test_class_representatives_have_no_isolated_vertices():
     for g in enumerate_classes(6, 6):
         assert all(g.degree(v) > 0 for v in range(g.n))
@@ -79,7 +86,18 @@ def test_small_sweep_is_clean(catalog):
     # the range misses the 8-vertex exceptions but what it finds must agree
     expected = expected_census(catalog, 6, 9)
     for key, want in expected.items():
-        assert report.exception_census.get(key, frozenset()) == want
+        assert report.exception_census[key] == want
+    assert report.passed
+
+
+def test_every_catalog_census_is_reported_even_when_empty(catalog):
+    report = run_sweep(SweepConfig(max_vertices=5, max_edges=6), catalog)
+    census = report.exception_census
+    expected = expected_census(catalog, 5, 6)
+    assert set(expected) <= set(census)
+    assert report.census_ok == {key: True for key in sorted(expected)}
+    assert sum(not census[key] for key in expected) >= 3
+    assert report.passed and "passed: True" in report_to_text(report)
 
 
 def test_sweep_timings_cover_enumeration(catalog):
@@ -112,21 +130,30 @@ def test_sweep_identical_single_and_multi_worker(catalog):
     assert one.exception_census == many.exception_census
 
 
-def test_report_text_roundtrip(catalog, tmp_path):
+def test_report_text_roundtrip(tmp_path, monkeypatch):
+    import coline.sweep as sweep_module
+
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(run_sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(sweep_module, "run_sweep", recording)
     out = tmp_path / "report.txt"
-    config = SweepConfig(max_vertices=5, max_edges=6, output_path=str(out))
-    report = run_sweep(config, catalog)
+    code = main(["sweep", "--max-vertices", "5", "--max-edges", "6", "--output", str(out)])
+    assert code == 0 and len(reports) == 1
     text = out.read_text()
-    assert text == report_to_text(report)
+    assert text == report_to_text(reports[0])
     assert "mismatches: 0" in text
+    assert "passed: True" in text
     assert "census:" in text
 
 
-def test_bootstrap_reproduces_packaged_catalog(catalog, tmp_path):
-    target = tmp_path / "cat.txt"
-    rebuilt, summary = bootstrap_catalog(output_path=str(target))
+def test_bootstrap_reproduces_packaged_catalog(catalog):
+    rebuilt, summary = bootstrap_catalog()
     packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
-    assert target.read_bytes() == packaged
+    assert emit_catalog(rebuilt).encode("ascii") == packaged
     assert summary["tough_count"] == 18
     assert summary["trace_count"] == 9
     assert summary["wu_meng_count"] == 21
