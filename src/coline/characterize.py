@@ -326,6 +326,7 @@ def build_report(g: Graph, catalog: Catalog | None = None, verify: bool = False)
                 "agrees": (cycle is not None) == hamiltonian.value,
                 "witness": None if cycle is None else list(cycle.vertices),
             },
+            "wu_meng": {"value": cycle is not None, "agrees": (cycle is not None) == wu_meng.value},
             "traceable": {
                 "value": path is not None,
                 "agrees": (path is not None) == traceable.value,

@@ -10,6 +10,7 @@ internal error, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -149,9 +150,22 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_output(path: str) -> None:
+    """Raise the OSError writing ``path`` would, before a long run, not after."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not target.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     catalog = characterize.load_catalog(args.catalog)
     config = sweep.SweepConfig(args.max_vertices, args.max_edges, args.workers)
+    if args.output:
+        _check_output(args.output)
     report = sweep.run_sweep(config, catalog)
     if args.output:
         Path(args.output).write_text(sweep.report_to_text(report), encoding="ascii")
@@ -171,6 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "bootstrap":
+        _check_output(args.output)
         catalog, summary = sweep.bootstrap_catalog()
         Path(args.output).write_text(characterize.emit_catalog(catalog), encoding="ascii")
         print(f"wrote {args.output}")

@@ -627,16 +627,18 @@ def iter_graph_classes(max_vertices: int, max_edges: int):
     """
     if max_vertices < 2 or max_edges < 1:
         return
-    level = {canonical_form(Graph(2, (2, 1))): canonical_graph(Graph(2, (2, 1)))}
+    edge = canonical_graph(Graph(2, (2, 1)))
+    level = {emit_graph6(edge): edge}
     for m in range(1, max_edges + 1):
         for key in sorted(level):
             yield level[key]
         if m == max_edges:
             break
-        nxt: dict[bytes, Graph] = {}
+        nxt: dict[str, Graph] = {}
         for g in level.values():
             for child in _augmented(g, max_vertices):
-                nxt.setdefault(canonical_form(child), canonical_graph(child))
+                labelled = canonical_graph(child)  # keyed by its graph6, labelled once
+                nxt.setdefault(emit_graph6(labelled), labelled)
         level = nxt
 
 

@@ -3,9 +3,10 @@
 The sweep walks every isomorphism class of graphs without isolated
 vertices inside configurable size bounds, decides toughness, Hamiltonicity
 and traceability of each coline graph twice (characterisation vs exact
-oracle) and records any disagreement.  It also accumulates the exception
-censuses and compares them with the catalog, so its report alone says
-whether a sweep passed; and it can bootstrap the catalogs from scratch.
+oracle) and records any disagreement.  It also tags each class with the
+exception censuses its oracle verdicts put it in (``census_tags``) and
+compares them with the catalog, so its report alone says whether a sweep
+passed; the catalog bootstrap derives the catalogs by the same rule.
 
 Verdicts are isomorphism-invariant (a tested property), so checking one
 canonical representative per class is equivalent to checking every
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -94,11 +96,8 @@ def enumerate_labeled(max_vertices: int, max_edges: int):
         raise ValueError("bounds must be non-negative")
     slots = list(combinations(range(max_vertices), 2))
     for mask in range(1 << len(slots)):
-        if mask.bit_count() > max_edges:
-            continue
-        yield Graph.from_edges(
-            max_vertices, [slots[i] for i in range(len(slots)) if mask >> i & 1]
-        )
+        if mask.bit_count() <= max_edges:
+            yield Graph.from_edges(max_vertices, [e for i, e in enumerate(slots) if mask >> i & 1])
 
 
 # The package's public name for the class enumeration.
@@ -110,55 +109,43 @@ enumerate_classes = oracle.iter_graph_classes
 def _examine_class(g: Graph, catalog: Catalog) -> dict:
     start = time.perf_counter()
     canon = emit_graph6(g)  # classes arrive canonically labelled
-    record: dict = {"canon": canon, "mismatches": [], "census": [], "timings": {}}
+    record: dict = {"canon": canon, "mismatches": [], "timings": {}}
     l, _ = coline(g)
 
     def clock(name: str, start: float) -> None:
         record["timings"][name] = record["timings"].get(name, 0.0) + time.perf_counter() - start
 
+    def compare(check: str, verdict: ClauseVerdict, seen: bool) -> None:
+        if verdict.value != seen:
+            record["mismatches"].append((check, f"{verdict.value} clause={verdict.clause}", str(seen)))
+
     clock("canonical_coline", start)
+    # below 3 (2) edges a counting clause fires, so census_tags reads no verdict
+    tough = hamiltonian = traceable = False
 
     if g.m >= 3:
         start = time.perf_counter()
-        verdict = characterize.decide_coline_tough(g, catalog)
-        tough_oracle = oracle.is_tough(l)
-        if verdict.value != tough_oracle.value:
-            record["mismatches"].append(
-                ("toughness", _fmt(verdict), str(tough_oracle.value))
-            )
-        if verdict.clause == "(iii)":
-            record["census"].append("tough-exceptions")
+        tough = oracle.is_tough(l).value
+        compare("toughness", characterize.decide_coline_tough(g, catalog), tough)
         clock("toughness", start)
 
         start = time.perf_counter()
+        hamiltonian = oracle.hamiltonian_cycle(l) is not None
         main = characterize.decide_coline_hamiltonian(g, catalog)
-        five_clause = characterize.decide_wu_meng(g)
-        ham_exists = oracle.hamiltonian_cycle(l) is not None
-        if main.value != ham_exists:
-            record["mismatches"].append(("hamiltonicity", _fmt(main), str(ham_exists)))
-        if five_clause.value != ham_exists:
-            record["mismatches"].append(("wu-meng", _fmt(five_clause), str(ham_exists)))
-        cms_ge2 = oracle.contains_power_ham_cycle(l, 1)
-        if cms_ge2 != main.value:
-            record["mismatches"].append(("cms-ge2", _fmt(main), str(cms_ge2)))
-        fired = set(five_clause.all_matches)
-        if fired & {"(iii)", "(iv)"} and not fired & {"(i)", "(ii)"}:
-            record["census"].append("wu-meng-21")
+        compare("hamiltonicity", main, hamiltonian)
+        compare("wu-meng", characterize.decide_wu_meng(g), hamiltonian)
+        compare("cms-ge2", main, oracle.contains_power_ham_cycle(l, 1))
         clock("hamiltonicity", start)
 
     if g.m >= 2:
         start = time.perf_counter()
-        verdict = characterize.decide_coline_traceable(g, catalog)
-        path = oracle.hamiltonian_path(l)
-        if verdict.value != (path is not None):
-            record["mismatches"].append(
-                ("traceability", _fmt(verdict), str(path is not None))
-            )
-        if verdict.clause == "(iii)":
-            record["census"].append("trace-exceptions")
-        if verdict.clause == "(iv)":
-            record["census"].append("trace-corona")
+        traceable = oracle.hamiltonian_path(l) is not None
+        compare("traceability", characterize.decide_coline_traceable(g, catalog), traceable)
         clock("traceability", start)
+
+    start = time.perf_counter()
+    record["census"] = census_tags(g, tough, hamiltonian, traceable)
+    clock("census", start)
 
     start = time.perf_counter()
     klass = characterize.classify_disconnected_coline(g)
@@ -172,26 +159,15 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
         record["mismatches"].append(("induced-freeness", "free", "induced copy found"))
     clock("induced_freeness", start)
 
-    if g.m >= 3 and tough_oracle.value and not ham_exists:
-        record["census"].append("tough-not-hamiltonian")
+    if tough and not hamiltonian:
         start = time.perf_counter()
-        cycle = oracle.longest_cycle(l)
-        ctx = lemmacheck.make_context(l, cycle)
-        for violation in lemmacheck.run_all_checks(ctx):
-            record["mismatches"].append(
-                (f"lemma:{violation.kind}", "no violation", violation.detail)
-            )
-        for violation in lemmacheck.check_trivial_components(ctx, g):
-            record["mismatches"].append(
-                ("lemma:trivial-components", "no violation", violation.detail)
-            )
+        ctx = lemmacheck.make_context(l, oracle.longest_cycle(l))
+        violations = lemmacheck.run_all_checks(ctx) + lemmacheck.check_trivial_components(ctx, g)
+        for violation in violations:
+            record["mismatches"].append((f"lemma:{violation.kind}", "no violation", violation.detail))
         clock("lemma_properties", start)
 
     return record
-
-
-def _fmt(verdict: ClauseVerdict) -> str:
-    return f"{verdict.value} clause={verdict.clause}"
 
 
 _CASE_RULES = {
@@ -286,16 +262,31 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     )
 
 
+def census_tags(g: Graph, tough: bool, hamiltonian: bool, traceable: bool) -> list[str]:
+    """The catalog censuses a class is in, from the oracle verdicts on its
+    coline: the only definition of each census.  No verdict is read where
+    its counting clause fires (always so below 3 edges for toughness, 2 for
+    traceability), and ``hamiltonian`` only when ``tough``."""
+    tags = []
+    if counting_clause(g, 0) is None:
+        if not tough:
+            tags.append("tough-exceptions")
+        elif not hamiltonian:
+            tags.append("tough-not-hamiltonian")
+        if wu_meng_blocker(g):
+            tags.append("wu-meng-21")
+    if counting_clause(g, 1) is None and not traceable:
+        corona = oracle.is_isomorphic(g, NAMED[CORONA])
+        tags.append("trace-corona" if corona else "trace-exceptions")
+    return tags
+
+
 def expected_census(catalog: Catalog, max_vertices: int, max_edges: int) -> dict[str, frozenset[str]]:
     """The catalog-derived censuses restricted to a sweep range."""
 
-    def in_range(g: Graph) -> bool:
-        return g.n <= max_vertices and g.m <= max_edges
-
     def forms(graphs) -> frozenset[str]:
-        return frozenset(
-            oracle.canonical_form(g).decode("ascii") for g in graphs if in_range(g)
-        )
+        in_range = (g for g in graphs if g.n <= max_vertices and g.m <= max_edges)
+        return frozenset(oracle.canonical_form(g).decode("ascii") for g in in_range)
 
     return {
         "tough-exceptions": forms(catalog.toughness_exceptions),
@@ -343,41 +334,25 @@ def report_to_text(report: SweepReport) -> str:
 def bootstrap_catalog(
     max_vertices: int = DEFAULT_MAX_VERTICES, max_edges: int = DEFAULT_MAX_EDGES
 ) -> tuple[Catalog, dict]:
-    """Derive the exception catalogs from the oracle alone and validate them.
+    """Derive the exception catalogs from the oracles alone and validate them.
 
-    Counts that differ from 18/9, or Wu-Meng clauses (iii)/(iv) excluding
-    other roots than ``Catalog.wu_meng_21``, abort loudly: that means an
-    oracle or enumeration bug (or a genuine discrepancy), never data to
-    adjust.
+    The tough18 and trace9 are the classes ``census_tags`` puts there, and
+    every census must equal ``expected_census`` for the derived catalog.  A
+    count other than 18/9 or a census mismatch aborts loudly: that means an
+    oracle or enumeration bug (or a genuine discrepancy), never data to adjust.
     """
-    # classes arrive canonically labelled, so their graph6 is the class key
-    tough_exceptions: dict[str, Graph] = {}
-    trace_exceptions: dict[str, Graph] = {}
-    wu_meng: set[str] = set()
-
+    census: dict[str, dict[str, Graph]] = defaultdict(dict)
     for g in oracle.iter_graph_classes(max_vertices, max_edges):
-        if g.m >= 3 and counting_clause(g, 0) is None:
-            l, _ = coline(g)
-            if not oracle.is_tough(l).value:
-                tough_exceptions[emit_graph6(g)] = g
-            if wu_meng_blocker(g):
-                wu_meng.add(emit_graph6(g))
-        if g.m >= 2 and counting_clause(g, 1) is None:
-            if oracle.is_isomorphic(g, NAMED[CORONA]):
-                continue
-            l, _ = coline(g)
-            if oracle.hamiltonian_path(l) is None:
-                trace_exceptions[emit_graph6(g)] = g
+        l, _ = coline(g)
+        # census_tags reads no verdict where its counting clause fires, and
+        # Hamiltonicity only when tough, so those searches are skipped
+        tough = counting_clause(g, 0) is None and oracle.is_tough(l).value
+        hamiltonian = tough and oracle.hamiltonian_cycle(l) is not None
+        traceable = counting_clause(g, 1) is None and oracle.hamiltonian_path(l) is not None
+        for key in census_tags(g, tough, hamiltonian, traceable):
+            census[key][emit_graph6(g)] = g  # classes arrive canonically labelled
 
-    summary = {
-        "tough_count": len(tough_exceptions),
-        "trace_count": len(trace_exceptions),
-        "wu_meng_count": len(wu_meng),
-        "max_exception_vertices": max(
-            (g.n for g in tough_exceptions.values()), default=0
-        ),
-    }
-    found = {"toughness_exceptions": tough_exceptions, "trace_exceptions": trace_exceptions}
+    found = {"toughness_exceptions": census["tough-exceptions"], "trace_exceptions": census["trace-exceptions"]}
     for section, field, want in CATALOG_SECTIONS:
         if len(found[field]) != want:
             raise CatalogError(
@@ -385,12 +360,20 @@ def bootstrap_catalog(
                 "this signals a bug or a genuine discrepancy, not data to adjust"
             )
     catalog = Catalog(**{field: tuple(found[field][k] for k in sorted(found[field])) for field in found})
-    if wu_meng != {emit_graph6(oracle.canonical_graph(g)) for g in catalog.wu_meng_21}:
-        raise CatalogError(
-            f"Wu-Meng clauses (iii)/(iv) exclude {len(wu_meng)} roots, "
-            "expected the tough18 roots plus H1, H2, H3"
-        )
+    wrong = [
+        f"{key} has {len(census[key])} members, expected {len(want)}"
+        for key, want in sorted(expected_census(catalog, max_vertices, max_edges).items())
+        if census[key].keys() != want
+    ]
+    if wrong:
+        raise CatalogError(f"bootstrap census mismatch: {'; '.join(wrong)}")
     validate_catalog(catalog)
+    summary = {
+        "tough_count": len(catalog.toughness_exceptions),
+        "trace_count": len(catalog.trace_exceptions),
+        "wu_meng_count": len(census["wu-meng-21"]),
+        "max_exception_vertices": max(g.n for g in catalog.toughness_exceptions),
+    }
     return catalog, summary
 
 
@@ -424,9 +407,4 @@ def whitney_census(max_vertices: int = 6) -> tuple[tuple[Graph, Graph], ...]:
             continue
         lg, _ = line_graph(g)
         groups.setdefault(oracle.canonical_form(lg), []).append(g)
-    pairs = []
-    for key in sorted(groups):
-        members = groups[key]
-        for a, b in combinations(members, 2):
-            pairs.append((a, b))
-    return tuple(pairs)
+    return tuple(pair for key in sorted(groups) for pair in combinations(groups[key], 2))

@@ -60,6 +60,19 @@ def test_classify_c6_all_true(capsys):
     assert verdicts["traceable"]["value"]
 
 
+def test_classify_verify_checks_wu_meng(capsys, monkeypatch):
+    decide = characterize.decide_wu_meng
+
+    def flipped(g):
+        verdict = decide(g)
+        return characterize.ClauseVerdict(not verdict.value, "flipped", ("flipped",))
+
+    monkeypatch.setattr(characterize, "decide_wu_meng", flipped)
+    code, out, _ = run_cli(capsys, "classify", "--named", "C6", "--verify")
+    assert code == 1
+    assert json.loads(out)["oracle"]["wu_meng"] == {"value": True, "agrees": False}
+
+
 def test_classify_verify_edge_budget(capsys):
     code, _, err = run_cli(capsys, "classify", "--named", "K7", "--verify")  # 21 edges
     assert code == 2
@@ -239,6 +252,23 @@ def test_sweep_census_mismatch_exits_1(capsys, monkeypatch, tmp_path):
     assert "mismatches: 0" in out
     assert "trace-corona: 0 (MISMATCH)\n" in out
     assert "passed: False" in report.read_text()
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["catalog", "bootstrap"]])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, command, where):
+    import coline.sweep as sweep_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran although --output cannot be written")
+
+    monkeypatch.setattr(sweep_module, "run_sweep", never)
+    monkeypatch.setattr(sweep_module, "bootstrap_catalog", never)
+    target = tmp_path / "absent" / "out.txt" if where == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, *command, "--output", str(target))
+    assert code == 3
+    assert err.startswith("i/o error: [Errno") and str(target) in err
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_sweep_bad_flags(capsys):

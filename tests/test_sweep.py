@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from coline import characterize
-from coline.characterize import CatalogError, emit_catalog
+from coline.characterize import Catalog, CatalogError, emit_catalog
+from coline.graph6 import emit_graph6, parse_graph6
 from coline.cli import main
 from coline.graphcore import build_named, coline, strip_isolated
 from coline.oracle import canonical_form, canonical_graph, hamiltonian_cycle, is_tough
@@ -173,8 +174,31 @@ def test_bootstrap_checks_wu_meng_exclusions(monkeypatch):
     # without the 6-edge blocker, clause (iv) misses the 6-edge tough18
     # roots, so the enumerated exclusions no longer equal Catalog.wu_meng_21
     monkeypatch.delitem(characterize.WU_MENG_BLOCKERS, 6)
-    with pytest.raises(CatalogError, match=r"Wu-Meng clauses \(iii\)/\(iv\) exclude 17 roots"):
+    with pytest.raises(CatalogError, match=r"wu-meng-21 has 17 members, expected 21"):
         bootstrap_catalog(8, 10)
+
+
+def test_bootstrap_checks_tough_non_hamiltonian_roots(monkeypatch):
+    # the oracles find four tough non-Hamiltonian roots; a root list short
+    # of H3 expects three, and the bootstrap must say so
+    import coline.sweep as sweep_module
+
+    monkeypatch.setattr(sweep_module, "NON_HAMILTONIAN_ROOTS", ("K5", "H1", "H2"))
+    with pytest.raises(CatalogError, match=r"tough-not-hamiltonian has 4 members, expected 3"):
+        bootstrap_catalog(8, 10)
+
+
+def test_sweep_census_does_not_repeat_the_catalog(catalog):
+    # the census comes from the oracles, so a catalog short of a tough18
+    # member in range fails the census instead of agreeing with it
+    short = Catalog(
+        tuple(g for g in catalog.toughness_exceptions if emit_graph6(g) != "Dls"),
+        catalog.trace_exceptions,
+    )
+    report = run_sweep(SweepConfig(max_vertices=6, max_edges=9), short)
+    assert canonical_form(parse_graph6("Dls")).decode() in report.exception_census["tough-exceptions"]
+    assert report.census_ok["tough-exceptions"] is False
+    assert not report.passed
 
 
 def test_bootstrap_count_check_fires_on_narrow_range():
