@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graph6 import emit_graph6
-from .graphcore import Graph, _bits, coline, components, is_connected
+from .graphcore import Graph, _bits, coline, components, is_connected, strip_isolated
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,43 @@ class IsoCertificate:
     mapping: tuple[int, ...]
 
 
+def _independence_number(g: Graph) -> int:
+    """The largest size of an independent vertex set, by branch and bound."""
+    best = 0
+
+    def grow(candidates: int, size: int) -> None:
+        nonlocal best
+        while size + candidates.bit_count() > best:
+            if not candidates:
+                best = size
+                return
+            # A vertex with at most one candidate neighbour lies in a largest
+            # independent set of the candidates; otherwise branch on a vertex
+            # of the most candidate neighbours, taken or left out.
+            forced = next(
+                (v for v in _bits(candidates) if (g.adj[v] & candidates).bit_count() <= 1), None
+            )
+            if forced is not None:
+                candidates &= ~(g.adj[forced] | 1 << forced)
+                size += 1
+                continue
+            v = max(_bits(candidates), key=lambda u: (g.adj[u] & candidates).bit_count())
+            grow(candidates & ~(g.adj[v] | 1 << v), size + 1)
+            candidates &= ~(1 << v)
+
+    grow((1 << g.n) - 1, 0)
+    return best
+
+
 def is_tough(g: Graph) -> ToughnessResult:
     """1-toughness: connected and c(G - S) <= |S| for every cutset S.
 
     Cutsets are enumerated by increasing size, lexicographically inside a
     size, and the first violating witness is returned.  Complete graphs
-    have no cutset and come back vacuously tough.  Since c(G - S) <= n - |S|,
-    a violating S has |S| < n/2, so larger cutsets are never tried.
+    have no cutset and come back vacuously tough.  Taking one vertex from
+    each component of G - S gives an independent set, and c(G - S) <=
+    n - |S|, so a violating S has |S| < min(n/2, alpha(G)); larger cutsets
+    are never tried.
     """
     if g.n == 0:
         return ToughnessResult(True, None, True)
@@ -80,7 +110,7 @@ def is_tough(g: Graph) -> ToughnessResult:
     if g.m == g.n * (g.n - 1) // 2:
         return ToughnessResult(True, None, True)
     full = (1 << g.n) - 1
-    for size in range(1, (g.n + 1) // 2):
+    for size in range(1, min((g.n + 1) // 2, _independence_number(g))):
         for cut in combinations(range(g.n), size):
             mask = 0
             for v in cut:
@@ -137,10 +167,15 @@ def _cycle_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
 
 
 def hamiltonian_cycle(g: Graph) -> CycleOrPath | None:
-    """A spanning cycle, or None.  Graphs on fewer than 3 vertices have none."""
+    """A spanning cycle, or None.  Graphs on fewer than 3 vertices have none.
+
+    A spanning cycle holds at most floor(n/2) pairwise non-adjacent
+    vertices, so a graph with a larger independent set has none and is not
+    searched.
+    """
     if g.n < 3 or not is_connected(g):
         return None
-    if min(g.degrees()) < 2:
+    if min(g.degrees()) < 2 or _independence_number(g) > g.n // 2:
         return None
     full = (1 << g.n) - 1
     path = [0]
@@ -178,12 +213,16 @@ def _path_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
 
 
 def hamiltonian_path(g: Graph) -> CycleOrPath | None:
-    """A spanning path, or None.  A single vertex counts as traceable."""
+    """A spanning path, or None.  A single vertex counts as traceable.
+
+    A spanning path holds at most ceil(n/2) pairwise non-adjacent vertices,
+    so a graph with a larger independent set has none and is not searched.
+    """
     if g.n == 0:
         return None
     if g.n == 1:
         return CycleOrPath((0,), False)
-    if not is_connected(g):
+    if not is_connected(g) or _independence_number(g) > (g.n + 1) // 2:
         return None
     full = (1 << g.n) - 1
     for start in range(g.n):
@@ -310,9 +349,10 @@ class _Node:
         self.orbits: list[int] | None = None
 
 
-def _canonical_adj(g: Graph) -> tuple[int, ...]:
+def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
     """Adjacency rows of the minimum leaf of the individualisation-refinement
-    tree.
+    tree, the vertex ordering of that leaf, and the automorphisms of ``g``
+    found on the way (generators of a subgroup of Aut(g)).
 
     A node individualises each vertex of the first non-singleton cell of its
     refined colouring in turn; a leaf's colouring is discrete and orders the
@@ -328,7 +368,7 @@ def _canonical_adj(g: Graph) -> tuple[int, ...]:
     """
     n = g.n
     if n <= 1:
-        return g.adj
+        return g.adj, list(range(n)), []
     path: list[int] = []  # path[level]: the vertex individualised at that level
     stack: list[_Node] = []  # stack[level]: the node whose prefix is path[:level]
     generators: list[tuple[int, ...]] = []
@@ -395,17 +435,26 @@ def _canonical_adj(g: Graph) -> tuple[int, ...]:
             colors = _refine(g, tuple(c if u != v else -1 for u, c in enumerate(node.colors)))
             break
         else:
-            return best[0]
+            return best[0], best[1], generators
 
 
 @lru_cache(maxsize=200_000)
-def _canonical_cached(n: int, adj: tuple[int, ...]) -> Graph:
-    return Graph(n, _canonical_adj(Graph(n, adj)))
+def _canonical_labelling(
+    n: int, adj: tuple[int, ...]
+) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The canonical graph of ``Graph(n, adj)``, the position in it of each
+    input vertex, and the found automorphisms conjugated onto it."""
+    rows, ordering, generators = _canonical_adj(Graph(n, adj))
+    position = [0] * n
+    for i, v in enumerate(ordering):
+        position[v] = i
+    conjugated = tuple(tuple(position[gamma[v]] for v in ordering) for gamma in generators)
+    return Graph(n, rows), tuple(position), conjugated
 
 
 def canonical_graph(g: Graph) -> Graph:
     """A canonically relabelled copy; equal for isomorphic inputs."""
-    return _canonical_cached(g.n, g.adj)
+    return _canonical_labelling(g.n, g.adj)[0]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -602,43 +651,125 @@ class RootSearch:
     complete: bool  # False when larger roots could exist beyond the budget
 
 
-def _augmented(g: Graph, max_vertices: int):
-    """All one-edge extensions keeping every vertex non-isolated."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                yield g.with_edge(u, v)
-    if g.n + 1 <= max_vertices:
-        for u in range(g.n):
-            grown = Graph(g.n + 1, g.adj + (0,))
-            yield grown.with_edge(u, g.n)
-    if g.n + 2 <= max_vertices:
-        grown = Graph(g.n + 2, g.adj + (0, 0))
-        yield grown.with_edge(g.n, g.n + 1)
+def _pair_orbit(pair: tuple[int, int], generators) -> set[tuple[int, int]]:
+    """The orbit of the vertex pair ``pair`` (u < v) under ``generators``."""
+    orbit = {pair}
+    frontier = [pair]
+    while frontier:
+        u, v = frontier.pop()
+        for gamma in generators:
+            a, b = gamma[u], gamma[v]
+            image = (a, b) if a < b else (b, a)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def _augmentations(g: Graph, generators, max_vertices: int):
+    """One-edge extensions ``(rows, edge)`` keeping every vertex
+    non-isolated, one per orbit of the group ``generators`` generate.
+
+    Every generator is an automorphism of ``g``, so a skipped extension is
+    isomorphic to a kept one, with the added edges corresponding.
+    """
+    n = g.n
+
+    def extended(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+        grown = list(rows)
+        grown[u] |= 1 << v
+        grown[v] |= 1 << u
+        return tuple(grown)
+
+    seen: set[tuple[int, int]] = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.adj[u] >> v & 1 and (u, v) not in seen:
+                seen |= _pair_orbit((u, v), generators)
+                yield extended(g.adj, u, v), (u, v)
+    if n + 1 <= max_vertices:
+        orbits = list(range(n))
+        for gamma in generators:
+            _join_orbits(orbits, gamma)
+        for u in range(n):
+            if orbits[u] == u:
+                yield extended(g.adj + (0,), u, n), (u, n)
+    if n + 2 <= max_vertices:
+        yield extended(g.adj + (0, 0), n, n + 1), (n, n + 1)
+
+
+def _accept(rows: tuple[int, ...], edge: tuple[int, int], parent: Graph):
+    """``(canonical child, its generators)`` if ``edge`` is the canonical
+    deletion edge of the child with adjacency ``rows``, up to automorphism;
+    else None.
+
+    ``parent`` is the canonical graph the child was grown from by adding
+    ``edge``.  Edges are rated by an isomorphism invariant (degree sum,
+    smaller degree, common neighbours); the canonical deletion edge is the
+    top-rated edge with the smallest canonical endpoint pair.
+    """
+
+    def rating(u: int, v: int) -> tuple[int, int, int]:
+        du, dv = rows[u].bit_count(), rows[v].bit_count()
+        return du + dv, min(du, dv), (rows[u] & rows[v]).bit_count()
+
+    ratings = {
+        (u, v): rating(u, v) for u in range(len(rows)) for v in _bits(rows[u] >> u + 1 << u + 1)
+    }
+    top = max(ratings.values())
+    if ratings[edge] != top:
+        return None  # rejected unlabelled: the deletion edge is top-rated
+    canon, position, generators = _canonical_labelling(len(rows), rows)
+
+    def relabelled(e: tuple[int, int]) -> tuple[int, int]:
+        a, b = position[e[0]], position[e[1]]
+        return (a, b) if a < b else (b, a)
+
+    deletion = min(relabelled(e) for e, r in ratings.items() if r == top)
+    added = relabelled(edge)
+    if added in _pair_orbit(deletion, generators):
+        return canon, generators
+    # The found generators may span only part of Aut(child): accept when
+    # deleting the canonical edge gives the parent back.
+    u, v = deletion
+    adj = list(canon.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    rest = strip_isolated(Graph(canon.n, tuple(adj)))
+    if _canonical_labelling(rest.n, rest.adj)[0] == parent:
+        return canon, generators
+    return None
 
 
 def iter_graph_classes(max_vertices: int, max_edges: int):
     """Isomorphism classes with 1..max_edges edges and no isolated vertices.
 
-    Breadth-first edge augmentation: every class with m+1 edges arises from
-    a class with m edges by adding one edge (deleting any edge and dropping
-    the isolated endpoints inverts it), so the levels are complete.  Yields
-    canonical representatives, sorted per level.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): every class with m+1 edges arises from a class
+    with m edges by adding one edge, since deleting any edge and dropping
+    the isolated endpoints inverts it.  Each class tries one added edge per
+    orbit of its automorphisms found by the canonical labelling, and a
+    child is kept only when the added edge is its canonical deletion edge
+    up to automorphism, that is, when this class is its canonical parent.
+    Children whose added edge does not have the top rating are rejected
+    without being labelled.  Yields canonical representatives, sorted per
+    level.
     """
     if max_vertices < 2 or max_edges < 1:
         return
-    edge = canonical_graph(Graph(2, (2, 1)))
-    level = {emit_graph6(edge): edge}
+    edge, _, generators = _canonical_labelling(2, (2, 1))
+    level = {emit_graph6(edge): (edge, generators)}
     for m in range(1, max_edges + 1):
         for key in sorted(level):
-            yield level[key]
+            yield level[key][0]
         if m == max_edges:
             break
-        nxt: dict[str, Graph] = {}
-        for g in level.values():
-            for child in _augmented(g, max_vertices):
-                labelled = canonical_graph(child)  # keyed by its graph6, labelled once
-                nxt.setdefault(emit_graph6(labelled), labelled)
+        nxt: dict[str, tuple[Graph, tuple[tuple[int, ...], ...]]] = {}
+        for parent, generators in level.values():
+            for rows, added in _augmentations(parent, generators, max_vertices):
+                accepted = _accept(rows, added, parent)
+                if accepted is not None:
+                    nxt.setdefault(emit_graph6(accepted[0]), accepted)
         level = nxt
 
 

@@ -83,6 +83,16 @@ def test_classify_verify_edge_budget(capsys):
     assert code == 0
 
 
+def test_classify_verify_sparse_coline_without_spanning_walks(capsys):
+    # co(K1_8+6K2) has 14 vertices and 8 pairwise non-adjacent ones, so the
+    # spanning-cycle and spanning-path oracles answer without a search
+    code, out, _ = run_cli(capsys, "classify", "--named", "K1_8+6K2", "--verify")
+    assert code == 0
+    oracle_report = json.loads(out)["oracle"]
+    assert len(oracle_report) == 4
+    assert all(entry["agrees"] for entry in oracle_report.values())
+
+
 def test_classify_padded_input_relabels_once(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "classify", "--named", "H1")
     plain = json.loads(out)

@@ -88,6 +88,34 @@ def test_returned_walks_are_valid(classes_up_to_6):
             assert not path.closed and len(path) == g.n and is_valid_in(path, g)
 
 
+def test_spanning_searches_skip_graphs_with_large_independent_sets(monkeypatch):
+    # co(K1_8+6K2): 14 vertices, the 8 star edges pairwise non-adjacent
+    l, _ = coline(build_named("K1_8+6K2"))
+    assert l.n == 14 and oracle._independence_number(l) == 8
+    calls = []
+    cycle_extend, path_extend = oracle._cycle_extend, oracle._path_extend
+    monkeypatch.setattr(oracle, "_cycle_extend", lambda *a: calls.append("cycle") or cycle_extend(*a))
+    monkeypatch.setattr(oracle, "_path_extend", lambda *a: calls.append("path") or path_extend(*a))
+    assert hamiltonian_cycle(l) is None
+    assert hamiltonian_path(l) is None
+    assert calls == []
+
+
+def test_independence_number_matches_all_subsets(classes_up_to_6):
+    def brute(g):
+        return max(
+            len(s)
+            for k in range(g.n + 1)
+            for s in combinations(range(g.n), k)
+            if not any(g.has_edge(u, v) for u, v in combinations(s, 2))
+        )
+
+    for g in classes_up_to_6:
+        for h in (g, coline(g)[0]):
+            if h.n <= 10:
+                assert oracle._independence_number(h) == brute(h)
+
+
 def test_longest_cycle_examples():
     assert len(longest_cycle(build_named("Petersen"))) == 9
     assert longest_cycle(build_named("P5")) is None
@@ -283,6 +311,53 @@ def test_canonical_forms_are_pinned():
     assert len(inputs) == 46
     forms = [emit_graph6(canonical_graph(parse_graph6(entry["graph6"]))) for entry in inputs]
     assert _sha1_lines(forms) == "1b3f6922b79c9a8ffc2786fa55dd1b27ccc00bce"
+
+
+def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
+    classes = [emit_graph6(g) for g in classes_sweep_range]
+    assert len(classes) == 1500
+    levels = {}
+    for g in classes_sweep_range:
+        levels[g.m] = levels.get(g.m, 0) + 1
+    assert levels == {1: 1, 2: 2, 3: 5, 4: 11, 5: 24, 6: 56, 7: 115, 8: 221, 9: 402, 10: 663}
+    assert _sha1_lines(classes) == "06ff6237a2467835e9d591ebadd12b71b6a37249"
+
+
+def test_class_enumeration_labels_few_children():
+    # Canonical augmentation labels only children whose added edge has the
+    # top rating; labelling every child took 15,291 labellings here.
+    oracle._canonical_labelling.cache_clear()
+    assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
+    assert oracle._canonical_labelling.cache_info().misses <= 3000
+
+
+def test_class_enumeration_complete_without_found_automorphisms(monkeypatch):
+    # With no generators every extension is tried and a child is kept only
+    # when it is its canonical deletion edge or deleting that edge gives
+    # the parent back: the classes must not change.
+    labeller = oracle._canonical_adj
+    monkeypatch.setattr(oracle, "_canonical_adj", lambda g: labeller(g)[:2] + ([],))
+    oracle._canonical_labelling.cache_clear()
+    try:
+        classes = [emit_graph6(g) for g in iter_graph_classes(7, 9)]
+    finally:
+        oracle._canonical_labelling.cache_clear()
+    assert _sha1_lines(classes) == "b81cddbacf4567f4c30a2b3b373a0f4b3f3e2d77"
+
+
+def test_labelling_generators_are_automorphisms():
+    rng = random.Random(1998)
+    graphs = _symmetric_graphs()
+    for g in iter_graph_classes(7, 9):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, relabel(g, perm)]
+    for g in graphs:
+        canon, position, generators = oracle._canonical_labelling(g.n, g.adj)
+        assert canon == relabel(g, position)
+        for gamma in generators:
+            assert sorted(gamma) == list(range(g.n))
+            assert relabel(canon, gamma) == canon
 
 
 def test_class_counts_match_oeis(classes_up_to_6):
