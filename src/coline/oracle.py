@@ -1,9 +1,14 @@
 """Exact, exponential-time reference algorithms.
 
-Everything here is plain backtracking or subset enumeration over bitmask
-graphs; no heuristic can change an answer, only the time taken.  Practical
-bound: roughly 16 vertices.  All searches are deterministic (ascending
-vertex order), so returned witnesses are reproducible.
+Everything here is backtracking or subset enumeration over bitmask graphs;
+no pruning rule can change an answer, only the time taken.  The embedding
+and power-cycle searches keep the candidates of each level as one bitmask,
+the AND of the adjacency rows (or their complements) that the placed
+vertices impose, and the embedding search places the images of a twin
+class of the pattern in increasing order, since permuting twins is an
+automorphism.  Practical bound: roughly 16 vertices.  All searches are
+deterministic (ascending vertex order), so returned witnesses are
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graph6 import emit_graph6
-from .graphcore import Graph, _bits, coline, components, is_connected, strip_isolated
+from .graphcore import Graph, _bits, coline, components, is_connected
 
 
 @dataclass(frozen=True)
@@ -514,7 +519,38 @@ def is_isomorphic(g1: Graph, g2: Graph) -> IsoCertificate | None:
 
 # --- subgraph containment ---------------------------------------------------
 
+def _twin_classes(g: Graph) -> list[int]:
+    """``label[v]``: the smallest vertex twin to ``v``, where u and v are
+    twins when N(u) minus v equals N(v) minus u.
+
+    Twins are adjacent with equal closed neighbourhoods or non-adjacent with
+    equal open ones, and a third vertex cannot be a twin of one kind to u
+    and of the other to v, so the relation is an equivalence.  Every
+    permutation of a class fixes the rest and is an automorphism of g.
+    """
+    label = list(range(g.n))
+    for v in range(g.n):
+        for u in range(v):
+            if label[u] == u and g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                label[v] = u
+                break
+    return label
+
+
 def _embed(host: Graph, pattern: Graph, induced: bool) -> bool:
+    """Is there an injective map of pattern into host keeping every edge
+    (and, when ``induced``, every non-edge)?
+
+    Pattern vertices are placed one per level, most constrained first.  The
+    candidates of a level are one host bitmask: the eligible unused
+    vertices, ANDed with the host row of every placed pattern-neighbour's
+    image and, for an induced search, with the complement of the row of
+    every placed non-neighbour's image.  Eligible means every host vertex
+    for an induced search and a host vertex of at least the pattern
+    vertex's degree otherwise.  Permuting a twin class of the pattern is an
+    automorphism, so each class places its images in increasing order,
+    which keeps one embedding of each set of equivalent ones.
+    """
     if pattern.n > host.n or pattern.m > host.m:
         return False
     if not induced:
@@ -535,39 +571,42 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> bool:
         order.append(v)
         placed_mask |= 1 << v
 
-    images = [-1] * pattern.n
-    used = 0
+    # Per level: the eligible host vertices, the earlier levels whose images
+    # must be adjacent (and, induced, non-adjacent) to this one's, and the
+    # latest earlier level in the same twin class (-1 if none).
+    twin = _twin_classes(pattern)
+    eligible, joined, apart, previous = [], [], [], []
+    for i, v in enumerate(order):
+        mask = (1 << host.n) - 1
+        if not induced:
+            mask = sum(1 << w for w in range(host.n) if host.degree(w) >= pattern.degree(v))
+        eligible.append(mask)
+        joined.append([j for j in range(i) if pattern.adj[v] >> order[j] & 1])
+        apart.append([j for j in range(i) if induced and not pattern.adj[v] >> order[j] & 1])
+        previous.append(max((j for j in range(i) if twin[order[j]] == twin[v]), default=-1))
 
-    def place(i: int) -> bool:
-        nonlocal used
+    rows = host.adj
+    images = [0] * pattern.n  # images[i]: the host vertex of order[i]
+
+    def place(i: int, used: int) -> bool:
         if i == pattern.n:
             return True
-        v = order[i]
-        for w in range(host.n):
-            if used >> w & 1:
-                continue
-            if not induced and host.degree(w) < pattern.degree(v):
-                continue
-            ok = True
-            for prior in order[:i]:
-                need = pattern.has_edge(v, prior)
-                have = host.has_edge(w, images[prior])
-                if need and not have:
-                    ok = False
-                    break
-                if induced and have and not need:
-                    ok = False
-                    break
-            if ok:
-                images[v] = w
-                used |= 1 << w
-                if place(i + 1):
-                    return True
-                used &= ~(1 << w)
-                images[v] = -1
+        candidates = eligible[i] & ~used
+        for j in joined[i]:
+            candidates &= rows[images[j]]
+        for j in apart[i]:
+            candidates &= ~rows[images[j]]
+        if previous[i] >= 0:
+            candidates &= -(2 << images[previous[i]])  # images above the twin's
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            images[i] = low.bit_length() - 1
+            if place(i + 1, used | low):
+                return True
         return False
 
-    return place(0)
+    return place(0, 0)
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
@@ -585,6 +624,18 @@ def is_induced_free(host: Graph, pattern: Graph) -> bool:
 def contains_power_ham_cycle(l: Graph, k: int) -> bool:
     """Does some cyclic vertex ordering have all pairs at cyclic distance
     <= k adjacent?  k = 0 is trivially satisfiable; k = 1 is Hamiltonicity.
+
+    Vertex 0 takes position 0 and the search fills positions 1, 2, ... in
+    turn.  The candidates of a position are one bitmask: the unused
+    vertices, ANDed with the rows of the last k placed vertices and, in the
+    last k positions, with the rows of the first vertices the window wraps
+    round to.  A node is pruned when an unused vertex has fewer than 2k
+    neighbours among the unused vertices and the open ends (the first and
+    the last k placed), since its window neighbours can lie nowhere else.
+    The second vertex is kept below the last, so each cycle is tried in one
+    direction only.  The sweep runs it with k = 1 to cross-check
+    ``hamiltonian_cycle``, so it shares no code with that search and skips
+    no graph by its independence number.
     """
     if k < 0:
         raise ValueError("power must be non-negative")
@@ -597,37 +648,38 @@ def contains_power_ham_cycle(l: Graph, k: int) -> bool:
         return l.m == n * (n - 1) // 2
     if min(l.degrees()) < 2 * k:
         return False
+    rows = l.adj
     order = [0] * n
-    used = [False] * n
-    used[0] = True
 
-    def place(i: int) -> bool:
-        if i == n:
+    def place(i: int, unused: int, head: int) -> bool:
+        # head: the mask of the first k placed vertices
+        if not unused:
             return True
-        for v in range(n):
-            if used[v]:
-                continue
-            if i == n - 1 and order[1] > v:
-                continue  # fix direction: second vertex smaller than last
-            ok = True
-            for back in range(max(0, i - k), i):
-                if not l.has_edge(v, order[back]):
-                    ok = False
-                    break
-            if ok and i >= n - k:
-                for front in range(0, i + k - n + 1):
-                    if not l.has_edge(v, order[front]):
-                        ok = False
-                        break
-            if ok:
-                order[i] = v
-                used[v] = True
-                if place(i + 1):
-                    return True
-                used[v] = False
+        reach = unused | head
+        candidates = unused
+        for v in order[max(0, i - k) : i]:
+            reach |= 1 << v
+            candidates &= rows[v]
+        rest = unused
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (rows[low.bit_length() - 1] & reach).bit_count() < 2 * k:
+                return False
+        if i >= n - k:
+            for v in order[: i + k - n + 1]:
+                candidates &= rows[v]
+        if i == n - 1:
+            candidates &= -(2 << order[1])  # fix direction: second below last
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            order[i] = low.bit_length() - 1
+            if place(i + 1, unused ^ low, head | low if i < k else head):
+                return True
         return False
 
-    return place(1)
+    return place(1, (1 << n) - 2, 1)
 
 
 def cms_exact(g: Graph) -> int:
@@ -698,15 +750,16 @@ def _augmentations(g: Graph, generators, max_vertices: int):
         yield extended(g.adj + (0, 0), n, n + 1), (n, n + 1)
 
 
-def _accept(rows: tuple[int, ...], edge: tuple[int, int], parent: Graph):
+def _accept(rows: tuple[int, ...], edge: tuple[int, int]):
     """``(canonical child, its generators)`` if ``edge`` is the canonical
     deletion edge of the child with adjacency ``rows``, up to automorphism;
     else None.
 
-    ``parent`` is the canonical graph the child was grown from by adding
-    ``edge``.  Edges are rated by an isomorphism invariant (degree sum,
-    smaller degree, common neighbours); the canonical deletion edge is the
-    top-rated edge with the smallest canonical endpoint pair.
+    ``edge`` is the edge added to grow the child.  Edges are rated by an
+    isomorphism invariant (degree sum, smaller degree, common neighbours);
+    the canonical deletion edge is the top-rated edge with the smallest
+    canonical endpoint pair.  The orbit is taken under the generators the
+    labeller found, which generate all of Aut(child) (a tested property).
     """
 
     def rating(u: int, v: int) -> tuple[int, int, int]:
@@ -728,15 +781,6 @@ def _accept(rows: tuple[int, ...], edge: tuple[int, int], parent: Graph):
     deletion = min(relabelled(e) for e, r in ratings.items() if r == top)
     added = relabelled(edge)
     if added in _pair_orbit(deletion, generators):
-        return canon, generators
-    # The found generators may span only part of Aut(child): accept when
-    # deleting the canonical edge gives the parent back.
-    u, v = deletion
-    adj = list(canon.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    rest = strip_isolated(Graph(canon.n, tuple(adj)))
-    if _canonical_labelling(rest.n, rest.adj)[0] == parent:
         return canon, generators
     return None
 
@@ -767,7 +811,7 @@ def iter_graph_classes(max_vertices: int, max_edges: int):
         nxt: dict[str, tuple[Graph, tuple[tuple[int, ...], ...]]] = {}
         for parent, generators in level.values():
             for rows, added in _augmentations(parent, generators, max_vertices):
-                accepted = _accept(rows, added, parent)
+                accepted = _accept(rows, added)
                 if accepted is not None:
                     nxt.setdefault(emit_graph6(accepted[0]), accepted)
         level = nxt

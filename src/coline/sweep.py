@@ -45,6 +45,7 @@ from .graphcore import Graph, build_named, coline, components, is_connected, lin
 
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_MAX_EDGES = 10
+SLOWEST_SHOWN = 10  # classes listed with their per-check times in a report
 
 # Every coline graph is (K2+3K1)-free.
 _FORBIDDEN_PATTERN = build_named("K2+3K1")
@@ -76,6 +77,8 @@ class SweepReport:
     timings: dict[str, float]
     config: SweepConfig
     census_ok: dict[str, bool]  # catalog census -> equals expected_census
+    # "slowest": (canon, seconds, per-check seconds) of the slowest classes;
+    # "error": why the examination stopped early
     extras: dict = field(default_factory=dict)
 
     @property
@@ -134,8 +137,11 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
         main = characterize.decide_coline_hamiltonian(g, catalog)
         compare("hamiltonicity", main, hamiltonian)
         compare("wu-meng", characterize.decide_wu_meng(g), hamiltonian)
-        compare("cms-ge2", main, oracle.contains_power_ham_cycle(l, 1))
         clock("hamiltonicity", start)
+
+        start = time.perf_counter()
+        compare("cms-ge2", main, oracle.contains_power_ham_cycle(l, 1))
+        clock("power_cycle", start)
 
     if g.m >= 2:
         start = time.perf_counter()
@@ -237,6 +243,11 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
         for check, dt in record["timings"].items():
             timings[check] = timings.get(check, 0.0) + dt
     census_ok = {key: census[key] == want for key, want in sorted(expected.items())}
+    by_time = sorted(records, key=lambda r: sum(r["timings"].values()), reverse=True)
+    extras["slowest"] = [
+        (record["canon"], sum(record["timings"].values()), record["timings"])
+        for record in by_time[:SLOWEST_SHOWN]
+    ]
     timings["merge"] = time.perf_counter() - began
 
     began = time.perf_counter()
@@ -326,6 +337,11 @@ def report_to_text(report: SweepReport) -> str:
     lines.append("timings (s):")
     for key, dt in sorted(report.timings.items()):
         lines.append(f"  {key}: {dt:.3f}")
+    lines.append("")
+    lines.append("slowest classes (ms):")
+    for canon, total, checks in report.extras.get("slowest", ()):
+        times = " ".join(f"{check}={1000 * dt:.1f}" for check, dt in sorted(checks.items()))
+        lines.append(f"  {canon}  total={1000 * total:.1f}  {times}")
     return "\n".join(lines) + "\n"
 
 

@@ -325,24 +325,54 @@ def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
 
 def test_class_enumeration_labels_few_children():
     # Canonical augmentation labels only children whose added edge has the
-    # top rating; labelling every child took 15,291 labellings here.
+    # top rating: 1,767 labellings here, where labelling every child took
+    # 15,291.
     oracle._canonical_labelling.cache_clear()
     assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
-    assert oracle._canonical_labelling.cache_info().misses <= 3000
+    assert oracle._canonical_labelling.cache_info().misses <= 1800
 
 
-def test_class_enumeration_complete_without_found_automorphisms(monkeypatch):
-    # With no generators every extension is tried and a child is kept only
-    # when it is its canonical deletion edge or deleting that edge gives
-    # the parent back: the classes must not change.
-    labeller = oracle._canonical_adj
-    monkeypatch.setattr(oracle, "_canonical_adj", lambda g: labeller(g)[:2] + ([],))
-    oracle._canonical_labelling.cache_clear()
-    try:
-        classes = [emit_graph6(g) for g in iter_graph_classes(7, 9)]
-    finally:
-        oracle._canonical_labelling.cache_clear()
-    assert _sha1_lines(classes) == "b81cddbacf4567f4c30a2b3b373a0f4b3f3e2d77"
+def _automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by backtracking over degree-preserving vertex maps."""
+    degrees = g.degrees()
+    image = [0] * g.n
+
+    def extend(v: int, used: int) -> int:
+        if v == g.n:
+            return 1
+        count = 0
+        for w in range(g.n):
+            if used >> w & 1 or degrees[w] != degrees[v]:
+                continue
+            if all(g.has_edge(u, v) == g.has_edge(image[u], w) for u in range(v)):
+                image[v] = w
+                count += extend(v + 1, used | 1 << w)
+        return count
+
+    return extend(0, 0)
+
+
+def _group_order(n: int, generators) -> int:
+    """The order of the permutation group ``generators`` generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        sigma = frontier.pop()
+        for gamma in generators:
+            product = tuple(gamma[v] for v in sigma)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return len(group)
+
+
+def test_labelling_generators_generate_the_automorphism_group():
+    # Canonical augmentation accepts a child only when its added edge is in
+    # the orbit of the canonical deletion edge under the found generators,
+    # so every class is reached only if they generate all of Aut(child).
+    for g in iter_graph_classes(7, 21):
+        _, _, generators = oracle._canonical_labelling(g.n, g.adj)
+        assert _group_order(g.n, generators) == _automorphism_count(g), emit_graph6(g)
 
 
 def test_labelling_generators_are_automorphisms():
@@ -426,6 +456,54 @@ def test_is_induced_free_examples():
     assert is_induced_free(build_named("K5"), build_named("C4"))
 
 
+# Named patterns on at most 5 vertices with a class of twins (u, v with
+# N(u) - v == N(v) - u), which the embedding search breaks by symmetry.
+TWIN_PATTERNS = (
+    "K2", "3K1", "K2+K1", "P3", "K3", "2K2", "C4", "K1_3", "K3+K1", "P3+K1",
+    "K3_plus", "K4_minus", "K4", "K2+3K1", "K1_4", "K5",
+)
+
+
+def _has_twins(g: Graph) -> bool:
+    return any(
+        g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u) for u, v in combinations(range(g.n), 2)
+    )
+
+
+def _labelled_induced_subgraphs(host: Graph, size: int) -> set[int]:
+    """Edge masks (bit of pair index over combinations(range(size), 2)) of
+    the graphs that every injective sequence of ``size`` host vertices
+    induces."""
+    pairs = list(combinations(range(size), 2))
+    return {
+        sum(1 << i for i, (a, b) in enumerate(pairs) if host.has_edge(image[a], image[b]))
+        for image in permutations(range(host.n), size)
+    }
+
+
+def test_embedding_searches_match_permutation_reference(classes_up_to_6):
+    patterns = [build_named(name) for name in TWIN_PATTERNS]
+    assert all(_has_twins(p) for p in patterns)
+    hosts = list(classes_up_to_6)
+    hosts += [coline(g)[0] for g in iter_graph_classes(7, 7)]
+    for host in hosts:
+        induced = {}
+        for pattern in patterns:
+            if pattern.n > host.n:
+                assert is_induced_free(host, pattern) and not contains_subgraph(host, pattern)
+                continue
+            if pattern.n not in induced:
+                induced[pattern.n] = _labelled_induced_subgraphs(host, pattern.n)
+            want = sum(
+                1 << i
+                for i, (a, b) in enumerate(combinations(range(pattern.n), 2))
+                if pattern.has_edge(a, b)
+            )
+            found = induced[pattern.n]
+            assert is_induced_free(host, pattern) == (want not in found)
+            assert contains_subgraph(host, pattern) == any(mask & want == want for mask in found)
+
+
 # --- powers of a Hamiltonian cycle and cms ------------------------------------------
 
 def test_contains_power_ham_cycle():
@@ -440,6 +518,43 @@ def test_contains_power_ham_cycle():
 def test_power_one_matches_hamiltonicity(classes_up_to_6):
     for g in classes_up_to_6[:120]:
         assert contains_power_ham_cycle(g, 1) == (hamiltonian_cycle(g) is not None)
+
+
+def _power_cycle_masks(n: int, k: int) -> set[int]:
+    """Pair masks (bit u * n + v, u < v) of the k-th powers of every
+    spanning cycle on vertices 0..n-1."""
+    masks = set()
+    for rest in permutations(range(1, n)):
+        order = (0,) + rest
+        mask = 0
+        for i in range(n):
+            for d in range(1, min(k, n - 1) + 1):
+                u, v = sorted((order[i], order[(i + d) % n]))
+                mask |= 1 << u * n + v
+        masks.add(mask)
+    return masks
+
+
+def test_power_ham_cycle_matches_cyclic_order_reference():
+    # Every graph on at most 7 vertices, relabelled too, and dense random
+    # graphs on 8, where the window first wraps past a position it skips.
+    rng = random.Random(7)
+    graphs = []
+    for g in iter_graph_classes(7, 21):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, relabel(g, perm)]
+    for _ in range(300):
+        p = rng.choice((0.6, 0.7, 0.8, 0.9))
+        graphs.append(Graph.from_edges(8, [e for e in combinations(range(8), 2) if rng.random() < p]))
+    for k in (1, 2, 3):
+        masks = {n: _power_cycle_masks(n, k) for n in range(3, 9)}
+        for g in graphs:
+            if g.n < 3:
+                continue
+            edges = sum(1 << u * g.n + v for u, v in g.edges() if u < v)
+            want = any(mask & ~edges == 0 for mask in masks[g.n])
+            assert contains_power_ham_cycle(g, k) == want, (emit_graph6(g), k)
 
 
 def test_cms_exact():

@@ -110,6 +110,7 @@ def test_sweep_timings_cover_enumeration(catalog):
         "canonical_coline",
         "toughness",
         "hamiltonicity",
+        "power_cycle",
         "traceability",
         "classification",
         "induced_freeness",
@@ -119,6 +120,19 @@ def test_sweep_timings_cover_enumeration(catalog):
     ):
         assert phase in timings
     assert 0.95 * total <= sum(timings.values()) <= total
+
+
+def test_sweep_reports_its_slowest_classes(catalog):
+    report = run_sweep(SweepConfig(max_vertices=5, max_edges=6), catalog)
+    slowest = report.extras["slowest"]
+    assert len(slowest) == 10 < report.graphs_scanned
+    totals = [total for _, total, _ in slowest]
+    assert totals == sorted(totals, reverse=True)
+    for _, total, checks in slowest:
+        assert total == pytest.approx(sum(checks.values()))
+    text = report_to_text(report)
+    assert text.index("timings (s):") < text.index("slowest classes (ms):")
+    assert f"\n  {slowest[0][0]}  total={1000 * totals[0]:.1f}  canonical_coline=" in text
 
 
 def test_sweep_identical_single_and_multi_worker(catalog):
