@@ -41,7 +41,6 @@ from .oracle import (
     is_isomorphic,
     is_tough,
     longest_cycle,
-    vertex_connectivity,
 )
 from .characterize import (
     Catalog,

@@ -126,25 +126,6 @@ def is_tough(g: Graph) -> ToughnessResult:
     return ToughnessResult(True, None, False)
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum cutset size; n-1 for complete graphs, 0 when disconnected."""
-    if g.n == 0:
-        return 0
-    if not is_connected(g):
-        return 0
-    if g.m == g.n * (g.n - 1) // 2:
-        return g.n - 1
-    full = (1 << g.n) - 1
-    for size in range(1, g.n - 1):
-        for cut in combinations(range(g.n), size):
-            mask = 0
-            for v in cut:
-                mask |= 1 << v
-            if len(components(g, full & ~mask)) >= 2:
-                return size
-    return g.n - 1
-
-
 # --- Hamiltonian cycle / path / longest cycle ------------------------------
 
 def _cycle_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
@@ -796,25 +777,22 @@ def iter_graph_classes(max_vertices: int, max_edges: int):
     child is kept only when the added edge is its canonical deletion edge
     up to automorphism, that is, when this class is its canonical parent.
     Children whose added edge does not have the top rating are rejected
-    without being labelled.  Yields canonical representatives, sorted per
-    level.
+    without being labelled.  Since each class is reached exactly once, the
+    walk is depth-first over one stack, with no dedup: it yields canonical
+    representatives in depth-first order, each before its children.
     """
     if max_vertices < 2 or max_edges < 1:
         return
     edge, _, generators = _canonical_labelling(2, (2, 1))
-    level = {emit_graph6(edge): (edge, generators)}
-    for m in range(1, max_edges + 1):
-        for key in sorted(level):
-            yield level[key][0]
-        if m == max_edges:
-            break
-        nxt: dict[str, tuple[Graph, tuple[tuple[int, ...], ...]]] = {}
-        for parent, generators in level.values():
+    stack = [(edge, generators)]
+    while stack:
+        parent, generators = stack.pop()
+        yield parent
+        if parent.m < max_edges:
             for rows, added in _augmentations(parent, generators, max_vertices):
                 accepted = _accept(rows, added)
                 if accepted is not None:
-                    nxt.setdefault(emit_graph6(accepted[0]), accepted)
-        level = nxt
+                    stack.append(accepted)
 
 
 def find_roots(l: Graph) -> RootSearch:
@@ -841,5 +819,6 @@ def find_roots(l: Graph) -> RootSearch:
             cg, _ = coline(g)
             if canonical_form(cg) == target:
                 roots.append(g)
+    roots.sort(key=emit_graph6)
     complete = max_vertices >= 2 * m
     return RootSearch(tuple(roots), complete)

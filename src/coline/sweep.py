@@ -10,9 +10,12 @@ passed; the catalog bootstrap derives the catalogs by the same rule.
 
 Verdicts are isomorphism-invariant (a tested property), so checking one
 canonical representative per class is equivalent to checking every
-labelled graph; classes are produced by edge-augmentation rather than by
-streaming all labelled bitmasks, which keeps the 8-vertex sweep tractable.
-The labelled stream is still available for small ranges.
+labelled graph.  Classes come from canonical augmentation
+(``oracle.iter_graph_classes``) rather than from all labelled bitmasks,
+which keeps the 8-vertex sweep tractable, and stream into the examination
+as they are generated: no class list is built, and a pool's workers start
+while the enumeration runs.  The labelled stream is still available for
+small ranges.
 """
 
 from __future__ import annotations
@@ -202,6 +205,21 @@ def _classification_problem(g: Graph, l: Graph, klass) -> str | None:
 
 # --- sweep driver --------------------------------------------------------------
 
+_CHUNK = 16  # classes per pool task; one per task costs more in messages than a worker saves
+
+
+def _clocked(classes, timings: dict[str, float]):
+    """``classes``, adding the time spent producing them to
+    ``timings["enumeration"]``, so the examination's clocks exclude it."""
+    while True:
+        start = time.perf_counter()
+        g = next(classes, None)
+        timings["enumeration"] += time.perf_counter() - start
+        if g is None:
+            return
+        yield g
+
+
 def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:
     """Cross-verify every decision procedure over the configured range and
     compare each catalog census with ``expected_census`` for ``catalog``.
@@ -212,8 +230,8 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     """
     catalog = catalog or characterize.load_catalog()
     start = time.perf_counter()
-    classes = list(oracle.iter_graph_classes(config.max_vertices, config.max_edges))
-    enumerated = time.perf_counter()
+    timings = {"enumeration": 0.0}
+    classes = _clocked(oracle.iter_graph_classes(config.max_vertices, config.max_edges), timings)
     examine = partial(_examine_class, catalog=catalog)
     workers = config.worker_count
     records: list[dict] = []
@@ -222,7 +240,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
         if pool is None:
             results = map(examine, classes)
         else:
-            results = pool.imap(examine, classes, chunksize=max(1, len(classes) // (workers * 8)))
+            results = pool.imap(examine, classes, chunksize=_CHUNK)
         try:
             for record in results:
                 records.append(record)
@@ -234,7 +252,6 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     mismatches = []
     expected = expected_census(catalog, config.max_vertices, config.max_edges)
     census: dict[str, set[str]] = {key: set() for key in expected}
-    timings = {"enumeration": enumerated - start}
     for record in records:
         for check, theorem, seen in record["mismatches"]:
             mismatches.append((record["canon"], check, theorem, seen))
@@ -317,7 +334,7 @@ def report_to_text(report: SweepReport) -> str:
         "all catalogued exceptions have at most 8 edges and 8 non-isolated "
         "vertices, and the largest named exception has 10 edges.",
         "checks: classification, hamiltonicity, induced_freeness, lemma_properties, "
-        "self_coline, toughness, traceability, whitney",
+        "power_cycle, self_coline, toughness, traceability, whitney",
         f"workers: {cfg.worker_count}",
         f"classes scanned: {report.graphs_scanned}",
         f"partial: {report.partial}",
@@ -423,4 +440,6 @@ def whitney_census(max_vertices: int = 6) -> tuple[tuple[Graph, Graph], ...]:
             continue
         lg, _ = line_graph(g)
         groups.setdefault(oracle.canonical_form(lg), []).append(g)
-    return tuple(pair for key in sorted(groups) for pair in combinations(groups[key], 2))
+    return tuple(
+        pair for key in sorted(groups) for pair in combinations(sorted(groups[key], key=emit_graph6), 2)
+    )

@@ -218,6 +218,7 @@ def test_roots_command(capsys):
     code, out, _ = run_cli(capsys, "roots", "--graph6", "B?")  # edgeless on 3
     assert code == 0
     report = json.loads(out)
+    assert report["roots"] == ["Bw", "CF"]  # sorted by graph6
     from coline.graph6 import parse_graph6
     from coline.oracle import canonical_form
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from coline import characterize
+from coline import characterize, oracle
 from coline.characterize import Catalog, CatalogError, emit_catalog
 from coline.graph6 import emit_graph6, parse_graph6
 from coline.cli import main
@@ -120,6 +120,31 @@ def test_sweep_timings_cover_enumeration(catalog):
     ):
         assert phase in timings
     assert 0.95 * total <= sum(timings.values()) <= total
+    # every check timed per class is named on the report's checks: line
+    text = report_to_text(report)
+    listed = set(next(line for line in text.splitlines() if line.startswith("checks: "))[8:].split(", "))
+    assert set(timings) - {"enumeration", "merge", "canonical_coline", "census"} <= listed
+
+
+def test_sweep_streams_classes_into_examination(catalog, monkeypatch):
+    # the first class is examined before the enumeration yields its last
+    import coline.sweep as sweep_module
+
+    events = []
+    enumerate_, examine = oracle.iter_graph_classes, sweep_module._examine_class
+
+    def enumerating(*args):
+        yield from enumerate_(*args)
+        events.append("enumerated")
+
+    def examining(g, catalog):
+        events.append("examined")
+        return examine(g, catalog)
+
+    monkeypatch.setattr(oracle, "iter_graph_classes", enumerating)
+    monkeypatch.setattr(sweep_module, "_examine_class", examining)
+    run_sweep(SweepConfig(max_vertices=5, max_edges=6, worker_count=1), catalog)
+    assert events.index("examined") < events.index("enumerated")
 
 
 def test_sweep_reports_its_slowest_classes(catalog):
