@@ -69,8 +69,14 @@ class IsoCertificate:
     mapping: tuple[int, ...]
 
 
+@lru_cache(maxsize=8)
 def _independence_number(g: Graph) -> int:
-    """The largest size of an independent vertex set, by branch and bound."""
+    """The largest size of an independent vertex set, by branch and bound.
+
+    Cached for the last few graphs: ``is_tough``, ``hamiltonian_cycle`` and
+    ``hamiltonian_path`` each bound their search by it, and are run on the
+    same graph one after another.
+    """
     best = 0
 
     def grow(candidates: int, size: int) -> None:
@@ -97,15 +103,35 @@ def _independence_number(g: Graph) -> int:
     return best
 
 
+def _isolating_cutsets(g: Graph, size: int) -> list[tuple[int, ...]]:
+    """The ``size``-sets that contain the whole neighbourhood of some vertex,
+    in lexicographic order: N(x) plus any size - deg(x) vertices outside
+    N[x], for each x of degree at most ``size``."""
+    cuts = set()
+    for x in range(g.n):
+        if g.adj[x].bit_count() > size:
+            continue
+        around = g.adj[x] | 1 << x
+        neighbours = tuple(_bits(g.adj[x]))
+        outside = [v for v in range(g.n) if not around >> v & 1]
+        for extra in combinations(outside, size - len(neighbours)):
+            cuts.add(tuple(sorted(neighbours + extra)))
+    return sorted(cuts)
+
+
 def is_tough(g: Graph) -> ToughnessResult:
     """1-toughness: connected and c(G - S) <= |S| for every cutset S.
 
-    Cutsets are enumerated by increasing size, lexicographically inside a
-    size, and the first violating witness is returned.  Complete graphs
-    have no cutset and come back vacuously tough.  Taking one vertex from
-    each component of G - S gives an independent set, and c(G - S) <=
-    n - |S|, so a violating S has |S| < min(n/2, alpha(G)); larger cutsets
-    are never tried.
+    The witness is the lexicographically first violating cutset of the
+    smallest violating size.  Complete graphs have no cutset and come back
+    vacuously tough.  Taking one vertex from each component of G - S gives
+    an independent set, and c(G - S) <= n - |S|, so a violating S has
+    |S| < min(n/2, alpha(G)); larger cutsets are never tried.  A violating
+    S of size s leaves more than s components on n - s vertices, the
+    smallest of at most floor((n - s)/(s + 1)) vertices.  Where that bound
+    is 1, the smallest is a single vertex x with N(x) inside S, so only the
+    sets holding a whole neighbourhood are tried; other sizes try every
+    s-set.
     """
     if g.n == 0:
         return ToughnessResult(True, None, True)
@@ -116,12 +142,16 @@ def is_tough(g: Graph) -> ToughnessResult:
         return ToughnessResult(True, None, True)
     full = (1 << g.n) - 1
     for size in range(1, min((g.n + 1) // 2, _independence_number(g))):
-        for cut in combinations(range(g.n), size):
+        if (g.n - size) // (size + 1) == 1:
+            cuts = _isolating_cutsets(g, size)
+        else:
+            cuts = combinations(range(g.n), size)
+        for cut in cuts:
             mask = 0
             for v in cut:
                 mask |= 1 << v
             count = len(components(g, full & ~mask))
-            if count > size and count >= 2:
+            if count > size:
                 return ToughnessResult(False, ToughnessWitness(cut, count), False)
     return ToughnessResult(True, None, False)
 
@@ -266,20 +296,29 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
 
 # --- isomorphism, canonical forms ------------------------------------------
 
-def _refine(g: Graph, colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Stable colour refinement; new colour ids depend only on invariants."""
-    n = g.n
+def _refine(neighbours: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Stable colour refinement; new colour ids depend only on invariants.
+
+    ``neighbours[v]`` lists the neighbours of ``v``.  Each round gives every
+    vertex the signature (its colour, its sorted neighbour colours) and
+    numbers the distinct signatures in sorted order, until no colour class
+    splits.
+    """
     while True:
-        signatures = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in _bits(g.adj[v]))
-            signatures.append((colors[v], tuple(neigh)))
-        order = sorted(set(signatures))
-        lookup = {sig: i for i, sig in enumerate(order)}
-        new = tuple(lookup[sig] for sig in signatures)
+        signatures = [
+            (c, tuple(sorted([colors[u] for u in around]))) for c, around in zip(colors, neighbours)
+        ]
+        lookup = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new = tuple([lookup[sig] for sig in signatures])
         if new == colors:
             return new
         colors = new
+
+
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    # Lists, not tuples: CPython keeps freed small tuples on free lists, and
+    # one tuple per vertex raised classify's peak RSS by about 0.4 MB.
+    return [list(_bits(row)) for row in g.adj]
 
 
 def _cells(colors: tuple[int, ...]) -> list[list[int]]:
@@ -289,12 +328,12 @@ def _cells(colors: tuple[int, ...]) -> list[list[int]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def _adjacency_rows(g: Graph, ordering: list[int]) -> tuple[int, ...]:
+def _adjacency_rows(neighbours: list[list[int]], ordering: list[int]) -> tuple[int, ...]:
     position = {v: i for i, v in enumerate(ordering)}
     rows = []
     for v in ordering:
         row = 0
-        for u in _bits(g.adj[v]):
+        for u in neighbours[v]:
             row |= 1 << position[u]
         rows.append(row)
     return tuple(rows)
@@ -359,7 +398,8 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
     stack: list[_Node] = []  # stack[level]: the node whose prefix is path[:level]
     generators: list[tuple[int, ...]] = []
     first = best = None  # (rows, ordering, path) of the first and best leaf
-    colors = _refine(g, tuple(g.degree(v) for v in range(n)))
+    neighbours = _neighbour_lists(g)
+    colors = _refine(neighbours, g.degrees())
     while True:
         cells = _cells(colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
@@ -367,7 +407,7 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
             stack.append(_Node(colors, target))
         else:
             ordering = [cell[0] for cell in cells]
-            rows = _adjacency_rows(g, ordering)
+            rows = _adjacency_rows(neighbours, ordering)
             if first is None:
                 first = best = (rows, ordering, path[:])
             elif rows == first[0] or rows == best[0]:
@@ -418,7 +458,8 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
             node.next = index + 1
             del path[level:]
             path.append(v)
-            colors = _refine(g, tuple(c if u != v else -1 for u, c in enumerate(node.colors)))
+            individualised = tuple(c if u != v else -1 for u, c in enumerate(node.colors))
+            colors = _refine(neighbours, individualised)
             break
         else:
             return best[0], best[1], generators
@@ -460,8 +501,8 @@ def is_isomorphic(g1: Graph, g2: Graph) -> IsoCertificate | None:
     n = g1.n
     if n == 0:
         return IsoCertificate(())
-    colors1 = _refine(g1, tuple(g1.degree(v) for v in range(n)))
-    colors2 = _refine(g2, tuple(g2.degree(v) for v in range(n)))
+    colors1 = _refine(_neighbour_lists(g1), g1.degrees())
+    colors2 = _refine(_neighbour_lists(g2), g2.degrees())
     if sorted(colors1) != sorted(colors2):
         return None
     by_color2: dict[int, list[int]] = {}
@@ -743,23 +784,28 @@ def _accept(rows: tuple[int, ...], edge: tuple[int, int]):
     labeller found, which generate all of Aut(child) (a tested property).
     """
 
+    degrees = [row.bit_count() for row in rows]
+
     def rating(u: int, v: int) -> tuple[int, int, int]:
-        du, dv = rows[u].bit_count(), rows[v].bit_count()
+        du, dv = degrees[u], degrees[v]
         return du + dv, min(du, dv), (rows[u] & rows[v]).bit_count()
 
-    ratings = {
-        (u, v): rating(u, v) for u in range(len(rows)) for v in _bits(rows[u] >> u + 1 << u + 1)
-    }
-    top = max(ratings.values())
-    if ratings[edge] != top:
-        return None  # rejected unlabelled: the deletion edge is top-rated
+    top = rating(*edge)
+    top_rated = []
+    for u in range(len(rows)):
+        for v in _bits(rows[u] >> u + 1 << u + 1):
+            r = rating(u, v)
+            if r > top:
+                return None  # rejected unlabelled: the deletion edge is top-rated
+            if r == top:
+                top_rated.append((u, v))
     canon, position, generators = _canonical_labelling(len(rows), rows)
 
     def relabelled(e: tuple[int, int]) -> tuple[int, int]:
         a, b = position[e[0]], position[e[1]]
         return (a, b) if a < b else (b, a)
 
-    deletion = min(relabelled(e) for e, r in ratings.items() if r == top)
+    deletion = min(relabelled(e) for e in top_rated)
     added = relabelled(edge)
     if added in _pair_orbit(deletion, generators):
         return canon, generators

@@ -207,6 +207,61 @@ def test_is_tough_matches_all_subsets_reference(classes_up_to_6):
             assert (result.value, witness) == _reference_toughness(h)
 
 
+def _every_cutset_toughness(g: Graph):
+    """(value, witness) trying every cutset of each size below
+    min(n/2, alpha), lexicographically, with no single-vertex rule."""
+    if g.n == 0 or g.m == g.n * (g.n - 1) // 2:
+        return True, None
+    count = len(components(g))
+    if count > 1:
+        return False, ((), count)
+    full = (1 << g.n) - 1
+    for size in range(1, min((g.n + 1) // 2, oracle._independence_number(g))):
+        for cut in combinations(range(g.n), size):
+            count = len(components(g, full & ~sum(1 << v for v in cut)))
+            if count > size:
+                return False, (cut, count)
+    return True, None
+
+
+def _gnp_graphs(count: int, seed: int, max_n: int) -> list[Graph]:
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n, p = rng.randint(1, max_n), rng.random()
+        graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+def test_is_tough_matches_every_cutset_reference(classes_sweep_range):
+    graphs = [coline(g)[0] for g in classes_sweep_range] + _gnp_graphs(500, 1974, 12)
+    for h in graphs:
+        result = is_tough(h)
+        witness = result.witness
+        if witness is not None:
+            witness = (witness.cutset, witness.components_after)
+        assert (result.value, witness) == _every_cutset_toughness(h), emit_graph6(h)
+
+
+def test_is_tough_component_counts_are_bounded(classes_sweep_range, monkeypatch):
+    # Only the cutsets holding a whole neighbourhood are tried at sizes where
+    # a violation must leave a single vertex: 67,206 component counts over
+    # the 8/10 colines, where trying every cutset took 195,810.
+    colines = [coline(g)[0] for g in classes_sweep_range]
+    calls = 0
+    real_components = oracle.components
+
+    def counting_components(*args):
+        nonlocal calls
+        calls += 1
+        return real_components(*args)
+
+    monkeypatch.setattr(oracle, "components", counting_components)
+    for l in colines:
+        is_tough(l)
+    assert calls <= 70_000
+
+
 def test_complete_graphs_vacuously_tough():
     for n in (1, 2, 4):
         result = is_tough(build_named(f"K{n}"))
@@ -329,6 +384,24 @@ def test_class_enumeration_labels_few_children():
     # 15,291.
     oracle._canonical_labelling.cache_clear()
     assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
+    assert oracle._canonical_labelling.cache_info().misses <= 1800
+
+
+def test_class_enumeration_refinement_work_is_pinned(monkeypatch):
+    # The search tree of a cold 8/10 enumeration: a change in the number of
+    # refinements means the labeller explores a different tree.
+    calls = 0
+    real_refine = oracle._refine
+
+    def counting_refine(neighbours, colors):
+        nonlocal calls
+        calls += 1
+        return real_refine(neighbours, colors)
+
+    monkeypatch.setattr(oracle, "_refine", counting_refine)
+    oracle._canonical_labelling.cache_clear()
+    assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
+    assert calls == 8594
     assert oracle._canonical_labelling.cache_info().misses <= 1800
 
 
