@@ -103,17 +103,25 @@ def _independence_number(g: Graph) -> int:
     return best
 
 
-def _isolating_cutsets(g: Graph, size: int) -> list[tuple[int, ...]]:
-    """The ``size``-sets that contain the whole neighbourhood of some vertex,
-    in lexicographic order: N(x) plus any size - deg(x) vertices outside
-    N[x], for each x of degree at most ``size``."""
+def _isolating_cutsets(g: Graph, size: int, with_edges: bool) -> list[tuple[int, ...]]:
+    """The ``size``-sets that contain the whole neighbourhood of some vertex
+    or, ``with_edges``, of some edge, in lexicographic order.
+
+    For each such X, a vertex or the two ends of an edge, with |N(X)| at
+    most ``size``, the sets are N(X) plus any size - |N(X)| vertices outside
+    N[X]; each of them leaves X as a component.
+    """
+    pieces = [(1 << x, g.adj[x]) for x in range(g.n)]
+    if with_edges:
+        pieces += [(1 << u | 1 << v, g.adj[u] | g.adj[v]) for u, v in g.edges()]
     cuts = set()
-    for x in range(g.n):
-        if g.adj[x].bit_count() > size:
+    for piece, around in pieces:
+        neighbours = around & ~piece
+        if neighbours.bit_count() > size:
             continue
-        around = g.adj[x] | 1 << x
-        neighbours = tuple(_bits(g.adj[x]))
+        around |= piece
         outside = [v for v in range(g.n) if not around >> v & 1]
+        neighbours = tuple(_bits(neighbours))
         for extra in combinations(outside, size - len(neighbours)):
             cuts.add(tuple(sorted(neighbours + extra)))
     return sorted(cuts)
@@ -128,10 +136,11 @@ def is_tough(g: Graph) -> ToughnessResult:
     an independent set, and c(G - S) <= n - |S|, so a violating S has
     |S| < min(n/2, alpha(G)); larger cutsets are never tried.  A violating
     S of size s leaves more than s components on n - s vertices, the
-    smallest of at most floor((n - s)/(s + 1)) vertices.  Where that bound
-    is 1, the smallest is a single vertex x with N(x) inside S, so only the
-    sets holding a whole neighbourhood are tried; other sizes try every
-    s-set.
+    smallest X of at most floor((n - s)/(s + 1)) vertices, with N(X) inside
+    S.  Where that bound is at most 2, X is a vertex or an edge, so only the
+    sets holding the whole neighbourhood of one are tried (of a vertex only,
+    where the bound is 1); every violating s-set is among them, so the
+    first violating one is unchanged.  Other sizes try every s-set.
     """
     if g.n == 0:
         return ToughnessResult(True, None, True)
@@ -142,8 +151,9 @@ def is_tough(g: Graph) -> ToughnessResult:
         return ToughnessResult(True, None, True)
     full = (1 << g.n) - 1
     for size in range(1, min((g.n + 1) // 2, _independence_number(g))):
-        if (g.n - size) // (size + 1) == 1:
-            cuts = _isolating_cutsets(g, size)
+        smallest = (g.n - size) // (size + 1)  # most vertices of a smallest component
+        if smallest <= 2:
+            cuts = _isolating_cutsets(g, size, smallest == 2)
         else:
             cuts = combinations(range(g.n), size)
         for cut in cuts:
@@ -159,6 +169,15 @@ def is_tough(g: Graph) -> ToughnessResult:
 # --- Hamiltonian cycle / path / longest cycle ------------------------------
 
 def _cycle_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
+    """Extend ``path`` depth-first, in ascending vertex order, to a spanning
+    cycle; True when one is found, with ``path`` holding it.
+
+    A node is cut only when a remaining vertex has fewer than two possible
+    cycle neighbours.  There is no connectivity cut (the remaining vertices
+    plus the current end disconnected): on the dense colines searched here
+    it costs more than it saves, and leaving a cut out keeps the order, so
+    the cycle found is the same.
+    """
     current = path[-1]
     if visited == full:
         return g.has_edge(current, path[0])
@@ -172,8 +191,6 @@ def _cycle_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
         r ^= low
         if (g.adj[low.bit_length() - 1] & (remaining | ends)).bit_count() < 2:
             return False
-    if len(components(g, remaining | 1 << current)) > 1:
-        return False
     for v in _bits(g.adj[current] & remaining):
         path.append(v)
         if _cycle_extend(g, path, visited | 1 << v, full):
@@ -205,8 +222,6 @@ def _path_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
         return True
     current = path[-1]
     remaining = full & ~visited
-    if len(components(g, remaining | 1 << current)) > 1:
-        return False
     # At most one remaining vertex may be a dead end (the final endpoint).
     dead_ends = 0
     r = remaining
@@ -300,19 +315,35 @@ def _refine(neighbours: list[list[int]], colors: tuple[int, ...]) -> tuple[int, 
     """Stable colour refinement; new colour ids depend only on invariants.
 
     ``neighbours[v]`` lists the neighbours of ``v``.  Each round gives every
-    vertex the signature (its colour, its sorted neighbour colours) and
-    numbers the distinct signatures in sorted order, until no colour class
-    splits.
+    vertex the rank of its signature (its colour, its sorted neighbour
+    colours) among all signatures, until no colour class splits.  Since the
+    colour comes first, that rank is the number of signatures in earlier
+    cells plus the rank inside the vertex's own cell, so a round splits the
+    cells one by one, in colour order, and a singleton cell needs no
+    neighbour colours.  Refinement only splits cells, so once a round splits
+    none, or leaves every cell a singleton, another round would return the
+    same colours, and the loop stops.
     """
+    cells = _cells(colors)
     while True:
-        signatures = [
-            (c, tuple(sorted([colors[u] for u in around]))) for c, around in zip(colors, neighbours)
-        ]
-        lookup = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = tuple([lookup[sig] for sig in signatures])
-        if new == colors:
-            return new
-        colors = new
+        new = [0] * len(colors)
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                parts = [cell]
+            else:
+                by_signature: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    signature = tuple(sorted([colors[u] for u in neighbours[v]]))
+                    by_signature.setdefault(signature, []).append(v)
+                parts = [by_signature[signature] for signature in sorted(by_signature)]
+            for part in parts:
+                for v in part:
+                    new[v] = len(split)
+                split.append(part)
+        if len(split) == len(cells) or len(split) == len(new):
+            return tuple(new)
+        colors, cells = new, split
 
 
 def _neighbour_lists(g: Graph) -> list[list[int]]:

@@ -100,6 +100,18 @@ def test_spanning_searches_skip_graphs_with_large_independent_sets(monkeypatch):
     assert calls == []
 
 
+def test_spanning_witnesses_are_pinned(classes_sweep_range):
+    # The cycle and path each search returns on every 8/10 coline, as found
+    # when the searches still cut a node whose remaining vertices were
+    # disconnected: leaving out a cut must not change the search order.
+    lines = []
+    for g in sorted(classes_sweep_range, key=lambda g: (g.m, emit_graph6(g))):
+        l, _ = coline(g)
+        cycle, path = hamiltonian_cycle(l), hamiltonian_path(l)
+        lines.append(repr((cycle and cycle.vertices, path and path.vertices)))
+    assert _sha1_lines(lines) == "2a013ecd1fab864600d3721d3c7565a8fde2a9e7"
+
+
 def test_independence_number_matches_all_subsets(classes_up_to_6):
     def brute(g):
         return max(
@@ -244,9 +256,10 @@ def test_is_tough_matches_every_cutset_reference(classes_sweep_range):
 
 
 def test_is_tough_component_counts_are_bounded(classes_sweep_range, monkeypatch):
-    # Only the cutsets holding a whole neighbourhood are tried at sizes where
-    # a violation must leave a single vertex: 67,206 component counts over
-    # the 8/10 colines, where trying every cutset took 195,810.
+    # Only the cutsets holding the whole neighbourhood of a vertex or an edge
+    # are tried at sizes where a violation must leave a component of at most
+    # two vertices: 20,695 component counts over the 8/10 colines, where the
+    # vertex rule alone took 67,206 and trying every cutset 195,810.
     colines = [coline(g)[0] for g in classes_sweep_range]
     calls = 0
     real_components = oracle.components
@@ -259,7 +272,7 @@ def test_is_tough_component_counts_are_bounded(classes_sweep_range, monkeypatch)
     monkeypatch.setattr(oracle, "components", counting_components)
     for l in colines:
         is_tough(l)
-    assert calls <= 70_000
+    assert calls <= 22_000
 
 
 def test_complete_graphs_vacuously_tough():
@@ -481,6 +494,48 @@ def _symmetric_graphs():
     names += ["K5"] + [f"K5+{k}K1" for k in range(1, 8)]
     names.append("Petersen")
     return [build_named(name) for name in names]
+
+
+def _round_refine(neighbours, colors):
+    """Colour refinement as whole rounds: every vertex gets the rank of its
+    (colour, sorted neighbour colours) among all signatures, until a round
+    returns its input."""
+    while True:
+        signatures = [
+            (c, tuple(sorted(colors[u] for u in around))) for c, around in zip(colors, neighbours)
+        ]
+        lookup = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new = tuple(lookup[sig] for sig in signatures)
+        if new == colors:
+            return new
+        colors = new
+
+
+def test_refine_matches_round_reference(monkeypatch):
+    calls = 0
+    real_refine = oracle._refine
+
+    def checked_refine(neighbours, colors):
+        nonlocal calls
+        calls += 1
+        refined = real_refine(neighbours, colors)
+        assert refined == _round_refine(neighbours, colors)
+        return refined
+
+    monkeypatch.setattr(oracle, "_refine", checked_refine)
+    oracle._canonical_labelling.cache_clear()
+    assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
+    assert calls == 8594
+    for entry in json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]:
+        oracle._canonical_adj(parse_graph6(entry["graph6"]))
+    monkeypatch.undo()
+    rng = random.Random(2014)
+    for g in _gnp_graphs(400, 1981, 14):
+        neighbours = oracle._neighbour_lists(g)
+        colors = list(g.degrees())
+        colors[rng.randrange(g.n)] = -1
+        colors = tuple(colors)
+        assert oracle._refine(neighbours, colors) == _round_refine(neighbours, colors)
 
 
 def test_canonical_form_invariant_on_symmetric_graphs():
