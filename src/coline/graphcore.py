@@ -5,6 +5,15 @@ Graphs are simple, undirected and labelled with dense vertex indices
 all the small-graph searches in this package fast and allocation-free.
 Graph values are immutable and hashable; every operation returns a new
 graph.
+
+Validity is checked once, where rows enter the program: the public
+constructor ``Graph(n, adj)``, ``Graph.from_edges``, the graph6 and
+edge-list parsers and ``build_named`` all prove the rows symmetric,
+irreflexive and within 0..n-1.  ``line_graph``, ``complement`` (so
+``coline``), ``Graph.subgraph``, ``Graph.with_edge`` and the canonical
+relabelling in ``oracle`` build rows from a graph that was already checked,
+by operations that keep those properties, and wrap them with ``_derived``
+without a second check; the two methods check their vertex arguments first.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the bitmask of neighbours of ``v``.  The constructor
-    enforces symmetry and irreflexivity.
+    enforces symmetry and irreflexivity, so rows from outside the program
+    are checked; graphs derived inside it from a checked graph are not
+    checked again (see the module docstring).
     """
 
     n: int
@@ -80,22 +91,33 @@ class Graph:
         return tuple(out)
 
     def with_edge(self, u: int, v: int) -> Graph:
+        for w in (u, v):
+            if not 0 <= w < self.n:
+                raise ValueError(f"vertex {w} outside 0..{self.n - 1}")
         if u == v:
             raise ValueError("no self-loops")
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
+        return _derived(self.n, tuple(adj))
 
     def subgraph(self, vertices: tuple[int, ...]) -> Graph:
-        """Induced subgraph, relabelled by position in ``vertices``."""
+        """Induced subgraph, relabelled by position in ``vertices``.
+
+        The vertices must be distinct and within 0..n-1.
+        """
         index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
+            raise ValueError("repeated vertex in subgraph")
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         adj = [0] * len(vertices)
         for v in vertices:
             for u in _bits(self.adj[v]):
                 if u in index:
                     adj[index[v]] |= 1 << index[u]
-        return Graph(len(vertices), tuple(adj))
+        return _derived(len(vertices), tuple(adj))
 
     @staticmethod
     def from_edges(n: int, edges) -> Graph:
@@ -113,6 +135,20 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(n, tuple(adj))
+
+
+def _derived(n: int, adj: tuple[int, ...]) -> Graph:
+    """``Graph(n, adj)`` without the constructor's check.
+
+    Only for rows derived from an already-valid graph by an operation that
+    keeps them symmetric, irreflexive and within 0..n-1, with any index
+    arguments checked first.  Re-proving symmetry would transpose the whole
+    bit matrix again, which on a large coline costs more than building it.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
 
 
 def _pack_and_transpose(n: int, rows: tuple[int, ...]) -> tuple[int, int, int]:
@@ -189,7 +225,7 @@ def is_connected(g: Graph) -> bool:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj)))
+    return _derived(g.n, tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj)))
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
@@ -206,7 +242,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
     adj = tuple(
         (incident[a] | incident[b]) & ~(1 << i) for i, (a, b) in enumerate(edge_list)
     )
-    return Graph(len(edge_list), adj), edge_list
+    return _derived(len(edge_list), adj), edge_list
 
 
 def coline(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graph6 import emit_graph6
-from .graphcore import Graph, _bits, coline, components, is_connected
+from .graphcore import Graph, _bits, _derived, coline, components, is_connected
 
 
 @dataclass(frozen=True)
@@ -502,12 +502,12 @@ def _canonical_labelling(
 ) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The canonical graph of ``Graph(n, adj)``, the position in it of each
     input vertex, and the found automorphisms conjugated onto it."""
-    rows, ordering, generators = _canonical_adj(Graph(n, adj))
+    rows, ordering, generators = _canonical_adj(_derived(n, adj))
     position = [0] * n
     for i, v in enumerate(ordering):
         position[v] = i
     conjugated = tuple(tuple(position[gamma[v]] for v in ordering) for gamma in generators)
-    return Graph(n, rows), tuple(position), conjugated
+    return _derived(n, rows), tuple(position), conjugated
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -1,11 +1,12 @@
 import json
+import random
 import sys
 from importlib import resources
 from itertools import combinations
 
 import pytest
 
-from coline import characterize
+from coline import characterize, graphcore
 from coline.cli import main
 from coline.graph6 import emit_graph6
 from coline.graphcore import Graph, build_named
@@ -128,6 +129,25 @@ def test_classify_graph6_input(capsys):
     code, out, _ = run_cli(capsys, "classify", "--graph6", emit_graph6(build_named("C6")))
     assert code == 0
     assert json.loads(out)["verdicts"]["hamiltonian"]["value"] is True
+
+
+def test_classify_checks_symmetry_once(capsys, monkeypatch):
+    # the parse checks the input; its line graph, coline and relabellings
+    # are derived from it and are not checked again
+    characterize.load_catalog()
+    rng = random.Random(300)
+    g = Graph.from_edges(300, rng.sample(list(combinations(range(300), 2)), 900))
+    checked = []
+    transpose = graphcore._pack_and_transpose
+
+    def counting_transpose(n, rows):
+        checked.append(n)
+        return transpose(n, rows)
+
+    monkeypatch.setattr(graphcore, "_pack_and_transpose", counting_transpose)
+    code, out, _ = run_cli(capsys, "classify", "--graph6", emit_graph6(g))
+    assert code == 0 and json.loads(out)["graph"]["m"] == 900
+    assert checked == [300]
 
 
 def test_classify_edge_list_input(capsys, tmp_path):

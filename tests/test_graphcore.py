@@ -13,7 +13,7 @@ from coline.graphcore import (
     line_graph,
     strip_isolated,
 )
-from coline.oracle import is_isomorphic
+from coline.oracle import canonical_graph, is_isomorphic
 
 
 def test_graph_validation():
@@ -96,6 +96,49 @@ def test_graph_validation_matches_per_bit_reference():
                 assert str(err.value) == expected, (n, adj)
     with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
         Graph(-1, ())
+
+
+def test_subgraph_and_with_edge_reject_bad_vertices():
+    p3 = build_named("P3")
+    for vertices in ((0, 0), (0, 7), (-1, 1), (2, 1, 2)):
+        with pytest.raises(ValueError):
+            p3.subgraph(vertices)
+    for u, v in ((0, 5), (5, 0), (-1, 2), (1, 1)):
+        with pytest.raises(ValueError):
+            p3.with_edge(u, v)
+    assert p3.subgraph((2, 1)) == Graph.from_edges(2, [(0, 1)])
+    assert p3.subgraph(()) == Graph(0, ())
+    assert p3.with_edge(2, 0) == build_named("K3")
+
+
+def _derived_graphs(g: Graph, rng: random.Random) -> list[Graph]:
+    """Every graph the package derives from ``g`` without re-checking it."""
+    vertices = rng.sample(range(g.n), rng.randint(0, g.n))
+    out = [
+        line_graph(g)[0],
+        complement(g),
+        coline(g)[0],
+        canonical_graph(g),
+        strip_isolated(g),
+        g.subgraph(tuple(vertices)),
+    ]
+    if g.n >= 2:
+        out.append(g.with_edge(*rng.sample(range(g.n), 2)))
+    return out
+
+
+def test_derived_graphs_are_valid(classes_up_to_6):
+    rng = random.Random(16)
+    graphs = []
+    for g in classes_up_to_6:
+        graphs += [g, disjoint_union(g, Graph(3, (0, 0, 0)))]
+    for n in (7, 8, 9, 63, 64, 65, 129):
+        for density in ((0.2, 0.6) if n < 10 else (2 / n, 4 / n)):
+            graphs.append(Graph(n, tuple(_random_symmetric(rng, n, density))))
+    for g in graphs:
+        # the enumerated classes themselves are canonical relabellings
+        for h in [g] + _derived_graphs(g, rng):
+            assert Graph(h.n, h.adj) == h, (g, h)
 
 
 def test_edge_count_is_half_degree_sum():
