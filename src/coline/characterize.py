@@ -423,9 +423,7 @@ def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
     is read once per process."""
     if path is None:
         return _packaged_catalog()
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog at {path}: {exc}") from exc
+    # a non-ASCII byte stays one character, for the graph6 parser to reject
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+        text = handle.read()
     return _checked(text)

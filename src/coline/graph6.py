@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .graphcore import MAX_INPUT_EDGES, MAX_INPUT_VERTICES, Graph
+from .graphcore import MAX_INPUT_EDGES, MAX_INPUT_VERTICES, Graph, _derived
 
 
 class Graph6Error(ValueError):
@@ -51,8 +51,10 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 string; round-trips bit for bit with the emitter."""
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
-    data = data.rstrip(b"\n")
+    if isinstance(text, str) and not text.isascii():
+        offset = next(k for k, char in enumerate(text) if not char.isascii())
+        raise Graph6Error(f"character {text[offset]!r} is not ASCII", offset)
+    data = (text.encode("ascii") if isinstance(text, str) else bytes(text)).rstrip(b"\n")
     if not data:
         raise Graph6Error("empty input", 0)
     for offset, byte in enumerate(data):
@@ -96,7 +98,7 @@ def parse_graph6(text: str | bytes) -> Graph:
             row = k - col * (col - 1) // 2
             adj[row] |= 1 << col
             adj[col] |= 1 << row
-    return Graph(n, tuple(adj))
+    return _derived(n, tuple(adj))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -6,21 +6,19 @@ all the small-graph searches in this package fast and allocation-free.
 Graph values are immutable and hashable; every operation returns a new
 graph.
 
-Validity is checked once, where rows enter the program: the public
-constructor ``Graph(n, adj)``, ``Graph.from_edges``, the graph6 and
-edge-list parsers and ``build_named`` all prove the rows symmetric,
-irreflexive and within 0..n-1.  ``line_graph``, ``complement`` (so
-``coline``), ``Graph.subgraph``, ``Graph.with_edge`` and the canonical
-relabelling in ``oracle`` build rows from a graph that was already checked,
-by operations that keep those properties, and wrap them with ``_derived``
-without a second check; the two methods check their vertex arguments first.
+Every graph the package builds is valid by construction.  The builders
+(``Graph.from_edges``, the graph6 and edge-list parsers, ``build_named``)
+check their input; they and the operations here and in ``oracle``
+(``disjoint_union``, ``line_graph``, ``complement``, ``Graph.subgraph``, the
+canonical relabelling and the rest) make symmetric, irreflexive rows within
+0..n-1 and wrap them with ``_derived`` unchecked.  Only the public
+constructor ``Graph(n, adj)``, where rows come from outside, checks them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -39,9 +37,8 @@ class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the bitmask of neighbours of ``v``.  The constructor
-    enforces symmetry and irreflexivity, so rows from outside the program
-    are checked; graphs derived inside it from a checked graph are not
-    checked again (see the module docstring).
+    checks its rows in time linear in the edges; the package's own builders
+    skip that check (see the module docstring).
     """
 
     n: int
@@ -58,11 +55,10 @@ class Graph:
                 raise ValueError(f"vertex {v} has neighbours outside 0..{self.n - 1}")
             if mask >> v & 1:
                 raise ValueError(f"vertex {v} has a self-loop")
-        packed, transposed, stride = _pack_and_transpose(self.n, self.adj)
-        asymmetric = packed & ~transposed
-        if asymmetric:
-            v, u = divmod((asymmetric & -asymmetric).bit_length() - 1, stride)
-            raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        for v, mask in enumerate(self.adj):
+            for u in _bits(mask):
+                if not self.adj[u] >> v & 1:
+                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
 
     @property
     def m(self) -> int:
@@ -121,6 +117,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> Graph:
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         adj = [0] * n
         seen = set()
         for u, v in edges:
@@ -134,58 +132,21 @@ class Graph:
             seen.add(key)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj))
+        return _derived(n, tuple(adj))
 
 
 def _derived(n: int, adj: tuple[int, ...]) -> Graph:
     """``Graph(n, adj)`` without the constructor's check.
 
-    Only for rows derived from an already-valid graph by an operation that
-    keeps them symmetric, irreflexive and within 0..n-1, with any index
-    arguments checked first.  Re-proving symmetry would transpose the whole
-    bit matrix again, which on a large coline costs more than building it.
+    Only for rows that are symmetric, irreflexive and within 0..n-1 by
+    construction: built from checked input or from a valid graph, with any
+    index arguments checked first.  Re-proving that costs a pass over every
+    edge, more on a large coline than building it.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", adj)
     return g
-
-
-def _pack_and_transpose(n: int, rows: tuple[int, ...]) -> tuple[int, int, int]:
-    """The rows packed into one integer, its bit transpose, and the row stride.
-
-    Bit ``v * stride + u`` of the packed integer is bit ``u`` of row ``v``;
-    the stride is a power of two of at least 8 bits, so each row is whole
-    bytes.  The transpose treats the integer as a stride x stride bit matrix
-    and swaps its off-diagonal blocks at each of the log2(stride) block sizes
-    with a masked delta swap (Warren, *Hacker's Delight*, section 7-3).  The
-    rows must lie within 0..n-1.
-    """
-    stride = max(8, 1 << (n - 1).bit_length())
-    width = stride // 8
-    packed = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]), "little")
-    matrix = packed
-    empty_rows = bytes(width)
-    for block, columns in _column_patterns(stride):
-        # rows r with r & block == 0, columns c with c & block != 0; each such
-        # bit swaps with the one ``block`` rows down and ``block`` columns left
-        mask = int.from_bytes((columns * block + empty_rows * block) * (stride // (2 * block)), "little")
-        delta = block * (stride - 1)
-        swap = ((matrix >> delta) ^ matrix) & mask
-        matrix ^= swap ^ (swap << delta)
-    return packed, matrix, stride
-
-
-@cache
-def _column_patterns(stride: int) -> tuple[tuple[int, bytes], ...]:
-    """For each block size from stride/2 down to 1, one row with the columns c & block set."""
-    patterns = []
-    block = stride // 2
-    while block:
-        row = sum(((1 << block) - 1) << c for c in range(block, stride, 2 * block))
-        patterns.append((block, row.to_bytes(stride // 8, "little")))
-        block //= 2
-    return tuple(patterns)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -253,7 +214,7 @@ def coline(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     adj = list(g1.adj) + [mask << g1.n for mask in g2.adj]
-    return Graph(g1.n + g2.n, tuple(adj))
+    return _derived(g1.n + g2.n, tuple(adj))
 
 
 def add_dominating_vertex(g: Graph) -> Graph:
@@ -261,7 +222,7 @@ def add_dominating_vertex(g: Graph) -> Graph:
     new = g.n
     adj = [mask | 1 << new for mask in g.adj]
     adj.append((1 << g.n) - 1)
-    return Graph(g.n + 1, tuple(adj))
+    return _derived(g.n + 1, tuple(adj))
 
 
 def strip_isolated(g: Graph) -> Graph:

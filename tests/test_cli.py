@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from coline import characterize, graphcore
+from coline import characterize
 from coline.cli import main
 from coline.graph6 import emit_graph6
 from coline.graphcore import Graph, build_named
@@ -131,23 +131,25 @@ def test_classify_graph6_input(capsys):
     assert json.loads(out)["verdicts"]["hamiltonian"]["value"] is True
 
 
-def test_classify_checks_symmetry_once(capsys, monkeypatch):
-    # the parse checks the input; its line graph, coline and relabellings
-    # are derived from it and are not checked again
+def test_only_raw_rows_are_checked(capsys, monkeypatch):
+    # the parsers and builders make valid rows, and what is derived from
+    # them stays valid, so only rows handed to Graph(n, adj) are checked
     characterize.load_catalog()
     rng = random.Random(300)
     g = Graph.from_edges(300, rng.sample(list(combinations(range(300), 2)), 900))
     checked = []
-    transpose = graphcore._pack_and_transpose
+    check = Graph.__post_init__
 
-    def counting_transpose(n, rows):
-        checked.append(n)
-        return transpose(n, rows)
+    def counting_check(self):
+        checked.append(self.n)
+        check(self)
 
-    monkeypatch.setattr(graphcore, "_pack_and_transpose", counting_transpose)
+    monkeypatch.setattr(Graph, "__post_init__", counting_check)
     code, out, _ = run_cli(capsys, "classify", "--graph6", emit_graph6(g))
     assert code == 0 and json.loads(out)["graph"]["m"] == 900
-    assert checked == [300]
+    assert checked == []
+    assert build_named("500K2").m == 500 and checked == []
+    assert Graph(g.n, g.adj) == g and checked == [300]
 
 
 def test_classify_edge_list_input(capsys, tmp_path):
@@ -380,3 +382,26 @@ def test_corrupt_catalog_exits_1(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
     assert code == 1 and out == ""
     assert err.startswith("catalog error: line 2: unknown section header '[tough18'")
+
+
+def test_unreadable_catalog_is_io_error(capsys, tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        code, out, err = run_cli(capsys, "--catalog", str(path), "catalog", "validate")
+        assert code == 3 and out == ""
+        assert err.startswith("i/o error: [Errno") and str(path) in err
+
+
+def test_non_ascii_catalog_byte_names_its_line(capsys, tmp_path):
+    text = characterize.emit_catalog(characterize.load_catalog()).encode("ascii")
+    lines = text.splitlines()
+    index = lines.index(b"[tough18]") + 1
+    target = tmp_path / "catalog.txt"
+    cases = (
+        (b"\x7f", "byte 127 outside graph6 range"),
+        (b"\xc3", "character '\\udcc3' is not ASCII"),
+    )
+    for byte, reason in cases:
+        target.write_bytes(text.replace(lines[index], lines[index][:1] + byte + lines[index][2:]))
+        code, out, err = run_cli(capsys, "--catalog", str(target), "catalog", "validate")
+        assert code == 1 and out == ""
+        assert err == f"catalog error: [tough18] line {index + 1}: {reason} (byte 1)\n"

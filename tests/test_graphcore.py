@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from coline.graph6 import emit_graph6, parse_edge_list, parse_graph6
 from coline.graphcore import (
     Graph,
     add_dominating_vertex,
@@ -25,6 +26,10 @@ def test_graph_validation():
         Graph(2, (2, 0))  # asymmetric
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 1), (1, 0)])  # duplicate
+    with pytest.raises(ValueError):
+        Graph.from_edges(-1, [])  # negative vertex count
+    with pytest.raises(ValueError):
+        Graph.from_edges(2, [(0, 2)])  # endpoint out of range
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.m == 2
     assert g.degrees() == (1, 2, 1)
@@ -127,6 +132,35 @@ def _derived_graphs(g: Graph, rng: random.Random) -> list[Graph]:
     return out
 
 
+def _random_graph6(rng: random.Random, n: int, density: float) -> str:
+    """A graph6 string whose triangle bits are drawn at random."""
+    bits = [int(rng.random() < density) for _ in range(n * (n - 1) // 2)]
+    bits += [0] * (-len(bits) % 6)
+    body = "".join(
+        chr(63 + int("".join(map(str, bits[k : k + 6])), 2)) for k in range(0, len(bits), 6)
+    )
+    empty = emit_graph6(Graph.from_edges(n, []))
+    return empty[: len(empty) - len(body)] + body
+
+
+def _built_graphs(rng: random.Random) -> list[Graph]:
+    """Graphs from every builder that returns its rows without a check."""
+    out = []
+    for n in (0, 1, 2, 5, 8, 63, 64, 65):
+        density = 0.3 if n < 10 else 3 / n
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in combinations(range(n), 2)]
+        edges = [e for e in edges if rng.random() < density]
+        rng.shuffle(edges)
+        g = Graph.from_edges(n, edges)
+        parsed = parse_edge_list(f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        dominated = add_dominating_vertex(g)
+        out += [g, parsed, dominated, disjoint_union(parsed, dominated)]
+        out.append(parse_graph6(_random_graph6(rng, n, density)))
+    names = ["K1", "K4", "C5", "P1", "P4", "K1_4", "F2", "F3", "K4_minus", "K3_plus"]
+    names += ["K3_circ_K1", "H1", "H2", "H3", "Petersen", "3K2+C5+K1_4"]
+    return out + [build_named(name) for name in names]
+
+
 def test_derived_graphs_are_valid(classes_up_to_6):
     rng = random.Random(16)
     graphs = []
@@ -135,9 +169,13 @@ def test_derived_graphs_are_valid(classes_up_to_6):
     for n in (7, 8, 9, 63, 64, 65, 129):
         for density in ((0.2, 0.6) if n < 10 else (2 / n, 4 / n)):
             graphs.append(Graph(n, tuple(_random_symmetric(rng, n, density))))
+    graphs += _built_graphs(random.Random(17))
+    # the enumerated classes themselves are canonical relabellings; a
+    # builder's output is checked before anything is derived from it
     for g in graphs:
-        # the enumerated classes themselves are canonical relabellings
-        for h in [g] + _derived_graphs(g, rng):
+        assert Graph(g.n, g.adj) == g, g
+    for g in graphs:
+        for h in _derived_graphs(g, rng):
             assert Graph(h.n, h.adj) == h, (g, h)
 
 
