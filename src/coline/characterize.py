@@ -51,6 +51,8 @@ WU_MENG_NAMED = ("K3+P3", "K3+2K2", "C4+K2")
 WU_MENG_BLOCKERS = {6: ("K3_plus",), 7: ("K4_minus", "K3_circ_K1"), 8: ("K4",)}
 # The corona of K3: traceability clause (iv), never a trace9 member.
 CORONA = "K3_circ_K1"
+# The 4-cycle: a disconnected-coline family of its own.
+_C4 = build_named("C4")
 
 
 class ScopeError(ValueError):
@@ -118,7 +120,6 @@ class DecisionReport:
     hamiltonian: ClauseVerdict
     wu_meng: ClauseVerdict
     traceable: ClauseVerdict
-    oracle_confirmed: dict | None
 
 
 # --- Lemma-style classification of disconnected colines ----------------------
@@ -178,11 +179,11 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
     leaves = _is_star(core)
     if leaves is not None:
         return ColineClass(ColineCase.STAR, leaves, count, value)
-    if oracle.is_isomorphic(core, build_named("C4")):
+    if oracle.is_isomorphic(core, _C4):
         return ColineClass(ColineCase.C4, None, count, value)
-    if oracle.is_isomorphic(core, build_named("K4_minus")):
+    if oracle.is_isomorphic(core, NAMED["K4_minus"]):
         return ColineClass(ColineCase.K4_MINUS, None, count, value)
-    if oracle.is_isomorphic(core, build_named("K4")):
+    if oracle.is_isomorphic(core, NAMED["K4"]):
         return ColineClass(ColineCase.K4, None, count, value)
     k = core.m - 1
     if k >= 2 and oracle.is_isomorphic(core, build_named(f"F{k}")):
@@ -248,19 +249,18 @@ def decide_coline_tough(g: Graph, catalog: Catalog | None = None) -> ClauseVerdi
     return _verdict(matches)
 
 
-def decide_coline_hamiltonian(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
-    """Is co(G) Hamiltonian?  Tough colines are Hamiltonian except for four
-    root graphs; non-tough colines never are."""
-    catalog = catalog or load_catalog()
-    core = strip_isolated(g)
-    tough = decide_coline_tough(core, catalog)
-    matches = []
-    if not tough.value:
-        matches.append(f"not-tough{tough.clause}")
-    for name in NON_HAMILTONIAN_ROOTS:
-        if oracle.is_isomorphic(core, NAMED[name]):
-            matches.append(name)
+def _hamiltonian_from(core: Graph, tough: ClauseVerdict) -> ClauseVerdict:
+    """Hamiltonicity of co(core) from its toughness verdict: tough colines
+    are Hamiltonian except for four root graphs; non-tough colines never are."""
+    matches = [] if tough.value else [f"not-tough{tough.clause}"]
+    matches += [name for name in NON_HAMILTONIAN_ROOTS if oracle.is_isomorphic(core, NAMED[name])]
     return _verdict(matches)
+
+
+def decide_coline_hamiltonian(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
+    """Is co(G) Hamiltonian?  Decides toughness, then reads Hamiltonicity off it."""
+    core = strip_isolated(g)
+    return _hamiltonian_from(core, decide_coline_tough(core, catalog))
 
 
 def decide_wu_meng(g: Graph) -> ClauseVerdict:
@@ -294,53 +294,18 @@ def decide_coline_traceable(g: Graph, catalog: Catalog | None = None) -> ClauseV
     return _verdict(matches)
 
 
-def build_report(g: Graph, catalog: Catalog | None = None, verify: bool = False) -> DecisionReport:
-    """Full per-graph verdict bundle; with verify=True every verdict is
-    confirmed against the exact oracle and witnesses are attached."""
-    catalog = catalog or load_catalog()
+def build_report(g: Graph, catalog: Catalog | None = None) -> DecisionReport:
+    """Full per-graph verdict bundle.  Toughness is decided once and
+    Hamiltonicity follows from that verdict."""
     core = strip_isolated(g)
     tough = decide_coline_tough(core, catalog)
-    hamiltonian = decide_coline_hamiltonian(core, catalog)
-    wu_meng = decide_wu_meng(core)
-    traceable = decide_coline_traceable(core, catalog)
-    confirmed = None
-    if verify:
-        l, _ = coline(core)
-        tough_oracle = oracle.is_tough(l)
-        cycle = oracle.hamiltonian_cycle(l)
-        path = oracle.hamiltonian_path(l)
-        confirmed = {
-            "tough": {
-                "value": tough_oracle.value,
-                "vacuous": tough_oracle.vacuous,
-                "agrees": tough_oracle.value == tough.value,
-                "witness": None
-                if tough_oracle.witness is None
-                else {
-                    "cutset": list(tough_oracle.witness.cutset),
-                    "components_after": tough_oracle.witness.components_after,
-                },
-            },
-            "hamiltonian": {
-                "value": cycle is not None,
-                "agrees": (cycle is not None) == hamiltonian.value,
-                "witness": None if cycle is None else list(cycle.vertices),
-            },
-            "wu_meng": {"value": cycle is not None, "agrees": (cycle is not None) == wu_meng.value},
-            "traceable": {
-                "value": path is not None,
-                "agrees": (path is not None) == traceable.value,
-                "witness": None if path is None else list(path.vertices),
-            },
-        }
     return DecisionReport(
         m=core.m,
         max_degree=core.max_degree(),
         tough=tough,
-        hamiltonian=hamiltonian,
-        wu_meng=wu_meng,
-        traceable=traceable,
-        oracle_confirmed=confirmed,
+        hamiltonian=_hamiltonian_from(core, tough),
+        wu_meng=decide_wu_meng(core),
+        traceable=decide_coline_traceable(core, catalog),
     )
 
 

@@ -55,6 +55,40 @@ def _verdict_json(verdict: characterize.ClauseVerdict) -> dict:
     }
 
 
+def _oracle_json(l: Graph, decision: characterize.DecisionReport | None) -> dict:
+    """The exact oracles on the coline ``l``.  Against in-scope verdicts each
+    entry says whether it agrees and carries the oracle's witness."""
+    tough = oracle.is_tough(l)
+    cycle = oracle.hamiltonian_cycle(l)
+    path = oracle.hamiltonian_path(l)
+    hamiltonian, traceable = cycle is not None, path is not None
+    if decision is None:
+        return {"tough": tough.value, "hamiltonian": hamiltonian, "traceable": traceable}
+    cutset = None if tough.witness is None else {
+        "cutset": list(tough.witness.cutset),
+        "components_after": tough.witness.components_after,
+    }
+    return {
+        "tough": {
+            "value": tough.value,
+            "vacuous": tough.vacuous,
+            "agrees": tough.value == decision.tough.value,
+            "witness": cutset,
+        },
+        "hamiltonian": {
+            "value": hamiltonian,
+            "agrees": hamiltonian == decision.hamiltonian.value,
+            "witness": None if cycle is None else list(cycle.vertices),
+        },
+        "wu_meng": {"value": hamiltonian, "agrees": hamiltonian == decision.wu_meng.value},
+        "traceable": {
+            "value": traceable,
+            "agrees": traceable == decision.traceable.value,
+            "witness": None if path is None else list(path.vertices),
+        },
+    }
+
+
 def _graph_json(g: Graph) -> dict:
     return {
         "canonical_graph6": emit_graph6(oracle.canonical_graph(g)),
@@ -65,10 +99,11 @@ def _graph_json(g: Graph) -> dict:
     }
 
 
-def _base_report(g: Graph) -> dict:
+def _base_report(g: Graph) -> tuple[dict, Graph]:
+    """The report fields every input gets, and the coline they describe."""
     l, _ = coline(g)
     graph = _graph_json(g)
-    return {
+    report = {
         "graph": graph,
         "coline": {"n": l.n, "components": len(components(l))},
         # inside the exhaustively swept range verdicts are oracle-verified;
@@ -77,6 +112,7 @@ def _base_report(g: Graph) -> dict:
         and g.m <= sweep.DEFAULT_MAX_EDGES,
         "versions": {"tool": __version__, "catalog": CATALOG_FORMAT},
     }
+    return report, l
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -84,31 +120,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.verify and g.m > VERIFY_MAX_EDGES:
         raise ScopeError(f"--verify search budget is {VERIFY_MAX_EDGES} edges, got {g.m}")
-    report = _base_report(g)
+    report, l = _base_report(g)
     try:
-        decision = characterize.build_report(g, catalog, verify=args.verify)
+        decision = characterize.build_report(g, catalog)
     except ScopeError as exc:
+        decision = None
         report["verdicts"] = {"out_of_scope": str(exc)}
-        if args.verify:
-            l, _ = coline(g)
-            report["oracle"] = {
-                "tough": oracle.is_tough(l).value,
-                "hamiltonian": oracle.hamiltonian_cycle(l) is not None,
-                "traceable": oracle.hamiltonian_path(l) is not None,
-            }
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
-    report["verdicts"] = {
-        "tough": _verdict_json(decision.tough),
-        "hamiltonian": _verdict_json(decision.hamiltonian),
-        "wu_meng": _verdict_json(decision.wu_meng),
-        "traceable": _verdict_json(decision.traceable),
-    }
-    if decision.oracle_confirmed is not None:
-        report["oracle"] = decision.oracle_confirmed
+    else:
+        report["verdicts"] = {
+            key: _verdict_json(getattr(decision, key))
+            for key in ("tough", "hamiltonian", "wu_meng", "traceable")
+        }
+    if args.verify:
+        report["oracle"] = _oracle_json(l, decision)
     print(json.dumps(report, indent=2))
-    if decision.oracle_confirmed is not None:
-        if not all(entry["agrees"] for entry in decision.oracle_confirmed.values()):
+    if args.verify and decision is not None:
+        if not all(entry["agrees"] for entry in report["oracle"].values()):
             return EXIT_MISMATCH
     return EXIT_OK
 
@@ -120,7 +147,7 @@ def cmd_cms(args: argparse.Namespace) -> int:
         raise ScopeError("cms needs at least one edge")
     if g.m > 12:
         raise ScopeError(f"cms search budget is 12 edges, got {g.m}")
-    report = _base_report(g)
+    report, _ = _base_report(g)
     value = oracle.cms_exact(g)
     report["cms"] = value
     try:

@@ -129,27 +129,34 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
     # below 3 (2) edges a counting clause fires, so census_tags reads no verdict
     tough = hamiltonian = traceable = False
 
+    start = time.perf_counter()
+    if g.m >= 3:
+        decided = characterize.build_report(g, catalog)
+        trace_verdict = decided.traceable
+    elif g.m == 2:  # below 3 edges build_report is out of scope
+        trace_verdict = characterize.decide_coline_traceable(g, catalog)
+    clock("decisions", start)
+
     if g.m >= 3:
         start = time.perf_counter()
         tough = oracle.is_tough(l).value
-        compare("toughness", characterize.decide_coline_tough(g, catalog), tough)
+        compare("toughness", decided.tough, tough)
         clock("toughness", start)
 
         start = time.perf_counter()
         hamiltonian = oracle.hamiltonian_cycle(l) is not None
-        main = characterize.decide_coline_hamiltonian(g, catalog)
-        compare("hamiltonicity", main, hamiltonian)
-        compare("wu-meng", characterize.decide_wu_meng(g), hamiltonian)
+        compare("hamiltonicity", decided.hamiltonian, hamiltonian)
+        compare("wu-meng", decided.wu_meng, hamiltonian)
         clock("hamiltonicity", start)
 
         start = time.perf_counter()
-        compare("cms-ge2", main, oracle.contains_power_ham_cycle(l, 1))
+        compare("cms-ge2", decided.hamiltonian, oracle.contains_power_ham_cycle(l, 1))
         clock("power_cycle", start)
 
     if g.m >= 2:
         start = time.perf_counter()
         traceable = oracle.hamiltonian_path(l) is not None
-        compare("traceability", characterize.decide_coline_traceable(g, catalog), traceable)
+        compare("traceability", trace_verdict, traceable)
         clock("traceability", start)
 
     start = time.perf_counter()

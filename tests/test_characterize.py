@@ -180,12 +180,27 @@ def test_report_implications(catalog, classes_sweep_range):
         assert report.hamiltonian.value == report.wu_meng.value
 
 
-def test_report_verify_agrees(catalog):
-    for name in ("K5", "H1", "C6", "K3_circ_K1", "C4+K2"):
-        report = build_report(build_named(name), catalog, verify=True)
-        assert report.oracle_confirmed is not None
-        for entry in report.oracle_confirmed.values():
-            assert entry["agrees"]
+def test_report_decides_toughness_once(catalog, monkeypatch):
+    # build_report reads Hamiltonicity off its one toughness verdict, as
+    # decide_coline_hamiltonian does off its own
+    import coline.characterize as characterize_module
+
+    calls = []
+    decide = characterize_module.decide_coline_tough
+
+    def counting(g, catalog=None):
+        calls.append(g)
+        return decide(g, catalog)
+
+    monkeypatch.setattr(characterize_module, "decide_coline_tough", counting)
+    for name in ("K5", "H1", "C6", "C4+K2", "K1_4"):
+        g = build_named(name)
+        calls.clear()
+        hamiltonian = decide_coline_hamiltonian(g, catalog)
+        report = build_report(g, catalog)
+        assert len(calls) == 2, name
+        assert report.hamiltonian == hamiltonian
+        assert report.tough == decide(g, catalog)
 
 
 def test_catalog_counts(catalog):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from coline import characterize
+from coline import __version__, characterize
 from coline.cli import main
 from coline.graph6 import emit_graph6
 from coline.graphcore import Graph, build_named
@@ -72,6 +72,79 @@ def test_classify_verify_checks_wu_meng(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "classify", "--named", "C6", "--verify")
     assert code == 1
     assert json.loads(out)["oracle"]["wu_meng"] == {"value": True, "agrees": False}
+
+
+def _verdicts(*verdicts):
+    keys = ("tough", "hamiltonian", "wu_meng", "traceable")
+    return {
+        key: {"value": value, "clause": clause, "all_matches": [] if clause == "none" else [clause]}
+        for key, (value, clause) in zip(keys, verdicts)
+    }
+
+
+_VERIFY_JSON = {
+    # not tough: removing coline vertices 3 and 4 leaves 3 components
+    "K3+P3": (
+        {"canonical_graph6": "E_N?", "n": 6, "m": 5, "max_degree": 2, "non_isolated": 6},
+        {"n": 5, "components": 1},
+        _verdicts((False, "(iii)"), (False, "not-tough(iii)"), (False, "(iii)"), (True, "none")),
+        {
+            "tough": {
+                "value": False,
+                "vacuous": False,
+                "agrees": True,
+                "witness": {"cutset": [3, 4], "components_after": 3},
+            },
+            "hamiltonian": {"value": False, "agrees": True, "witness": None},
+            "wu_meng": {"value": False, "agrees": True},
+            "traceable": {"value": True, "agrees": True, "witness": [0, 3, 1, 4, 2]},
+        },
+    ),
+    # Hamiltonian, with cycle and path witnesses
+    "C6": (
+        {"canonical_graph6": "EkGW", "n": 6, "m": 6, "max_degree": 2, "non_isolated": 6},
+        {"n": 6, "components": 1},
+        _verdicts((True, "none"), (True, "none"), (True, "none"), (True, "none")),
+        {
+            "tough": {"value": True, "vacuous": False, "agrees": True, "witness": None},
+            "hamiltonian": {"value": True, "agrees": True, "witness": [0, 3, 1, 4, 2, 5]},
+            "wu_meng": {"value": True, "agrees": True},
+            "traceable": {"value": True, "agrees": True, "witness": [0, 3, 1, 4, 2, 5]},
+        },
+    ),
+    # out of scope: the oracles answer alone
+    "K2": (
+        {"canonical_graph6": "A_", "n": 2, "m": 1, "max_degree": 1, "non_isolated": 2},
+        {"n": 1, "components": 1},
+        {"out_of_scope": "toughness decision needs at least 3 edges, got 1"},
+        {"tough": True, "hamiltonian": False, "traceable": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFY_JSON))
+def test_classify_verify_json_is_pinned(capsys, name):
+    graph, coline_json, verdicts, oracle_json = _VERIFY_JSON[name]
+    expected = {
+        "graph": graph,
+        "coline": coline_json,
+        "within_verified_range": True,
+        "versions": {"tool": __version__, "catalog": characterize.CATALOG_FORMAT},
+        "verdicts": verdicts,
+        "oracle": oracle_json,
+    }
+    code, out, _ = run_cli(capsys, "classify", "--named", name, "--verify")
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_classify_verify_agrees(capsys):
+    for name in ("K5", "H1", "C6", "K3_circ_K1", "C4+K2"):
+        code, out, _ = run_cli(capsys, "classify", "--named", name, "--verify")
+        assert code == 0, name
+        oracle_json = json.loads(out)["oracle"]
+        assert len(oracle_json) == 4
+        assert all(entry["agrees"] for entry in oracle_json.values()), name
 
 
 def test_classify_verify_edge_budget(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib import resources
 from math import comb
 
@@ -123,7 +124,7 @@ def test_sweep_timings_cover_enumeration(catalog):
     # every check timed per class is named on the report's checks: line
     text = report_to_text(report)
     listed = set(next(line for line in text.splitlines() if line.startswith("checks: "))[8:].split(", "))
-    assert set(timings) - {"enumeration", "merge", "canonical_coline", "census"} <= listed
+    assert set(timings) - {"enumeration", "merge", "canonical_coline", "census", "decisions"} <= listed
 
 
 def test_sweep_streams_classes_into_examination(catalog, monkeypatch):
@@ -247,9 +248,47 @@ def test_sweep_census_does_not_repeat_the_catalog(catalog):
         catalog.trace_exceptions,
     )
     report = run_sweep(SweepConfig(max_vertices=6, max_edges=9), short)
-    assert canonical_form(parse_graph6("Dls")).decode() in report.exception_census["tough-exceptions"]
+    missing = canonical_form(parse_graph6("Dls")).decode()
+    assert missing in report.exception_census["tough-exceptions"]
     assert report.census_ok["tough-exceptions"] is False
     assert not report.passed
+    # and the verdicts that read the catalog disagree with the oracles there
+    checks = {check for canon, check, _, _ in report.mismatches if canon == missing}
+    assert {"toughness", "hamiltonicity"} <= checks
+    assert {canon for canon, _, _, _ in report.mismatches} == {missing}
+
+
+def test_sweep_certifies_the_report_bundle(catalog, monkeypatch):
+    # the sweep checks the verdicts classify prints: flipping one of them
+    # on one class is the one mismatch it reports
+    target = emit_graph6(canonical_graph(build_named("C5")))
+    build = characterize.build_report
+
+    def flipped(g, catalog=None):
+        report = build(g, catalog)
+        if emit_graph6(g) != target:
+            return report
+        wrong = characterize.ClauseVerdict(not report.traceable.value, "flipped", ("flipped",))
+        return replace(report, traceable=wrong)
+
+    monkeypatch.setattr(characterize, "build_report", flipped)
+    report = run_sweep(SweepConfig(max_vertices=5, max_edges=6), catalog)
+    assert report.mismatches == [(target, "traceability", "False clause=flipped", "True")]
+    assert not report.passed
+
+
+def test_sweep_decides_toughness_once_per_class(catalog, monkeypatch):
+    decided = []
+    decide = characterize.decide_coline_tough
+
+    def counting(g, catalog=None):
+        decided.append(emit_graph6(g))
+        return decide(g, catalog)
+
+    monkeypatch.setattr(characterize, "decide_coline_tough", counting)
+    run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
+    classes = [emit_graph6(g) for g in enumerate_classes(6, 8) if g.m >= 3]
+    assert sorted(decided) == sorted(classes)
 
 
 def test_bootstrap_count_check_fires_on_narrow_range():
