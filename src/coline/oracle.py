@@ -6,9 +6,11 @@ and power-cycle searches keep the candidates of each level as one bitmask,
 the AND of the adjacency rows (or their complements) that the placed
 vertices impose, and the embedding search places the images of a twin
 class of the pattern in increasing order, since permuting twins is an
-automorphism.  Practical bound: roughly 16 vertices.  All searches are
-deterministic (ascending vertex order), so returned witnesses are
-reproducible.
+automorphism.  Isomorphism is that embedding search on two graphs of
+equal order and size, so it shares nothing with the canonical labeller it
+is cross-checked against.  Practical bound: roughly 16 vertices.  All
+searches are deterministic (ascending vertex order), so returned
+witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -309,7 +311,7 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
     return CycleOrPath(tuple(best), True)
 
 
-# --- isomorphism, canonical forms ------------------------------------------
+# --- canonical forms -------------------------------------------------------
 
 def _refine(neighbours: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
     """Stable colour refinement; new colour ids depend only on invariants.
@@ -520,57 +522,7 @@ def canonical_form(g: Graph) -> bytes:
     return emit_graph6(canonical_graph(g)).encode("ascii")
 
 
-def is_isomorphic(g1: Graph, g2: Graph) -> IsoCertificate | None:
-    """Explicit isomorphism search with refinement pruning.
-
-    Independent of canonical_form; the two are cross-checked in tests.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
-        return None
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return None
-    n = g1.n
-    if n == 0:
-        return IsoCertificate(())
-    colors1 = _refine(_neighbour_lists(g1), g1.degrees())
-    colors2 = _refine(_neighbour_lists(g2), g2.degrees())
-    if sorted(colors1) != sorted(colors2):
-        return None
-    by_color2: dict[int, list[int]] = {}
-    for v, c in enumerate(colors2):
-        by_color2.setdefault(c, []).append(v)
-    # Map rarest colours first to fail fast.
-    order = sorted(range(n), key=lambda v: (len(by_color2.get(colors1[v], ())), colors1[v], v))
-    mapping: dict[int, int] = {}
-    used = [False] * n
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in by_color2.get(colors1[v], ()):
-            if used[w]:
-                continue
-            ok = True
-            for placed_v, placed_w in mapping.items():
-                if g1.has_edge(v, placed_v) != g2.has_edge(w, placed_w):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if assign(i + 1):
-                    return True
-                del mapping[v]
-                used[w] = False
-        return False
-
-    if assign(0):
-        return IsoCertificate(tuple(mapping[v] for v in range(n)))
-    return None
-
-
-# --- subgraph containment ---------------------------------------------------
+# --- subgraph containment and isomorphism ----------------------------------
 
 def _twin_classes(g: Graph) -> list[int]:
     """``label[v]``: the smallest vertex twin to ``v``, where u and v are
@@ -590,9 +542,10 @@ def _twin_classes(g: Graph) -> list[int]:
     return label
 
 
-def _embed(host: Graph, pattern: Graph, induced: bool) -> bool:
-    """Is there an injective map of pattern into host keeping every edge
-    (and, when ``induced``, every non-edge)?
+def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None:
+    """An injective map of pattern into host keeping every edge (and, when
+    ``induced``, every non-edge), as the host image of each pattern vertex;
+    None if there is none.
 
     Pattern vertices are placed one per level, most constrained first.  The
     candidates of a level are one host bitmask: the eligible unused
@@ -605,12 +558,12 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> bool:
     which keeps one embedding of each set of equivalent ones.
     """
     if pattern.n > host.n or pattern.m > host.m:
-        return False
+        return None
     if not induced:
         host_degs = sorted(host.degrees(), reverse=True)
         pat_degs = sorted(pattern.degrees(), reverse=True)
         if any(p > h for p, h in zip(pat_degs, host_degs)):
-            return False
+            return None
     # Place pattern vertices most-constrained first: inside the already
     # placed neighbourhood when possible, higher degree first.
     order: list[int] = []
@@ -624,9 +577,9 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> bool:
         order.append(v)
         placed_mask |= 1 << v
 
-    # Per level: the eligible host vertices, the earlier levels whose images
-    # must be adjacent (and, induced, non-adjacent) to this one's, and the
-    # latest earlier level in the same twin class (-1 if none).
+    # Per level: the eligible host vertices, the placed pattern vertices
+    # whose images must be adjacent (and, induced, non-adjacent) to this
+    # one's, and the latest placed vertex of the same twin class (-1 if none).
     twin = _twin_classes(pattern)
     eligible, joined, apart, previous = [], [], [], []
     for i, v in enumerate(order):
@@ -634,42 +587,58 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> bool:
         if not induced:
             mask = sum(1 << w for w in range(host.n) if host.degree(w) >= pattern.degree(v))
         eligible.append(mask)
-        joined.append([j for j in range(i) if pattern.adj[v] >> order[j] & 1])
-        apart.append([j for j in range(i) if induced and not pattern.adj[v] >> order[j] & 1])
-        previous.append(max((j for j in range(i) if twin[order[j]] == twin[v]), default=-1))
+        placed = order[:i]
+        joined.append([u for u in placed if pattern.adj[v] >> u & 1])
+        apart.append([u for u in placed if induced and not pattern.adj[v] >> u & 1])
+        previous.append(next((u for u in reversed(placed) if twin[u] == twin[v]), -1))
 
     rows = host.adj
-    images = [0] * pattern.n  # images[i]: the host vertex of order[i]
+    images = [0] * pattern.n  # images[v]: the host vertex of pattern vertex v
 
     def place(i: int, used: int) -> bool:
         if i == pattern.n:
             return True
         candidates = eligible[i] & ~used
-        for j in joined[i]:
-            candidates &= rows[images[j]]
-        for j in apart[i]:
-            candidates &= ~rows[images[j]]
+        for u in joined[i]:
+            candidates &= rows[images[u]]
+        for u in apart[i]:
+            candidates &= ~rows[images[u]]
         if previous[i] >= 0:
             candidates &= -(2 << images[previous[i]])  # images above the twin's
+        v = order[i]
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            images[i] = low.bit_length() - 1
+            images[v] = low.bit_length() - 1
             if place(i + 1, used | low):
                 return True
         return False
 
-    return place(0, 0)
+    return tuple(images) if place(0, 0) else None
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Non-induced subgraph containment."""
-    return _embed(host, pattern, induced=False)
+    return _embed(host, pattern, induced=False) is not None
 
 
 def is_induced_free(host: Graph, pattern: Graph) -> bool:
     """True iff no vertex subset of host induces a copy of pattern."""
-    return not _embed(host, pattern, induced=True)
+    return _embed(host, pattern, induced=True) is None
+
+
+def is_isomorphic(g1: Graph, g2: Graph) -> IsoCertificate | None:
+    """An isomorphism from g1 onto g2, found by the containment search.
+
+    On graphs of equal order and size, an injective map that keeps every
+    edge of g1 is onto and keeps every non-edge too.  Independent of
+    canonical_form (no colour refinement); the two are cross-checked in
+    tests.
+    """
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
+    images = _embed(g2, g1, induced=False)
+    return None if images is None else IsoCertificate(images)
 
 
 # --- powers of Hamiltonian cycles, cms --------------------------------------

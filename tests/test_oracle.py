@@ -296,26 +296,54 @@ def test_tough_implies_two_connected(classes_sweep_range):
 
 # --- isomorphism and canonical forms ---------------------------------------------
 
+def assert_isomorphism(g1: Graph, g2: Graph, cert) -> None:
+    """The certificate is a bijection keeping every edge and every non-edge."""
+    assert cert is not None
+    mapping = cert.mapping
+    assert sorted(mapping) == list(range(g1.n)) and g1.n == g2.n
+    for u in range(g1.n):
+        for v in range(u + 1, g1.n):
+            assert g1.has_edge(u, v) == g2.has_edge(mapping[u], mapping[v])
+
+
 def test_isomorphism_examples():
     assert is_isomorphic(coline(build_named("K5"))[0], build_named("Petersen"))
     assert is_isomorphic(build_named("K3"), build_named("K1_3")) is None
     from coline.graphcore import line_graph
 
     assert is_isomorphic(line_graph(build_named("K3"))[0], line_graph(build_named("K1_3"))[0])
+    # 2-regular graphs of equal size: every degree test passes
+    assert is_isomorphic(build_named("C100"), build_named("2C50")) is None
+    assert is_isomorphic(build_named("2C50"), build_named("C100")) is None
 
 
 def test_certificate_is_a_real_isomorphism():
-    g1 = build_named("Petersen")
-    perm = list(range(10))
-    random.Random(7).shuffle(perm)
-    g2 = relabel(g1, perm)
-    cert = is_isomorphic(g1, g2)
-    assert cert is not None
-    mapping = cert.mapping
-    assert sorted(mapping) == list(range(10))
-    for u in range(10):
-        for v in range(u + 1, 10):
-            assert g1.has_edge(u, v) == g2.has_edge(mapping[u], mapping[v])
+    rng = random.Random(7)
+    for name in ("Petersen", "C100"):
+        g1 = build_named(name)
+        perm = list(range(g1.n))
+        rng.shuffle(perm)
+        g2 = relabel(g1, perm)
+        assert_isomorphism(g1, g2, is_isomorphic(g1, g2))
+
+
+def test_is_isomorphic_shares_no_code_with_the_labeller(monkeypatch, classes_sweep_range):
+    """is_isomorphic cross-checks canonical_form, so it must not reach the
+    labeller's colour refinement or labelling."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_isomorphic reached the canonical labeller")
+
+    for name in ("_refine", "_neighbour_lists", "_canonical_labelling"):
+        monkeypatch.setattr(oracle, name, forbidden)
+    co_k5, petersen = coline(build_named("K5"))[0], build_named("Petersen")
+    assert_isomorphism(co_k5, petersen, is_isomorphic(co_k5, petersen))
+    rng = random.Random(19)
+    for g in rng.sample(classes_sweep_range, 100):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = relabel(g, perm)
+        assert_isomorphism(g, shuffled, is_isomorphic(g, shuffled))
 
 
 def test_canonical_form_examples():
@@ -340,6 +368,7 @@ def test_canonical_form_agrees_with_permutation_oracle():
             assert (is_isomorphic(g1, g2) is not None) == brute
         for g in group:
             assert brute_isomorphic(g, canonical_graph(g))
+            assert_isomorphism(g, canonical_graph(g), is_isomorphic(g, canonical_graph(g)))
 
 
 def _classes(max_vertices):
