@@ -5,6 +5,11 @@ roots.  Reports are JSON on stdout with a stable key layout; the sweep
 prints a summary and can write its text report.  Exit codes: 0 success,
 agreement or a stdout closed by its reader, 1 verified mismatch or
 internal error, 2 usage error, 3 I/O error.
+
+When the first argument is a subcommand, a call builds only that
+subcommand's parser.  Anything else (help, no command, an unknown one,
+a top-level option such as ``--catalog PATH`` first) builds the full
+tree, so every help text and usage error reads as the full parser's.
 """
 
 from __future__ import annotations
@@ -236,50 +241,63 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coline",
-        description="Decide Hamiltonicity, toughness and traceability of coline graphs.",
-    )
-    parser.add_argument("--catalog", help="catalog file path (default: the packaged catalog)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _classify_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_input_flags(parser)
+    parser.add_argument("--verify", action="store_true", help="confirm against exact oracles")
 
-    p_classify = sub.add_parser("classify", help="per-graph verdicts as JSON")
-    _add_input_flags(p_classify)
-    p_classify.add_argument("--verify", action="store_true", help="confirm against exact oracles")
-    p_classify.set_defaults(func=cmd_classify)
 
-    p_sweep = sub.add_parser("sweep", help="exhaustive cross-verification")
-    p_sweep.add_argument("--max-vertices", type=int, default=sweep.DEFAULT_MAX_VERTICES)
-    p_sweep.add_argument("--max-edges", type=int, default=sweep.DEFAULT_MAX_EDGES)
-    p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--output", help="write the text report here")
-    p_sweep.set_defaults(func=cmd_sweep)
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-vertices", type=int, default=sweep.DEFAULT_MAX_VERTICES)
+    parser.add_argument("--max-edges", type=int, default=sweep.DEFAULT_MAX_EDGES)
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--output", help="write the text report here")
 
-    p_cms = sub.add_parser("cms", help="exact cyclic matching sequenceability")
-    _add_input_flags(p_cms)
-    p_cms.set_defaults(func=cmd_cms)
 
-    p_catalog = sub.add_parser("catalog", help="manage the exception catalogs")
-    p_catalog.add_argument(
+def _catalog_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "action",
         choices=("bootstrap", "validate", "show"),
         help="bootstrap derives a catalog by the sweep; validate and show read its "
         "[tough18] and [trace9] sections (the Wu-Meng 21 and named roots are built in)",
     )
-    p_catalog.add_argument("--output", default="coline-catalog.txt", help="bootstrap target file")
-    p_catalog.set_defaults(func=cmd_catalog)
+    parser.add_argument("--output", default="coline-catalog.txt", help="bootstrap target file")
 
-    p_roots = sub.add_parser("roots", help="all root graphs with this coline graph")
-    _add_input_flags(p_roots)
-    p_roots.set_defaults(func=cmd_roots)
 
+# name: (help, handler, the function that adds the subcommand's arguments)
+SUBCOMMANDS = {
+    "classify": ("per-graph verdicts as JSON", cmd_classify, _classify_arguments),
+    "sweep": ("exhaustive cross-verification", cmd_sweep, _sweep_arguments),
+    "cms": ("exact cyclic matching sequenceability", cmd_cms, _add_input_flags),
+    "catalog": ("manage the exception catalogs", cmd_catalog, _catalog_arguments),
+    "roots": ("all root graphs with this coline graph", cmd_roots, _add_input_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The coline parser; given ``command``, its only subparser is that one."""
+    parser = argparse.ArgumentParser(
+        prog="coline",
+        description="Decide Hamiltonicity, toughness and traceability of coline graphs.",
+    )
+    parser.add_argument("--catalog", help="catalog file path (default: the packaged catalog)")
+    # With one subparser the usage line in errors still lists every command.
+    # The full tree keeps the default, which names "command" when none is given.
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, add_arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            subparser = sub.add_parser(name, help=help_text)
+            add_arguments(subparser)
+            subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # help, no command, an unknown one or a top-level option first: the full tree
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

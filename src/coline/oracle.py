@@ -531,15 +531,15 @@ def _twin_classes(g: Graph) -> list[int]:
     Twins are adjacent with equal closed neighbourhoods or non-adjacent with
     equal open ones, and a third vertex cannot be a twin of one kind to u
     and of the other to v, so the relation is an equivalence.  Every
-    permutation of a class fixes the rest and is an automorphism of g.
+    permutation of a class fixes the rest and is an automorphism of g.  An
+    open and a closed neighbourhood are never equal, so one table maps each
+    to the first vertex that has it.
     """
-    label = list(range(g.n))
-    for v in range(g.n):
-        for u in range(v):
-            if label[u] == u and g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
-                label[v] = u
-                break
-    return label
+    first: dict[int, int] = {}
+    return [
+        min(first.setdefault(row, v), first.setdefault(row | 1 << v, v))
+        for v, row in enumerate(g.adj)
+    ]
 
 
 def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None:
@@ -555,49 +555,60 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None
     for an induced search and a host vertex of at least the pattern
     vertex's degree otherwise.  Permuting a twin class of the pattern is an
     automorphism, so each class places its images in increasing order,
-    which keeps one embedding of each set of equivalent ones.
+    which keeps one embedding of each set of equivalent ones.  The search
+    keeps its levels on a list, not the call stack, so it takes patterns of
+    any order.
     """
     if pattern.n > host.n or pattern.m > host.m:
         return None
+    host_degs, pat_degs = host.degrees(), pattern.degrees()
     if not induced:
-        host_degs = sorted(host.degrees(), reverse=True)
-        pat_degs = sorted(pattern.degrees(), reverse=True)
-        if any(p > h for p, h in zip(pat_degs, host_degs)):
+        pairs = zip(sorted(pat_degs, reverse=True), sorted(host_degs, reverse=True))
+        if any(p > h for p, h in pairs):
             return None
-    # Place pattern vertices most-constrained first: inside the already
-    # placed neighbourhood when possible, higher degree first.
+    # Place pattern vertices most-constrained first: the most placed
+    # neighbours, then the higher degree, then the lower index.  key[v] is
+    # v's rank by degree less n per placed neighbour, or n*n once placed.
+    n = pattern.n
+    key = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda u: -pat_degs[u])):
+        key[v] = rank
+    level = [-1] * n  # level[v]: v's position in order, -1 unplaced
     order: list[int] = []
-    placed_mask = 0
-    while len(order) < pattern.n:
-        candidates = [v for v in range(pattern.n) if not placed_mask >> v & 1]
-        candidates.sort(
-            key=lambda v: (-(pattern.adj[v] & placed_mask).bit_count(), -pattern.degree(v), v)
-        )
-        v = candidates[0]
+    for i in range(n):
+        v = key.index(min(key))
+        level[v] = i
         order.append(v)
-        placed_mask |= 1 << v
+        key[v] = n * n
+        for u in _bits(pattern.adj[v]):
+            if level[u] < 0:
+                key[u] -= n
 
+    # at_least[d]: the host vertices of degree d or more
+    at_least = [0] * (max(host_degs, default=0) + 2)
+    for w, d in enumerate(host_degs):
+        at_least[d] |= 1 << w
+    for d in range(len(at_least) - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
     # Per level: the eligible host vertices, the placed pattern vertices
     # whose images must be adjacent (and, induced, non-adjacent) to this
     # one's, and the latest placed vertex of the same twin class (-1 if none).
     twin = _twin_classes(pattern)
+    latest: dict[int, int] = {}
     eligible, joined, apart, previous = [], [], [], []
     for i, v in enumerate(order):
-        mask = (1 << host.n) - 1
-        if not induced:
-            mask = sum(1 << w for w in range(host.n) if host.degree(w) >= pattern.degree(v))
-        eligible.append(mask)
-        placed = order[:i]
-        joined.append([u for u in placed if pattern.adj[v] >> u & 1])
-        apart.append([u for u in placed if induced and not pattern.adj[v] >> u & 1])
-        previous.append(next((u for u in reversed(placed) if twin[u] == twin[v]), -1))
+        eligible.append(at_least[0] if induced else at_least[pat_degs[v]])
+        joined.append([u for u in _bits(pattern.adj[v]) if level[u] < i])
+        apart.append([u for u in order[:i] if not pattern.adj[v] >> u & 1] if induced else [])
+        previous.append(latest.get(twin[v], -1))
+        latest[twin[v]] = v
 
     rows = host.adj
-    images = [0] * pattern.n  # images[v]: the host vertex of pattern vertex v
-
-    def place(i: int, used: int) -> bool:
-        if i == pattern.n:
-            return True
+    images = [0] * n  # images[v]: the host vertex of pattern vertex v
+    untried = []  # per placed level: its candidates not yet tried, and the used mask before it
+    used = 0
+    while len(untried) < n:
+        i = len(untried)
         candidates = eligible[i] & ~used
         for u in joined[i]:
             candidates &= rows[images[u]]
@@ -605,16 +616,15 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None
             candidates &= ~rows[images[u]]
         if previous[i] >= 0:
             candidates &= -(2 << images[previous[i]])  # images above the twin's
-        v = order[i]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            images[v] = low.bit_length() - 1
-            if place(i + 1, used | low):
-                return True
-        return False
-
-    return tuple(images) if place(0, 0) else None
+        while not candidates:  # back to the deepest level with a candidate left
+            if not untried:
+                return None
+            candidates, used = untried.pop()
+        low = candidates & -candidates
+        images[order[len(untried)]] = low.bit_length() - 1
+        untried.append((candidates ^ low, used))
+        used |= low
+    return tuple(images)
 
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:

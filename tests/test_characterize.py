@@ -46,6 +46,12 @@ def test_classify_examples():
     assert (klass.case, klass.parameter, klass.rho) == (ColineCase.F, 2, 6)
 
 
+def test_classify_takes_a_thousand_vertices():
+    # the F_k test is an isomorphism search with one level per vertex
+    klass = classify_disconnected_coline(build_named("F998"))
+    assert (klass.case, klass.parameter, klass.rho) == (ColineCase.F, 998, 1002)
+
+
 def test_classify_star_precedence_over_type_a():
     # K_{1,2} fits both the star family and the type-A definition
     p3 = build_named("P3")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import sys
@@ -6,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from coline import __version__, characterize
+from coline import __version__, characterize, cli
 from coline.cli import main
 from coline.graph6 import emit_graph6
 from coline.graphcore import Graph, build_named
@@ -289,6 +290,67 @@ def test_invalid_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["classify"])  # no input source
     assert err.value.code == 2
+
+
+# "CATALOG" stands for a copy of the packaged catalog
+PARSER_ARGVS = (
+    ["--help"],
+    ["classify", "--help"],
+    ["sweep", "--help"],
+    ["cms", "--help"],
+    ["catalog", "--help"],
+    ["roots", "--help"],
+    [],
+    ["frob"],
+    ["classify"],
+    ["classify", "--graph6", "D~{", "--bogus"],
+    ["sweep", "--bogus"],
+    ["cms", "--named", "K5", "--bogus"],
+    ["catalog", "show", "--bogus"],
+    ["roots", "--named", "K5", "--bogus"],
+    ["catalog", "frob"],
+    ["sweep", "--workers", "x"],
+    ["--catalog", "CATALOG", "classify", "--named", "K5"],
+    ["--catalog=CATALOG", "classify", "--named", "K5"],
+    ["--cat", "CATALOG", "classify", "--named", "K5"],
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_text_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_bytes(resources.files("coline").joinpath("data/catalog.txt").read_bytes())
+    argv = [arg.replace("CATALOG", str(catalog)) for arg in argv]
+    got = _outcome(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert got == _outcome(capsys, argv)
+
+
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["classify", "--named", "K5"]) == 0
+    assert built == ["coline", "coline classify"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == 6
 
 
 def test_cms_command(capsys):

@@ -327,6 +327,14 @@ def test_certificate_is_a_real_isomorphism():
         assert_isomorphism(g1, g2, is_isomorphic(g1, g2))
 
 
+def test_isomorphism_search_takes_a_thousand_vertices():
+    # one search level per pattern vertex: a recursive search overflowed here
+    p1000 = build_named("P1000")
+    mapping = is_isomorphic(p1000, build_named("P1000")).mapping
+    assert sorted(mapping) == list(range(1000))
+    assert all(p1000.has_edge(mapping[u], mapping[v]) for u, v in p1000.edges())
+
+
 def test_is_isomorphic_shares_no_code_with_the_labeller(monkeypatch, classes_sweep_range):
     """is_isomorphic cross-checks canonical_form, so it must not reach the
     labeller's colour refinement or labelling."""
@@ -636,6 +644,14 @@ def _labelled_induced_subgraphs(host: Graph, size: int) -> set[int]:
         sum(1 << i for i, (a, b) in enumerate(pairs) if host.has_edge(image[a], image[b]))
         for image in permutations(range(host.n), size)
     }
+
+
+def test_twin_classes_match_pairwise_definition(classes_up_to_6):
+    for g in classes_up_to_6:
+        assert oracle._twin_classes(g) == [
+            next(u for u in range(v + 1) if u == v or g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u))
+            for v in range(g.n)
+        ]
 
 
 def test_embedding_searches_match_permutation_reference(classes_up_to_6):
