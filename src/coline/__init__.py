@@ -64,7 +64,6 @@ from .sweep import (
     SweepReport,
     bootstrap_catalog,
     enumerate_classes,
-    enumerate_labeled,
     run_sweep,
     self_coline_census,
     whitney_census,

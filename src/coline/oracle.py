@@ -498,12 +498,15 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
             return best[0], best[1], generators
 
 
-@lru_cache(maxsize=200_000)
 def _canonical_labelling(
     n: int, adj: tuple[int, ...]
 ) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The canonical graph of ``Graph(n, adj)``, the position in it of each
-    input vertex, and the found automorphisms conjugated onto it."""
+    input vertex, and the found automorphisms conjugated onto it.
+
+    Nothing is cached: the class enumeration labels each child once, so a
+    cache keyed on labelled rows would only grow with the range.
+    """
     rows, ordering, generators = _canonical_adj(_derived(n, adj))
     position = [0] * n
     for i, v in enumerate(ordering):
@@ -834,8 +837,10 @@ def iter_graph_classes(max_vertices: int, max_edges: int):
     up to automorphism, that is, when this class is its canonical parent.
     Children whose added edge does not have the top rating are rejected
     without being labelled.  Since each class is reached exactly once, the
-    walk is depth-first over one stack, with no dedup: it yields canonical
-    representatives in depth-first order, each before its children.
+    walk is depth-first over one stack, with no dedup and no memo: it
+    yields canonical representatives in depth-first order, each before its
+    children, and holds only the stack, so a finished walk leaves nothing
+    behind.
     """
     if max_vertices < 2 or max_edges < 1:
         return

@@ -14,14 +14,16 @@ labelled graph.  Classes come from canonical augmentation
 (``oracle.iter_graph_classes``) rather than from all labelled bitmasks,
 which keeps the 8-vertex sweep tractable, and stream into the examination
 as they are generated: no class list is built, and a pool's workers start
-while the enumeration runs.  The labelled stream is still available for
-small ranges.
+while the enumeration runs.  Each class's record is folded into the report
+as it arrives, so the parent holds the report it is building and nothing
+per class.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import insort
 from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -93,17 +95,6 @@ class SweepReport:
     def passed(self) -> bool:
         """No verdict mismatch, no failure and every catalog census as expected."""
         return not (self.mismatches or self.partial) and all(self.census_ok.values())
-
-
-def enumerate_labeled(max_vertices: int, max_edges: int):
-    """Every labelled graph on exactly max_vertices vertices with at most
-    max_edges edges, as ascending edge-subset bitmasks."""
-    if max_vertices < 0 or max_edges < 0:
-        raise ValueError("bounds must be non-negative")
-    slots = list(combinations(range(max_vertices), 2))
-    for mask in range(1 << len(slots)):
-        if mask.bit_count() <= max_edges:
-            yield Graph.from_edges(max_vertices, [e for i, e in enumerate(slots) if mask >> i & 1])
 
 
 # The package's public name for the class enumeration.
@@ -233,16 +224,21 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
 
     A failure surfaces as a partial report, whose graphs_scanned counts
     the classes examined before it, rather than as a crash.  One worker
-    examines in-process; more share a pool.
+    examines in-process; more share a pool.  Each record is folded into
+    the report as it arrives and then dropped.
     """
     catalog = catalog or characterize.load_catalog()
     start = time.perf_counter()
-    timings = {"enumeration": 0.0}
+    expected = expected_census(catalog, config.max_vertices, config.max_edges)
+    timings = {"enumeration": 0.0, "merge": time.perf_counter() - start}
+    census: dict[str, set[str]] = {key: set() for key in expected}
+    mismatches = []
+    slowest: list[tuple[str, float, dict]] = []  # slowest first, ties by canon
+    scanned = 0
+    extras: dict = {}
     classes = _clocked(oracle.iter_graph_classes(config.max_vertices, config.max_edges), timings)
     examine = partial(_examine_class, catalog=catalog)
     workers = config.worker_count
-    records: list[dict] = []
-    extras: dict = {}
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         if pool is None:
             results = map(examine, classes)
@@ -250,29 +246,25 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
             results = pool.imap(examine, classes, chunksize=_CHUNK)
         try:
             for record in results:
-                records.append(record)
+                began = time.perf_counter()
+                scanned += 1
+                canon = record["canon"]
+                mismatches += [(canon, *mismatch) for mismatch in record["mismatches"]]
+                for key in record["census"]:
+                    census[key].add(canon)
+                for check, dt in record["timings"].items():
+                    timings[check] = timings.get(check, 0.0) + dt
+                entry = (canon, sum(record["timings"].values()), record["timings"])
+                insort(slowest, entry, key=lambda e: (-e[1], e[0]))
+                del slowest[SLOWEST_SHOWN:]
+                timings["merge"] += time.perf_counter() - began
         except Exception as exc:  # noqa: BLE001 - partial report carries the error
             extras["error"] = repr(exc)
     began = time.perf_counter()
-    records.sort(key=lambda r: r["canon"])
-
-    mismatches = []
-    expected = expected_census(catalog, config.max_vertices, config.max_edges)
-    census: dict[str, set[str]] = {key: set() for key in expected}
-    for record in records:
-        for check, theorem, seen in record["mismatches"]:
-            mismatches.append((record["canon"], check, theorem, seen))
-        for key in record["census"]:
-            census[key].add(record["canon"])
-        for check, dt in record["timings"].items():
-            timings[check] = timings.get(check, 0.0) + dt
+    mismatches.sort(key=lambda mismatch: mismatch[0])  # stable: a class keeps its check order
     census_ok = {key: census[key] == want for key, want in sorted(expected.items())}
-    by_time = sorted(records, key=lambda r: sum(r["timings"].values()), reverse=True)
-    extras["slowest"] = [
-        (record["canon"], sum(record["timings"].values()), record["timings"])
-        for record in by_time[:SLOWEST_SHOWN]
-    ]
-    timings["merge"] = time.perf_counter() - began
+    extras["slowest"] = slowest
+    timings["merge"] += time.perf_counter() - began
 
     began = time.perf_counter()
     forms = self_coline_census(min(config.max_vertices, 7))
@@ -287,7 +279,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     timings["whitney"] = time.perf_counter() - began
     timings["total"] = time.perf_counter() - start
     return SweepReport(
-        graphs_scanned=len(records),
+        graphs_scanned=scanned,
         mismatches=mismatches,
         exception_census={k: frozenset(v) for k, v in sorted(census.items())},
         timings=timings,

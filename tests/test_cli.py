@@ -468,7 +468,7 @@ def test_catalog_validate_and_show(capsys):
     assert "[named]" not in out and "[wumeng21]" not in out
 
 
-def test_catalog_bootstrap_writes_file(capsys, tmp_path):
+def test_catalog_bootstrap_writes_file(capsys, tmp_path, served_sweep_range):
     target = tmp_path / "catalog.txt"
     code, out, _ = run_cli(capsys, "catalog", "bootstrap", "--output", str(target))
     assert code == 0

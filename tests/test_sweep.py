@@ -1,5 +1,8 @@
+import weakref
+import zlib
 from dataclasses import replace
 from importlib import resources
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,19 +11,29 @@ from coline import characterize, oracle
 from coline.characterize import Catalog, CatalogError, emit_catalog
 from coline.graph6 import emit_graph6, parse_graph6
 from coline.cli import main
-from coline.graphcore import build_named, coline, strip_isolated
+from coline.graphcore import Graph, build_named, coline, strip_isolated
 from coline.oracle import canonical_form, canonical_graph, hamiltonian_cycle, is_tough
 from coline.sweep import (
+    SLOWEST_SHOWN,
     SweepConfig,
     bootstrap_catalog,
     enumerate_classes,
-    enumerate_labeled,
     expected_census,
     report_to_text,
     run_sweep,
     self_coline_census,
     whitney_census,
 )
+
+
+def enumerate_labeled(max_vertices: int, max_edges: int):
+    """Every labelled graph on exactly max_vertices vertices with at most
+    max_edges edges, as ascending edge-subset bitmasks: the reference the
+    class enumeration is checked against."""
+    slots = list(combinations(range(max_vertices), 2))
+    for mask in range(1 << len(slots)):
+        if mask.bit_count() <= max_edges:
+            yield Graph.from_edges(max_vertices, [e for i, e in enumerate(slots) if mask >> i & 1])
 
 
 def test_enumerate_labeled_counts():
@@ -37,8 +50,7 @@ def test_enumerate_labeled_is_deterministic():
 
 def test_class_enumeration_matches_labeled_dedup():
     labeled = {}
-    for g in enumerate_labeled(5, 8):
-        core = strip_isolated(g)
+    for core in {strip_isolated(g) for g in enumerate_labeled(5, 8)}:
         if core.m >= 1:
             labeled.setdefault(core.m, set()).add(canonical_form(core))
     classes = {}
@@ -47,9 +59,9 @@ def test_class_enumeration_matches_labeled_dedup():
     assert labeled == classes
 
 
-def test_classes_are_canonically_labelled():
+def test_classes_are_canonically_labelled(classes_7_9):
     # the sweep keys each class by its graph6 without relabelling it
-    for g in enumerate_classes(7, 9):
+    for g in classes_7_9:
         assert canonical_graph(g) == g
 
 
@@ -173,6 +185,51 @@ def test_sweep_reports_its_slowest_classes(catalog):
     assert f"\n  {slowest[0][0]}  total={1000 * totals[0]:.1f}  canonical_coline=" in text
 
 
+def test_sweep_keeps_no_record_per_class(catalog, monkeypatch):
+    # each record is folded into the report as it arrives and then dropped
+    import coline.sweep as sweep_module
+
+    class Record(dict):
+        pass
+
+    examine = sweep_module._examine_class
+    alive, most = set(), 0
+
+    def examining(g, catalog):
+        nonlocal most
+        record = Record(examine(g, catalog))
+        alive.add(id(record))
+        weakref.finalize(record, alive.discard, id(record))
+        most = max(most, len(alive))
+        return record
+
+    monkeypatch.setattr(sweep_module, "_examine_class", examining)
+    report = run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
+    assert report.passed and report.graphs_scanned == 101
+    assert most <= 2
+
+
+def test_slowest_classes_are_the_top_of_a_full_sort(catalog, monkeypatch):
+    # three distinct fake times, so most classes tie; a tie goes to the
+    # smaller canon
+    import coline.sweep as sweep_module
+
+    examine = sweep_module._examine_class
+    entries = []
+
+    def examining(g, catalog):
+        record = examine(g, catalog)
+        record["timings"] = {"toughness": 0.001 * (zlib.crc32(record["canon"].encode()) % 3)}
+        entries.append((record["canon"], record["timings"]["toughness"], record["timings"]))
+        return record
+
+    monkeypatch.setattr(sweep_module, "_examine_class", examining)
+    report = run_sweep(SweepConfig(max_vertices=5, max_edges=6, worker_count=1), catalog)
+    want = sorted(entries, key=lambda entry: (-entry[1], entry[0]))[:SLOWEST_SHOWN]
+    assert report.extras["slowest"] == want
+    assert len(want) == SLOWEST_SHOWN and want[0][1] == want[-1][1]
+
+
 def test_sweep_identical_single_and_multi_worker(catalog):
     base = SweepConfig(max_vertices=6, max_edges=8, worker_count=1)
     multi = SweepConfig(max_vertices=6, max_edges=8, worker_count=2)
@@ -203,7 +260,7 @@ def test_report_text_roundtrip(tmp_path, monkeypatch):
     assert "census:" in text
 
 
-def test_bootstrap_reproduces_packaged_catalog(catalog):
+def test_bootstrap_reproduces_packaged_catalog(catalog, served_sweep_range):
     rebuilt, summary = bootstrap_catalog()
     packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
     assert emit_catalog(rebuilt).encode("ascii") == packaged
@@ -222,7 +279,7 @@ def test_bootstrap_reproduces_packaged_catalog(catalog):
     ]
 
 
-def test_bootstrap_checks_wu_meng_exclusions(monkeypatch):
+def test_bootstrap_checks_wu_meng_exclusions(monkeypatch, served_sweep_range):
     # without the 6-edge blocker, clause (iv) misses the 6-edge tough18
     # roots, so the enumerated exclusions no longer equal Catalog.wu_meng_21
     monkeypatch.delitem(characterize.WU_MENG_BLOCKERS, 6)
@@ -230,7 +287,7 @@ def test_bootstrap_checks_wu_meng_exclusions(monkeypatch):
         bootstrap_catalog(8, 10)
 
 
-def test_bootstrap_checks_tough_non_hamiltonian_roots(monkeypatch):
+def test_bootstrap_checks_tough_non_hamiltonian_roots(monkeypatch, served_sweep_range):
     # the oracles find four tough non-Hamiltonian roots; a root list short
     # of H3 expects three, and the bootstrap must say so
     import coline.sweep as sweep_module
