@@ -197,6 +197,22 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
 
 # --- clause machinery ---------------------------------------------------------
 
+def _clause_centres(core: Graph, slack: int) -> tuple[str, tuple[int, ...]] | None:
+    """The counting clause that fires and the maximum-degree vertices it
+    names: "(i)" and one vertex when m < 2*Delta - slack, "(ii)" and two
+    adjacent ones when m = 2*Delta - slack, otherwise None."""
+    degrees = core.degrees()
+    delta = max(degrees, default=0)
+    bound = 2 * delta - slack
+    if core.m < bound:
+        return "(i)", (degrees.index(delta),)
+    if core.m == bound:
+        for u, v in core.edges():
+            if degrees[u] == delta and degrees[v] == delta:
+                return "(ii)", (u, v)
+    return None
+
+
 def counting_clause(core: Graph, slack: int) -> str | None:
     """The counting clause that fires for a root without isolated vertices.
 
@@ -204,15 +220,26 @@ def counting_clause(core: Graph, slack: int) -> str | None:
     maximum-degree vertices are adjacent, otherwise None.  Slack is 0 for
     toughness and the Wu-Meng criterion, 1 for traceability.
     """
-    delta = core.max_degree()
-    bound = 2 * delta - slack
-    if core.m < bound:
-        return "(i)"
-    if core.m == bound and any(
-        core.degree(u) == delta and core.degree(v) == delta for u, v in core.edges()
-    ):
-        return "(ii)"
-    return None
+    fired = _clause_centres(core, slack)
+    return None if fired is None else fired[0]
+
+
+def clause_cutset(core: Graph, slack: int) -> tuple[int, ...] | None:
+    """The cutset S the firing counting clause names, as vertices of
+    co(core) (edge indices of ``core.edges()``), or None if none fires.
+
+    S is every edge off the stars of the clause's vertices.  Removing it
+    leaves those stars, whose edges pairwise meet: under (i) Delta isolated
+    vertices, under (ii) the edge uv isolated from the rest.  Within the
+    decisions' scope (3 edges for toughness, 2 for traceability) that is at
+    least |S| + 1 + slack components, and at least 2, so co(core) is not
+    tough and, with slack 1, not traceable.
+    """
+    fired = _clause_centres(core, slack)
+    if fired is None:
+        return None
+    centres = fired[1]
+    return tuple(i for i, (a, b) in enumerate(core.edges()) if a not in centres and b not in centres)
 
 
 def wu_meng_blocker(core: Graph) -> str | None:

@@ -11,6 +11,11 @@ equal order and size, so it shares nothing with the canonical labeller it
 is cross-checked against.  Practical bound: roughly 16 vertices.  All
 searches are deterministic (ascending vertex order), so returned
 witnesses are reproducible.
+
+One constructor is not exhaustive: ``spanning_walk`` builds a spanning
+cycle or path by rotation and extension within a step budget.  A walk it
+returns is a certificate that ``is_valid_in`` checks; its None answers
+nothing, so a caller that needs a "no" runs the exhaustive search.
 """
 
 from __future__ import annotations
@@ -262,6 +267,59 @@ def hamiltonian_path(g: Graph) -> CycleOrPath | None:
         path = [start]
         if _path_extend(g, path, 1 << start, full):
             return CycleOrPath(tuple(path), False)
+    return None
+
+
+WALK_STARTS = 3  # start vertices spanning_walk tries, each with its own step budget
+
+
+def spanning_walk(g: Graph, closed: bool) -> CycleOrPath | None:
+    """A spanning cycle (``closed``) or spanning path of ``g``, built by
+    rotation and extension (Pósa 1976), or None: None means that no walk
+    was built, never that ``g`` has none.
+
+    The path grows at its end to the lowest unvisited neighbour, or is
+    reversed when only its head can grow.  When the end is adjacent to the
+    head, the path closes into a cycle; if a vertex of that cycle has an
+    unvisited neighbour, the cycle opens next to it so that the path can
+    grow.  Otherwise the path rotates: for a neighbour path[i] of the end,
+    reversing path[i+1:] makes path[i+1] the end.  Of those rotations the
+    first whose new end can grow (or, on a spanning path, close the cycle)
+    is taken, else one in turn.  Each of the first ``WALK_STARTS`` start
+    vertices gets n*n steps, so the result is deterministic.
+    """
+    n, rows = g.n, g.adj
+    if n < (3 if closed else 1):
+        return None
+    full = (1 << n) - 1
+    for start in range(min(n, WALK_STARTS)):
+        path, on = [start], 1 << start
+        for step in range(n * n):
+            end, head = path[-1], path[0]
+            free = rows[end] & ~on
+            if free:
+                free &= -free
+                path.append(free.bit_length() - 1)
+                on |= free
+                continue
+            if rows[head] & ~on:
+                path.reverse()
+                continue
+            if on == full and (not closed or rows[end] >> head & 1):
+                return CycleOrPath(tuple(path), closed)
+            if on != full and rows[end] >> head & 1:
+                j = next((j for j, v in enumerate(path) if rows[v] & ~on), None)
+                if j is None:
+                    return None  # g is disconnected
+                path = path[j + 1 :] + path[: j + 1]
+                continue
+            # new ends of the rotations, with the wanted ones first
+            ends = [i + 1 for i, v in enumerate(path[:-2]) if rows[end] >> v & 1]
+            if not ends:
+                break
+            wanted = 1 << head if on == full else ~on | 1 << head
+            i = next((i for i in ends if rows[path[i]] & wanted), ends[step % len(ends)])
+            path[i:] = path[i:][::-1]
     return None
 
 

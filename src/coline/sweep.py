@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from bisect import insort
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -41,6 +41,7 @@ from .characterize import (
     CatalogError,
     ClauseVerdict,
     ColineCase,
+    clause_cutset,
     counting_clause,
     validate_catalog,
     wu_meng_blocker,
@@ -83,6 +84,7 @@ class SweepReport:
     config: SweepConfig
     census_ok: dict[str, bool]  # catalog census -> equals expected_census
     # "slowest": (canon, seconds, per-check seconds) of the slowest classes;
+    # "certificates": verdicts by source, keyed by CERTIFICATE_KEYS;
     # "error": why the examination stopped early
     extras: dict = field(default_factory=dict)
 
@@ -106,7 +108,7 @@ enumerate_classes = oracle.iter_graph_classes
 def _examine_class(g: Graph, catalog: Catalog) -> dict:
     start = time.perf_counter()
     canon = emit_graph6(g)  # classes arrive canonically labelled
-    record: dict = {"canon": canon, "mismatches": [], "timings": {}}
+    record: dict = {"canon": canon, "mismatches": [], "timings": {}, "certificates": Counter()}
     l, _ = coline(g)
 
     def clock(name: str, start: float) -> None:
@@ -117,9 +119,6 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
             record["mismatches"].append((check, f"{verdict.value} clause={verdict.clause}", str(seen)))
 
     clock("canonical_coline", start)
-    # below 3 (2) edges a counting clause fires, so census_tags reads no verdict
-    tough = hamiltonian = traceable = False
-
     start = time.perf_counter()
     if g.m >= 3:
         decided = characterize.build_report(g, catalog)
@@ -128,27 +127,18 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
         trace_verdict = characterize.decide_coline_traceable(g, catalog)
     clock("decisions", start)
 
+    tough, hamiltonian, traceable = oracle_verdicts(g, l, record["certificates"], record["timings"])
     if g.m >= 3:
-        start = time.perf_counter()
-        tough = oracle.is_tough(l).value
         compare("toughness", decided.tough, tough)
-        clock("toughness", start)
-
-        start = time.perf_counter()
-        hamiltonian = oracle.hamiltonian_cycle(l) is not None
         compare("hamiltonicity", decided.hamiltonian, hamiltonian)
         compare("wu-meng", decided.wu_meng, hamiltonian)
-        clock("hamiltonicity", start)
-
-        start = time.perf_counter()
-        compare("cms-ge2", decided.hamiltonian, oracle.contains_power_ham_cycle(l, 1))
-        clock("power_cycle", start)
-
+        if record["certificates"]["search:hamiltonicity"]:
+            # a second search, sharing no code, where no cycle certified the verdict
+            start = time.perf_counter()
+            compare("cms-ge2", decided.hamiltonian, oracle.contains_power_ham_cycle(l, 1))
+            clock("power_cycle", start)
     if g.m >= 2:
-        start = time.perf_counter()
-        traceable = oracle.hamiltonian_path(l) is not None
         compare("traceability", trace_verdict, traceable)
-        clock("traceability", start)
 
     start = time.perf_counter()
     record["census"] = census_tags(g, tough, hamiltonian, traceable)
@@ -201,6 +191,78 @@ def _classification_problem(g: Graph, l: Graph, klass) -> str | None:
     return None
 
 
+# --- certified oracle verdicts ---------------------------------------------------
+
+# What oracle_verdicts counts: verdicts taken from a validated spanning
+# cycle, spanning path or cutset, and verdicts left to an exhaustive search.
+CERTIFICATE_KEYS = (
+    "cycle", "path", "cutset", "search:toughness", "search:hamiltonicity", "search:traceability",
+)
+
+
+def _spans(walk: oracle.CycleOrPath | None, l: Graph, closed: bool) -> bool:
+    return walk is not None and walk.closed == closed and len(walk) == l.n and oracle.is_valid_in(walk, l)
+
+
+def oracle_verdicts(g: Graph, l: Graph, tally: Counter, timings: dict[str, float]) -> tuple[bool, bool, bool]:
+    """Toughness and Hamiltonicity (from 3 edges, False below) and
+    traceability (from 2 edges, False below) of ``l`` = co(``g``).
+
+    Each verdict comes from a certificate that validates on ``l`` where one
+    does, else from its exhaustive oracle.  A spanning cycle gives all
+    three (a Hamiltonian graph is 1-tough, Chvatal 1973), a spanning path
+    traceability.  A cutset S whose removal leaves more than |S| components,
+    and at least 2, rules out toughness and Hamiltonicity; one that leaves
+    |S| + 2 or more rules out traceability too.  The walks come from
+    ``oracle.spanning_walk`` and the cutset from the catalog-free
+    ``clause_cutset``; the validation reads no clause, so a wrong clause
+    cannot make a verdict.  ``tally`` counts the verdicts by source
+    (``CERTIFICATE_KEYS``), and ``timings`` gets a ``certificates`` clock
+    and one per search run.
+    """
+    if g.m < 2:
+        return False, False, False
+    start = time.perf_counter()
+    tough = hamiltonian = False if g.m < 3 else None  # None: not decided yet
+    traceable = None
+    cut = clause_cutset(g, 1)
+    if cut is None:
+        cut = clause_cutset(g, 0)
+    if cut is not None:
+        count = len(components(l, (1 << l.n) - 1 - sum(1 << v for v in cut)))
+        if tough is None and count > max(len(cut), 1):
+            tough = hamiltonian = False
+            tally["cutset"] += 2
+        if count >= len(cut) + 2:
+            traceable = False
+            tally["cutset"] += 1
+    if tough is None and _spans(oracle.spanning_walk(l, True), l, True):
+        tough = hamiltonian = traceable = True
+        tally["cycle"] += 3
+    if traceable is None and _spans(oracle.spanning_walk(l, False), l, False):
+        traceable = True
+        tally["path"] += 1
+    timings["certificates"] = timings.get("certificates", 0.0) + time.perf_counter() - start
+
+    def searched(name: str, start: float) -> None:
+        tally[f"search:{name}"] += 1
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+
+    if tough is None:
+        start = time.perf_counter()
+        tough = oracle.is_tough(l).value
+        searched("toughness", start)
+    if hamiltonian is None:
+        start = time.perf_counter()
+        hamiltonian = oracle.hamiltonian_cycle(l) is not None
+        searched("hamiltonicity", start)
+    if traceable is None:
+        start = time.perf_counter()
+        traceable = oracle.hamiltonian_path(l) is not None
+        searched("traceability", start)
+    return tough, hamiltonian, traceable
+
+
 # --- sweep driver --------------------------------------------------------------
 
 _CHUNK = 16  # classes per pool task; one per task costs more in messages than a worker saves
@@ -230,8 +292,11 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     catalog = catalog or characterize.load_catalog()
     start = time.perf_counter()
     expected = expected_census(catalog, config.max_vertices, config.max_edges)
-    timings = {"enumeration": 0.0, "merge": time.perf_counter() - start}
+    # every search keeps its clock, at 0.0 where certificates decided all
+    timings = dict.fromkeys(("toughness", "hamiltonicity", "power_cycle", "traceability"), 0.0)
+    timings.update(enumeration=0.0, merge=time.perf_counter() - start)
     census: dict[str, set[str]] = {key: set() for key in expected}
+    certificates: Counter = Counter()
     mismatches = []
     slowest: list[tuple[str, float, dict]] = []  # slowest first, ties by canon
     scanned = 0
@@ -254,6 +319,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
                     census[key].add(canon)
                 for check, dt in record["timings"].items():
                     timings[check] = timings.get(check, 0.0) + dt
+                certificates.update(record["certificates"])
                 entry = (canon, sum(record["timings"].values()), record["timings"])
                 insort(slowest, entry, key=lambda e: (-e[1], e[0]))
                 del slowest[SLOWEST_SHOWN:]
@@ -264,6 +330,7 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     mismatches.sort(key=lambda mismatch: mismatch[0])  # stable: a class keeps its check order
     census_ok = {key: census[key] == want for key, want in sorted(expected.items())}
     extras["slowest"] = slowest
+    extras["certificates"] = {key: certificates[key] for key in CERTIFICATE_KEYS}
     timings["merge"] += time.perf_counter() - began
 
     began = time.perf_counter()
@@ -358,6 +425,10 @@ def report_to_text(report: SweepReport) -> str:
     for canon, total, checks in report.extras.get("slowest", ()):
         times = " ".join(f"{check}={1000 * dt:.1f}" for check, dt in sorted(checks.items()))
         lines.append(f"  {canon}  total={1000 * total:.1f}  {times}")
+    lines.append("")
+    lines.append("certificates (verdicts):")
+    for key, count in report.extras.get("certificates", {}).items():
+        lines.append(f"  {key}: {count}")
     return "\n".join(lines) + "\n"
 
 
@@ -376,12 +447,7 @@ def bootstrap_catalog(
     census: dict[str, dict[str, Graph]] = defaultdict(dict)
     for g in oracle.iter_graph_classes(max_vertices, max_edges):
         l, _ = coline(g)
-        # census_tags reads no verdict where its counting clause fires, and
-        # Hamiltonicity only when tough, so those searches are skipped
-        tough = counting_clause(g, 0) is None and oracle.is_tough(l).value
-        hamiltonian = tough and oracle.hamiltonian_cycle(l) is not None
-        traceable = counting_clause(g, 1) is None and oracle.hamiltonian_path(l) is not None
-        for key in census_tags(g, tough, hamiltonian, traceable):
+        for key in census_tags(g, *oracle_verdicts(g, l, Counter(), {})):
             census[key][emit_graph6(g)] = g  # classes arrive canonically labelled
 
     found = {"toughness_exceptions": census["tough-exceptions"], "trace_exceptions": census["trace-exceptions"]}
@@ -421,6 +487,8 @@ def self_coline_census(max_vertices: int = 7) -> frozenset[bytes]:
         if g.m != g.n:
             continue
         l, _ = coline(g)
+        if sorted(l.degrees()) != sorted(g.degrees()):
+            continue  # not isomorphic, so no labelling needed
         key = emit_graph6(g).encode("ascii")  # g is canonically labelled
         if oracle.canonical_form(l) == key:
             found.add(key)
@@ -432,13 +500,19 @@ def whitney_census(max_vertices: int = 6) -> tuple[tuple[Graph, Graph], ...]:
     vertices whose line graphs are isomorphic."""
     if max_vertices > 6:
         raise ValueError("census budget is max_vertices <= 6")
-    groups: dict[bytes, list[Graph]] = {}
+    # Only line graphs that share their degree sequence with another can be
+    # isomorphic to it, so only those are labelled.
+    buckets: dict[tuple, list[tuple[Graph, Graph]]] = defaultdict(list)
     limit = max_vertices * (max_vertices - 1) // 2
     for g in oracle.iter_graph_classes(max_vertices, limit):
-        if not is_connected(g):
-            continue
-        lg, _ = line_graph(g)
-        groups.setdefault(oracle.canonical_form(lg), []).append(g)
+        if is_connected(g):
+            lg, _ = line_graph(g)
+            buckets[tuple(sorted(lg.degrees()))].append((g, lg))
+    groups: dict[bytes, list[Graph]] = defaultdict(list)
+    for bucket in buckets.values():
+        if len(bucket) >= 2:
+            for g, lg in bucket:
+                groups[oracle.canonical_form(lg)].append(g)
     return tuple(
         pair for key in sorted(groups) for pair in combinations(sorted(groups[key], key=emit_graph6), 2)
     )

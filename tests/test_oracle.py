@@ -89,6 +89,36 @@ def test_returned_walks_are_valid(classes_up_to_6):
             assert not path.closed and len(path) == g.n and is_valid_in(path, g)
 
 
+def test_spanning_walk_builds_valid_walks_or_none(classes_up_to_6):
+    # None only means no walk was built; a built walk is valid and spans,
+    # so it exists only where the exhaustive search finds one
+    built = 0
+    for g in classes_up_to_6:
+        for closed, search in ((True, hamiltonian_cycle), (False, hamiltonian_path)):
+            walk = oracle.spanning_walk(g, closed)
+            if walk is None:
+                continue
+            built += 1
+            assert walk.closed == closed and len(walk) == g.n and is_valid_in(walk, g)
+            assert search(g) is not None
+            assert oracle.spanning_walk(g, closed) == walk  # deterministic
+    assert built > len(classes_up_to_6)
+
+
+def test_spanning_walk_edge_cases():
+    petersen, _ = coline(build_named("K5"))
+    assert oracle.spanning_walk(petersen, True) is None
+    assert oracle.spanning_walk(petersen, False) is not None
+    assert oracle.spanning_walk(Graph(1, (0,)), False) == oracle.CycleOrPath((0,), False)
+    assert oracle.spanning_walk(Graph(2, (2, 1)), True) is None
+    assert oracle.spanning_walk(Graph(0, ()), False) is None
+    assert oracle.spanning_walk(build_named("2K3"), False) is None  # disconnected
+    # co(K100), 4,950 vertices: rotation and extension, no search
+    big, _ = coline(build_named("K100"))
+    cycle = oracle.spanning_walk(big, True)
+    assert cycle is not None and len(cycle) == big.n and is_valid_in(cycle, big)
+
+
 def test_spanning_searches_skip_graphs_with_large_independent_sets(monkeypatch):
     # co(K1_8+6K2): 14 vertices, the 8 star edges pairwise non-adjacent
     l, _ = coline(build_named("K1_8+6K2"))
@@ -453,16 +483,6 @@ def test_class_enumeration_labels_few_children(monkeypatch):
     assert len(labellings) <= 1800
 
 
-def test_class_enumeration_refinement_work_is_pinned(monkeypatch):
-    # The search tree of an 8/10 enumeration: a change in the number of
-    # refinements means the labeller explores a different tree.
-    labellings = _counted(monkeypatch, "_canonical_labelling")
-    refinements = _counted(monkeypatch, "_refine")
-    assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
-    assert len(refinements) == 8604
-    assert len(labellings) <= 1800
-
-
 def test_class_enumeration_leaves_nothing_behind():
     # The walk memoises nothing, so what it allocated is freed when it ends.
     # A full collection also empties the interpreter's free lists, which
@@ -586,8 +606,12 @@ def test_refine_matches_round_reference(monkeypatch):
         return refined
 
     monkeypatch.setattr(oracle, "_refine", checked_refine)
+    labellings = _counted(monkeypatch, "_canonical_labelling")
     assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
+    # the search tree of an 8/10 enumeration: a change in the number of
+    # refinements means the labeller explores a different tree
     assert calls == 8604
+    assert len(labellings) <= 1800
     for entry in json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]:
         oracle._canonical_adj(parse_graph6(entry["graph6"]))
     monkeypatch.undo()

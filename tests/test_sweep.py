@@ -1,5 +1,6 @@
 import weakref
 import zlib
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 from itertools import combinations
@@ -11,14 +12,16 @@ from coline import characterize, oracle
 from coline.characterize import Catalog, CatalogError, emit_catalog
 from coline.graph6 import emit_graph6, parse_graph6
 from coline.cli import main
-from coline.graphcore import Graph, build_named, coline, strip_isolated
-from coline.oracle import canonical_form, canonical_graph, hamiltonian_cycle, is_tough
+from coline.graphcore import Graph, build_named, coline, components, strip_isolated
+from coline.oracle import canonical_form, canonical_graph, hamiltonian_cycle, hamiltonian_path, is_tough, is_valid_in
 from coline.sweep import (
+    CERTIFICATE_KEYS,
     SLOWEST_SHOWN,
     SweepConfig,
     bootstrap_catalog,
     enumerate_classes,
     expected_census,
+    oracle_verdicts,
     report_to_text,
     run_sweep,
     self_coline_census,
@@ -121,6 +124,7 @@ def test_sweep_timings_cover_enumeration(catalog):
     for phase in (
         "enumeration",
         "canonical_coline",
+        "certificates",
         "toughness",
         "hamiltonicity",
         "power_cycle",
@@ -133,10 +137,13 @@ def test_sweep_timings_cover_enumeration(catalog):
     ):
         assert phase in timings
     assert 0.95 * total <= sum(timings.values()) <= total
-    # every check timed per class is named on the report's checks: line
+    # every check timed per class is named on the report's checks: line; the
+    # certificates clock times the toughness, hamiltonicity and traceability
+    # checks where a certificate decides them
     text = report_to_text(report)
     listed = set(next(line for line in text.splitlines() if line.startswith("checks: "))[8:].split(", "))
-    assert set(timings) - {"enumeration", "merge", "canonical_coline", "census", "decisions"} <= listed
+    unlisted = {"enumeration", "merge", "canonical_coline", "census", "decisions", "certificates"}
+    assert set(timings) - unlisted <= listed
 
 
 def test_sweep_streams_classes_into_examination(catalog, monkeypatch):
@@ -397,3 +404,86 @@ def test_bootstrap_members_revalidate(catalog):
     for g in catalog.wu_meng_21:
         l, _ = coline(g)
         assert hamiltonian_cycle(l) is None
+
+
+def _exhaustive_verdicts(g: Graph, l: Graph) -> tuple[bool, bool, bool]:
+    in_scope = g.m >= 3
+    return (
+        in_scope and is_tough(l).value,
+        in_scope and hamiltonian_cycle(l) is not None,
+        g.m >= 2 and hamiltonian_path(l) is not None,
+    )
+
+
+def test_certified_verdicts_match_the_exhaustive_oracles(classes_sweep_range):
+    # every verdict a certificate gives, yes (a walk) or no (a cutset),
+    # equals the exhaustive oracle's, and every certificate is what it claims
+    tally: Counter = Counter()
+    for g in classes_sweep_range:
+        if g.m < 2:
+            continue
+        l, _ = coline(g)
+        assert oracle_verdicts(g, l, tally, {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
+        for closed in (True, False):
+            walk = oracle.spanning_walk(l, closed)
+            if walk is not None:
+                assert walk.closed == closed and len(walk) == l.n and is_valid_in(walk, l)
+        for slack in (0, 1) if g.m >= 3 else (1,):  # the scope of each decision
+            cut = characterize.clause_cutset(g, slack)
+            if cut is not None:
+                kept = sum(1 << v for v in range(l.n) if v not in cut)
+                assert len(components(l, kept)) >= max(len(cut) + 1 + slack, 2), emit_graph6(g)
+    assert set(tally) <= set(CERTIFICATE_KEYS)
+    assert tally["cycle"] and tally["path"] and tally["cutset"]
+
+
+def test_invalid_certificates_decide_nothing(classes_up_to_6, monkeypatch):
+    # a constructor that returns walks that are not walks, and a clause
+    # that names the wrong cutset, leave every verdict to the oracles
+    import coline.sweep as sweep_module
+
+    monkeypatch.setattr(oracle, "spanning_walk", lambda l, closed: oracle.CycleOrPath(tuple(range(l.n)), closed))
+    monkeypatch.setattr(sweep_module, "clause_cutset", lambda g, slack: tuple(range(g.m // 2)))
+    for g in classes_up_to_6:
+        if g.m >= 2:
+            l, _ = coline(g)
+            assert oracle_verdicts(g, l, Counter(), {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
+
+
+def test_flipped_decisions_still_show_as_mismatches(catalog, monkeypatch):
+    # a Hamiltonian class (certified by a cycle), a counting-clause class
+    # (by a cutset) and a catalog class (by the exhaustive oracles)
+    from coline.sweep import _examine_class
+
+    targets = [canonical_graph(build_named(name)) for name in ("C5", "K1_3+K2")]
+    targets.append(canonical_graph(catalog.toughness_exceptions[0]))
+    build = characterize.build_report
+
+    def flipped(g, catalog=None):
+        report = build(g, catalog)
+
+        def flip(verdict):
+            return characterize.ClauseVerdict(not verdict.value, "flipped", ("flipped",))
+
+        return replace(report, tough=flip(report.tough), hamiltonian=flip(report.hamiltonian),
+                       traceable=flip(report.traceable))
+
+    monkeypatch.setattr(characterize, "build_report", flipped)
+    for g in targets:
+        record = _examine_class(g, catalog)
+        checks = {check for check, _, _ in record["mismatches"]}
+        assert {"toughness", "hamiltonicity", "traceability"} <= checks, emit_graph6(g)
+
+
+def test_sweep_searches_only_where_no_certificate_validates(full_sweep):
+    # 8/10: the 18 catalog non-tough classes and the 4 roots have no
+    # certificate for toughness and Hamiltonicity, the 9 trace exceptions
+    # and the corona none for traceability
+    counts = full_sweep.extras["certificates"]
+    assert list(counts) == list(CERTIFICATE_KEYS)
+    assert counts["search:toughness"] <= 25
+    assert counts["search:hamiltonicity"] <= 25
+    assert counts["search:traceability"] <= 13
+    text = report_to_text(full_sweep)
+    assert text.index("slowest classes (ms):") < text.index("certificates (verdicts):")
+    assert f"\n  search:toughness: {counts['search:toughness']}\n" in text
