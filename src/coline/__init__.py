@@ -6,6 +6,11 @@ provides the graph constructions, polynomial-time decision procedures for
 co(G) based on complete characterisations, exact exponential-time oracles
 that double-check every verdict, and an exhaustive small-graph sweep that
 reproduces the exception catalogs from scratch.
+
+The package root is the decision layer: the constructions, graph6, the
+oracles and the decisions.  The sweep and the catalog bootstrap live in
+``coline.sweep`` and are imported from there, so a process that only
+classifies never loads them or their process pool.
 """
 
 __version__ = "0.1.0"
@@ -58,15 +63,6 @@ from .characterize import (
     is_type_A,
     load_catalog,
     rho,
-)
-from .sweep import (
-    SweepConfig,
-    SweepReport,
-    bootstrap_catalog,
-    enumerate_classes,
-    run_sweep,
-    self_coline_census,
-    whitney_census,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

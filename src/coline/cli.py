@@ -10,6 +10,9 @@ When the first argument is a subcommand, a call builds only that
 subcommand's parser.  Anything else (help, no command, an unknown one,
 a top-level option such as ``--catalog PATH`` first) builds the full
 tree, so every help text and usage error reads as the full parser's.
+
+Only ``sweep`` and ``catalog bootstrap`` import ``coline.sweep``: the
+other commands run on the decision layer and the oracles alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, characterize, oracle, sweep
+from . import __version__, characterize, oracle
 from .characterize import CATALOG_FORMAT, CatalogError, ScopeError
 from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6
 from .graphcore import Graph, build_named, coline, components
@@ -113,8 +116,8 @@ def _base_report(g: Graph) -> tuple[dict, Graph]:
         "coline": {"n": l.n, "components": len(components(l))},
         # inside the exhaustively swept range verdicts are oracle-verified;
         # beyond it they are asserted by the characterisations alone
-        "within_verified_range": graph["non_isolated"] <= sweep.DEFAULT_MAX_VERTICES
-        and g.m <= sweep.DEFAULT_MAX_EDGES,
+        "within_verified_range": graph["non_isolated"] <= characterize.DEFAULT_MAX_VERTICES
+        and g.m <= characterize.DEFAULT_MAX_EDGES,
         "versions": {"tool": __version__, "catalog": CATALOG_FORMAT},
     }
     return report, l
@@ -194,6 +197,8 @@ def _check_output(path: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import sweep  # the sweep and its process pool load only when run
+
     catalog = characterize.load_catalog(args.catalog)
     config = sweep.SweepConfig(args.max_vertices, args.max_edges, args.workers)
     if args.output:
@@ -217,6 +222,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "bootstrap":
+        from . import sweep
+
         _check_output(args.output)
         catalog, summary = sweep.bootstrap_catalog()
         Path(args.output).write_text(characterize.emit_catalog(catalog), encoding="ascii")
@@ -247,8 +254,8 @@ def _classify_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-vertices", type=int, default=sweep.DEFAULT_MAX_VERTICES)
-    parser.add_argument("--max-edges", type=int, default=sweep.DEFAULT_MAX_EDGES)
+    parser.add_argument("--max-vertices", type=int, default=characterize.DEFAULT_MAX_VERTICES)
+    parser.add_argument("--max-edges", type=int, default=characterize.DEFAULT_MAX_EDGES)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--output", help="write the text report here")
 

@@ -332,7 +332,9 @@ def build_named(spec: str) -> Graph:
         if match:
             count = int(match.group(1))
             part = part[match.end():]
-        if count < 1 or not part:
+            if count < 1:
+                raise ValueError(f"bad count {match.group(1)!r} in {spec!r}")
+        if not part:
             raise ValueError(f"bad component {part!r} in {spec!r}")
         atom = _build_atom(part)
         total += count * atom.n

@@ -35,6 +35,8 @@ from . import characterize, lemmacheck, oracle
 from .characterize import (
     CATALOG_SECTIONS,
     CORONA,
+    DEFAULT_MAX_EDGES,
+    DEFAULT_MAX_VERTICES,
     NAMED,
     NON_HAMILTONIAN_ROOTS,
     Catalog,
@@ -49,8 +51,6 @@ from .characterize import (
 from .graph6 import emit_graph6
 from .graphcore import Graph, build_named, coline, components, is_connected, line_graph
 
-DEFAULT_MAX_VERTICES = 8
-DEFAULT_MAX_EDGES = 10
 SLOWEST_SHOWN = 10  # classes listed with their per-check times in a report
 
 # Every coline graph is (K2+3K1)-free.

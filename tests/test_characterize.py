@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from coline import oracle
 from coline.characterize import (
+    CATALOG_SECTIONS,
     CatalogError,
     ColineCase,
     ScopeError,
@@ -251,17 +253,49 @@ def test_catalog_rejects_corruption(catalog, tmp_path):
         load_catalog(tmp_path / "missing.txt")
 
 
+# In place of a name: the section's last member with its vertices reversed.
+COPY_OF_LAST = "copy-of-last"
+
+
 @pytest.mark.parametrize(
     "section, replacement, message",
     [
         ("tough18", "K1_3", "tough18 member already covered by a counting clause"),
         ("trace9", "K1_3", "trace9 member already covered by a counting clause"),
         ("trace9", "K3_circ_K1", "trace9 must not contain the corona"),
+        ("tough18", COPY_OF_LAST, "tough18 contains isomorphic duplicates"),
+        ("trace9", COPY_OF_LAST, "trace9 contains isomorphic duplicates"),
     ],
 )
 def test_catalog_rejects_wrong_member(catalog, section, replacement, message):
     lines = emit_catalog(catalog).splitlines()
-    lines[lines.index(f"[{section}]") + 1] = emit_graph6(build_named(replacement))
+    first = lines.index(f"[{section}]") + 1
+    if replacement == COPY_OF_LAST:
+        field = next(field for tag, field, _ in CATALOG_SECTIONS if tag == section)
+        g = getattr(catalog, field)[-1]
+        copy = Graph.from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+        assert copy != g  # a relabelling, not the same labelled graph
+        lines[first] = emit_graph6(copy)
+    else:
+        lines[first] = emit_graph6(build_named(replacement))
     with pytest.raises(CatalogError, match=message):
         validate_catalog(parse_catalog("\n".join(lines) + "\n"))
+
+
+def test_loading_the_catalog_labels_nothing(monkeypatch):
+    # validation decides duplicates by isomorphism tests, as every decision
+    # decides membership, not by labelling each member canonically
+    import coline.characterize as characterize_module
+
+    labellings = []
+    real = oracle._canonical_labelling
+
+    def counting(*args):
+        labellings.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_canonical_labelling", counting)
+    characterize_module._packaged_catalog.cache_clear()
+    load_catalog()
+    assert labellings == []
 

@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
 from importlib import resources
 from itertools import combinations
@@ -351,6 +353,33 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert len(built) == 6
+
+
+def test_classify_loads_only_the_decision_layer():
+    # a classify process never imports the sweep, the lemma checks or a
+    # process pool; a sweep run later in the same interpreter loads them
+    script = """
+import contextlib, io, json, sys
+import coline
+from coline import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    classified = cli.main(["classify", "--named", "K5"])
+loaded = [name for name in ("coline.sweep", "coline.lemmacheck", "multiprocessing") if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    swept = cli.main(["sweep", "--max-vertices", "4", "--max-edges", "3"])
+print(json.dumps([classified, loaded, swept, out.getvalue()]))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    classified, loaded, swept, out = json.loads(result.stdout)
+    assert classified == 0
+    assert loaded == []
+    assert swept == 0 and "mismatches: 0" in out
 
 
 def test_cms_command(capsys):

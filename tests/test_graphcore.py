@@ -297,6 +297,8 @@ def test_build_named():
         build_named("F1")
     with pytest.raises(ValueError):
         build_named("K1_0")
+    with pytest.raises(ValueError, match="bad count '0' in '0K2'"):
+        build_named("0K2")
 
 
 def test_h_graphs_shape():
