@@ -383,6 +383,11 @@ def validate_catalog(catalog: Catalog) -> None:
         graphs = getattr(catalog, field)
         if len(graphs) != expected:
             raise CatalogError(f"{section} has {len(graphs)} members, expected {expected}")
+        # decisions compare members with the stripped core, which never
+        # has an isolated vertex, so such a member could never match
+        for g in graphs:
+            if not all(g.adj):
+                raise CatalogError(f"{section} member {emit_graph6(g)} has an isolated vertex")
         if any(oracle.is_isomorphic(g, h) for g, h in combinations(graphs, 2)):
             raise CatalogError(f"{section} contains isomorphic duplicates")
     for g in catalog.toughness_exceptions:

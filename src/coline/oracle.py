@@ -21,7 +21,6 @@ nothing, so a caller that needs a "no" runs the exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .graph6 import emit_graph6
@@ -76,13 +75,12 @@ class IsoCertificate:
     mapping: tuple[int, ...]
 
 
-@lru_cache(maxsize=8)
 def _independence_number(g: Graph) -> int:
     """The largest size of an independent vertex set, by branch and bound.
 
-    Cached for the last few graphs: ``is_tough``, ``hamiltonian_cycle`` and
-    ``hamiltonian_path`` each bound their search by it, and are run on the
-    same graph one after another.
+    ``is_tough`` and ``hamiltonian_cycle``, so also ``hamiltonian_path``,
+    bound their search by it.  It is not cached: they run only where no
+    certificate settles a verdict, and it costs little next to a search.
     """
     best = 0
 
@@ -224,50 +222,27 @@ def hamiltonian_cycle(g: Graph) -> CycleOrPath | None:
     return None
 
 
-def _path_extend(g: Graph, path: list[int], visited: int, full: int) -> bool:
-    if visited == full:
-        return True
-    current = path[-1]
-    remaining = full & ~visited
-    # At most one remaining vertex may be a dead end (the final endpoint).
-    dead_ends = 0
-    r = remaining
-    while r:
-        low = r & -r
-        r ^= low
-        avail = g.adj[low.bit_length() - 1] & (remaining | 1 << current)
-        if avail.bit_count() < 2:
-            if not avail:
-                return False
-            dead_ends += 1
-            if dead_ends > 1:
-                return False
-    for v in _bits(g.adj[current] & remaining):
-        path.append(v)
-        if _path_extend(g, path, visited | 1 << v, full):
-            return True
-        path.pop()
-    return False
-
-
 def hamiltonian_path(g: Graph) -> CycleOrPath | None:
     """A spanning path, or None.  A single vertex counts as traceable.
 
-    A spanning path holds at most ceil(n/2) pairwise non-adjacent vertices,
-    so a graph with a larger independent set has none and is not searched.
+    ``g`` has a spanning path exactly when ``g`` plus a vertex u joined to
+    all of it has a spanning cycle, and the path is that cycle without u.
+    With u at index 0 the cycle search tries the paths of ``g`` from each
+    start vertex in ascending order, so the path is the first in that
+    order, and its independence bound is ceil(n/2) on alpha(g + u) =
+    alpha(g).  A disconnected ``g`` is not searched: u would connect it.
     """
     if g.n == 0:
         return None
     if g.n == 1:
         return CycleOrPath((0,), False)
-    if not is_connected(g) or _independence_number(g) > (g.n + 1) // 2:
+    if not is_connected(g):
         return None
-    full = (1 << g.n) - 1
-    for start in range(g.n):
-        path = [start]
-        if _path_extend(g, path, 1 << start, full):
-            return CycleOrPath(tuple(path), False)
-    return None
+    rows = ((1 << g.n + 1) - 2,) + tuple(row << 1 | 1 for row in g.adj)
+    cycle = hamiltonian_cycle(_derived(g.n + 1, rows))
+    if cycle is None:
+        return None
+    return CycleOrPath(tuple(v - 1 for v in cycle.vertices[1:]), False)
 
 
 WALK_STARTS = 3  # start vertices spanning_walk tries, each with its own step budget
@@ -333,6 +308,7 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
     if ham is not None:
         return ham
     best: list[int] | None = None
+    full = (1 << g.n) - 1
 
     def search(path: list[int], visited: int, start: int) -> None:
         nonlocal best
@@ -340,17 +316,11 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
         if len(path) >= 3 and g.has_edge(current, start):
             if best is None or len(path) > len(best):
                 best = list(path)
-        # Upper bound: vertices still reachable from the current endpoint.
-        comp = 1 << current
-        frontier = comp
-        allowed = ~visited | 1 << current
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= g.adj[v] & allowed & ~comp
-            comp |= grow
-            frontier = grow
-        reachable = (comp & ~(1 << current)).bit_count()
+        # Upper bound: vertices still reachable from the current endpoint
+        # through unvisited vertices above ``start``, the only ones added.
+        allowed = full & ~visited & -(1 << start) | 1 << current
+        comp = next(c for c in components(g, allowed) if c >> current & 1)
+        reachable = comp.bit_count() - 1
         if best is not None and len(path) + reachable <= len(best):
             return
         for v in _bits(g.adj[current] & ~visited):

@@ -253,8 +253,10 @@ def test_catalog_rejects_corruption(catalog, tmp_path):
         load_catalog(tmp_path / "missing.txt")
 
 
-# In place of a name: the section's last member with its vertices reversed.
+# In place of a name: the section's last member with its vertices reversed,
+# or its first member with an isolated vertex appended.
 COPY_OF_LAST = "copy-of-last"
+WITH_ISOLATED = "with-isolated"
 
 
 @pytest.mark.parametrize(
@@ -265,17 +267,22 @@ COPY_OF_LAST = "copy-of-last"
         ("trace9", "K3_circ_K1", "trace9 must not contain the corona"),
         ("tough18", COPY_OF_LAST, "tough18 contains isomorphic duplicates"),
         ("trace9", COPY_OF_LAST, "trace9 contains isomorphic duplicates"),
+        ("tough18", WITH_ISOLATED, r"tough18 member Els\? has an isolated vertex"),
+        ("trace9", WITH_ISOLATED, "trace9 member .* has an isolated vertex"),
     ],
 )
 def test_catalog_rejects_wrong_member(catalog, section, replacement, message):
     lines = emit_catalog(catalog).splitlines()
     first = lines.index(f"[{section}]") + 1
+    members = getattr(catalog, next(field for tag, field, _ in CATALOG_SECTIONS if tag == section))
     if replacement == COPY_OF_LAST:
-        field = next(field for tag, field, _ in CATALOG_SECTIONS if tag == section)
-        g = getattr(catalog, field)[-1]
+        g = members[-1]
         copy = Graph.from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
         assert copy != g  # a relabelling, not the same labelled graph
         lines[first] = emit_graph6(copy)
+    elif replacement == WITH_ISOLATED:
+        g = members[0]
+        lines[first] = emit_graph6(Graph(g.n + 1, g.adj + (0,)))
     else:
         lines[first] = emit_graph6(build_named(replacement))
     with pytest.raises(CatalogError, match=message):

@@ -89,6 +89,29 @@ def test_returned_walks_are_valid(classes_up_to_6):
             assert not path.closed and len(path) == g.n and is_valid_in(path, g)
 
 
+def test_spanning_witnesses_are_the_first_orderings(classes_up_to_6):
+    # the path is the first vertex ordering that is a path, the cycle the
+    # first ordering from vertex 0 that closes into a cycle
+    def is_path(g, order):
+        return all(g.has_edge(a, b) for a, b in zip(order, order[1:]))
+
+    def brute_path(g):
+        return next((p for p in permutations(range(g.n)) if is_path(g, p)), None)
+
+    def brute_cycle(g):
+        if g.n < 3:
+            return None
+        orders = ((0,) + p for p in permutations(range(1, g.n)))
+        return next((c for c in orders if is_path(g, c) and g.has_edge(c[-1], 0)), None)
+
+    graphs = classes_up_to_6 + [coline(g)[0] for g in iter_graph_classes(12, 6)]
+    assert len(graphs) == 268
+    for g in graphs:
+        path, cycle = hamiltonian_path(g), hamiltonian_cycle(g)
+        assert (path and path.vertices) == brute_path(g), emit_graph6(g)
+        assert (cycle and cycle.vertices) == brute_cycle(g), emit_graph6(g)
+
+
 def test_spanning_walk_builds_valid_walks_or_none(classes_up_to_6):
     # None only means no walk was built; a built walk is valid and spans,
     # so it exists only where the exhaustive search finds one
@@ -124,9 +147,8 @@ def test_spanning_searches_skip_graphs_with_large_independent_sets(monkeypatch):
     l, _ = coline(build_named("K1_8+6K2"))
     assert l.n == 14 and oracle._independence_number(l) == 8
     calls = []
-    cycle_extend, path_extend = oracle._cycle_extend, oracle._path_extend
-    monkeypatch.setattr(oracle, "_cycle_extend", lambda *a: calls.append("cycle") or cycle_extend(*a))
-    monkeypatch.setattr(oracle, "_path_extend", lambda *a: calls.append("path") or path_extend(*a))
+    cycle_extend = oracle._cycle_extend
+    monkeypatch.setattr(oracle, "_cycle_extend", lambda *a: calls.append(a) or cycle_extend(*a))
     assert hamiltonian_cycle(l) is None
     assert hamiltonian_path(l) is None
     assert calls == []

@@ -167,18 +167,6 @@ def test_sweep_streams_classes_into_examination(catalog, monkeypatch):
     assert events.index("examined") < events.index("enumerated")
 
 
-def test_examination_computes_alpha_once_per_class(catalog, classes_up_to_6):
-    # is_tough, hamiltonian_cycle and hamiltonian_path all bound their
-    # search by the coline's independence number; it is computed once.
-    from coline.sweep import _examine_class
-
-    oracle._independence_number.cache_clear()
-    for g in classes_up_to_6:
-        before = oracle._independence_number.cache_info().misses
-        _examine_class(g, catalog)
-        assert oracle._independence_number.cache_info().misses - before <= 1, emit_graph6(g)
-
-
 def test_sweep_reports_its_slowest_classes(catalog):
     report = run_sweep(SweepConfig(max_vertices=5, max_edges=6), catalog)
     slowest = report.extras["slowest"]
