@@ -868,15 +868,33 @@ def iter_graph_classes(max_vertices: int, max_edges: int):
     walk is depth-first over one stack, with no dedup and no memo: it
     yields canonical representatives in depth-first order, each before its
     children, and holds only the stack, so a finished walk leaves nothing
-    behind.
+    behind.  ``iter_class_tree`` is the same walk from any class down.
+    """
+    for g, _ in iter_class_tree(max_vertices, max_edges):
+        yield g
+
+
+def iter_class_tree(max_vertices: int, max_edges: int, root=None):
+    """``(class, generators)`` for ``root`` and every class below it in the
+    tree of canonical parents, with at most max_vertices vertices and
+    max_edges edges, in ``iter_graph_classes``'s depth-first order.
+
+    ``root`` is a ``(class, generators)`` pair this walk yielded; by
+    default it is the single edge, the root of the whole tree.  The
+    generators are the automorphisms the labeller found, which the walk
+    needs to grow the class, so a walk down to some edge count can hand
+    the classes it reaches to other walks, and together those walks yield
+    what one walk from the top would.
     """
     if max_vertices < 2 or max_edges < 1:
         return
-    edge, _, generators = _canonical_labelling(2, (2, 1))
-    stack = [(edge, generators)]
+    if root is None:
+        edge, _, generators = _canonical_labelling(2, (2, 1))
+        root = (edge, generators)
+    stack = [root]
     while stack:
         parent, generators = stack.pop()
-        yield parent
+        yield parent, generators
         if parent.m < max_edges:
             for rows, added in _augmentations(parent, generators, max_vertices):
                 accepted = _accept(rows, added)

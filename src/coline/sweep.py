@@ -11,12 +11,14 @@ passed; the catalog bootstrap derives the catalogs by the same rule.
 Verdicts are isomorphism-invariant (a tested property), so checking one
 canonical representative per class is equivalent to checking every
 labelled graph.  Classes come from canonical augmentation
-(``oracle.iter_graph_classes``) rather than from all labelled bitmasks,
-which keeps the 8-vertex sweep tractable, and stream into the examination
-as they are generated: no class list is built, and a pool's workers start
-while the enumeration runs.  Each class's record is folded into the report
-as it arrives, so the parent holds the report it is building and nothing
-per class.
+(``oracle.iter_class_tree``) rather than from all labelled bitmasks,
+which keeps the 8-vertex sweep tractable.  The walk is split at a fixed
+edge count: the parent walks down to it, and each class there roots one
+task that walks its own subtree, examines each class as the walk yields
+it and folds the record into a tally it returns.  So the enumeration runs
+where the examination does, in the workers; only the roots and the
+tallies cross between processes, and the parent, which merges the
+tallies, holds nothing per class.
 """
 
 from __future__ import annotations
@@ -265,89 +267,163 @@ def oracle_verdicts(g: Graph, l: Graph, tally: Counter, timings: dict[str, float
 
 # --- sweep driver --------------------------------------------------------------
 
-_CHUNK = 16  # classes per pool task; one per task costs more in messages than a worker saves
+def _split_level(max_edges: int) -> int:
+    """The edge count at which the parent hands subtrees to the workers.
+
+    Deep enough that no one subtree dominates the range, shallow enough
+    that the parent's own walk and its classes stay few: at 10/12, splitting
+    at 5 edges leaves one subtree with most of the work.
+    """
+    return min(max(5, max_edges - 5), max_edges)
 
 
-def _clocked(classes, timings: dict[str, float]):
-    """``classes``, adding the time spent producing them to
-    ``timings["enumeration"]``, so the examination's clocks exclude it."""
-    while True:
-        start = time.perf_counter()
-        g = next(classes, None)
-        timings["enumeration"] += time.perf_counter() - start
-        if g is None:
-            return
-        yield g
+@dataclass
+class _Tally:
+    """What a run of examinations adds to a report, folded in as each record
+    arrives, so it holds nothing per class beyond the slowest few."""
+
+    scanned: int = 0
+    mismatches: list[tuple[str, str, str, str]] = field(default_factory=list)
+    census: dict[str, set[str]] = field(default_factory=dict)
+    timings: Counter = field(default_factory=Counter)
+    certificates: Counter = field(default_factory=Counter)
+    slowest: list[tuple[str, float, dict]] = field(default_factory=list)  # slowest first, ties by canon
+    error: str | None = None
+
+    def keep_slowest(self, entries) -> None:
+        for entry in entries:
+            insort(self.slowest, entry, key=lambda e: (-e[1], e[0]))
+        del self.slowest[SLOWEST_SHOWN:]
+
+    def fold(self, record: dict) -> None:
+        began = time.perf_counter()
+        self.scanned += 1
+        canon = record["canon"]
+        self.mismatches += [(canon, *mismatch) for mismatch in record["mismatches"]]
+        for key in record["census"]:
+            self.census.setdefault(key, set()).add(canon)
+        self.timings.update(record["timings"])
+        self.certificates.update(record["certificates"])
+        self.keep_slowest([(canon, sum(record["timings"].values()), record["timings"])])
+        self.timings["merge"] += time.perf_counter() - began
+
+    def merge(self, other: _Tally) -> None:
+        began = time.perf_counter()
+        self.scanned += other.scanned
+        self.mismatches += other.mismatches
+        for key, forms in other.census.items():
+            self.census.setdefault(key, set()).update(forms)
+        self.timings.update(other.timings)
+        self.certificates.update(other.certificates)
+        self.keep_slowest(other.slowest)
+        self.error = self.error or other.error
+        self.timings["merge"] += time.perf_counter() - began
+
+
+def _examined(classes, catalog: Catalog) -> _Tally:
+    """Examine each class of the ``(class, generators)`` iterator
+    ``classes`` as it is produced, timing the production under
+    ``enumeration``.  A failure stops the run and is kept in ``error``."""
+    tally = _Tally()
+    try:
+        while True:
+            start = time.perf_counter()
+            pair = next(classes, None)
+            tally.timings["enumeration"] += time.perf_counter() - start
+            if pair is None:
+                break
+            tally.fold(_examine_class(pair[0], catalog))
+    except Exception as exc:  # noqa: BLE001 - a partial tally carries the error
+        tally.error = repr(exc)
+    return tally
+
+
+def _subtree(root: tuple, catalog: Catalog, max_vertices: int, max_edges: int) -> _Tally:
+    """A task: ``root`` and every class below it, walked and examined."""
+    return _examined(oracle.iter_class_tree(max_vertices, max_edges, root), catalog)
+
+
+def _self_coline(max_vertices: int) -> _Tally:
+    """A task: the self-coline census, on at most 7 vertices."""
+    tally = _Tally()
+    began = time.perf_counter()
+    tally.census["self-coline"] = {f.decode("ascii") for f in self_coline_census(min(max_vertices, 7))}
+    tally.timings["self_coline"] = time.perf_counter() - began
+    return tally
+
+
+def _whitney(max_vertices: int) -> _Tally:
+    """A task: the Whitney census, on at most 6 vertices."""
+    tally = _Tally()
+    began = time.perf_counter()
+    pairs = whitney_census(min(max_vertices, 6))
+    tally.census["whitney-pairs"] = {" ".join(sorted(emit_graph6(g) for g in pair)) for pair in pairs}
+    tally.timings["whitney"] = time.perf_counter() - began
+    return tally
+
+
+def _run(task):
+    return task()
 
 
 def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:
     """Cross-verify every decision procedure over the configured range and
     compare each catalog census with ``expected_census`` for ``catalog``.
 
+    The parent walks the class tree down to ``_split_level`` edges.  Each
+    class at that level, with its automorphism generators, is the root of
+    one task, which walks the subtree below it, examines each class as the
+    walk yields it and returns the records folded into a ``_Tally``; the
+    self-coline and Whitney censuses are two more tasks.  The parent
+    examines the few classes above the split level itself and merges the
+    tallies.  One worker runs the tasks in-process; more share a pool,
+    which takes the tasks in any order, since no part of the report
+    depends on it.
+
     A failure surfaces as a partial report, whose graphs_scanned counts
-    the classes examined before it, rather than as a crash.  One worker
-    examines in-process; more share a pool.  Each record is folded into
-    the report as it arrives and then dropped.
+    the classes examined before it in the tallies merged, rather than as
+    a crash; the remaining tasks are dropped and the pool stopped.
     """
     catalog = catalog or characterize.load_catalog()
     start = time.perf_counter()
     expected = expected_census(catalog, config.max_vertices, config.max_edges)
+    tally = _Tally()
     # every search keeps its clock, at 0.0 where certificates decided all
-    timings = dict.fromkeys(("toughness", "hamiltonicity", "power_cycle", "traceability"), 0.0)
-    timings.update(enumeration=0.0, merge=time.perf_counter() - start)
-    census: dict[str, set[str]] = {key: set() for key in expected}
-    certificates: Counter = Counter()
-    mismatches = []
-    slowest: list[tuple[str, float, dict]] = []  # slowest first, ties by canon
-    scanned = 0
-    extras: dict = {}
-    classes = _clocked(oracle.iter_graph_classes(config.max_vertices, config.max_edges), timings)
-    examine = partial(_examine_class, catalog=catalog)
+    tally.timings.update(dict.fromkeys(("toughness", "hamiltonicity", "power_cycle", "traceability"), 0.0))
+    tally.timings["merge"] = time.perf_counter() - start
+    began = time.perf_counter()
+    split = _split_level(config.max_edges)
+    above, roots = [], []
+    for pair in oracle.iter_class_tree(config.max_vertices, split):
+        (roots if pair[0].m == split else above).append(pair)
+    tally.timings["enumeration"] = time.perf_counter() - began
+    tasks = [partial(_subtree, root, catalog, config.max_vertices, config.max_edges) for root in roots]
+    tasks += [partial(_self_coline, config.max_vertices), partial(_whitney, config.max_vertices)]
     workers = config.worker_count
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
-        if pool is None:
-            results = map(examine, classes)
-        else:
-            results = pool.imap(examine, classes, chunksize=_CHUNK)
+        results = map(_run, tasks) if pool is None else pool.imap_unordered(_run, tasks)
         try:
-            for record in results:
-                began = time.perf_counter()
-                scanned += 1
-                canon = record["canon"]
-                mismatches += [(canon, *mismatch) for mismatch in record["mismatches"]]
-                for key in record["census"]:
-                    census[key].add(canon)
-                for check, dt in record["timings"].items():
-                    timings[check] = timings.get(check, 0.0) + dt
-                certificates.update(record["certificates"])
-                entry = (canon, sum(record["timings"].values()), record["timings"])
-                insort(slowest, entry, key=lambda e: (-e[1], e[0]))
-                del slowest[SLOWEST_SHOWN:]
-                timings["merge"] += time.perf_counter() - began
+            tally.merge(_examined(iter(above), catalog))
+            while tally.error is None:
+                part = next(results, None)
+                if part is None:
+                    break
+                tally.merge(part)
         except Exception as exc:  # noqa: BLE001 - partial report carries the error
-            extras["error"] = repr(exc)
+            tally.error = repr(exc)
     began = time.perf_counter()
-    mismatches.sort(key=lambda mismatch: mismatch[0])  # stable: a class keeps its check order
+    tally.mismatches.sort(key=lambda mismatch: mismatch[0])  # stable: a class keeps its check order
+    census = {key: set() for key in expected} | tally.census
     census_ok = {key: census[key] == want for key, want in sorted(expected.items())}
-    extras["slowest"] = slowest
-    extras["certificates"] = {key: certificates[key] for key in CERTIFICATE_KEYS}
+    extras: dict = {} if tally.error is None else {"error": tally.error}
+    extras["slowest"] = tally.slowest
+    extras["certificates"] = {key: tally.certificates[key] for key in CERTIFICATE_KEYS}
+    timings = dict(tally.timings)
     timings["merge"] += time.perf_counter() - began
-
-    began = time.perf_counter()
-    forms = self_coline_census(min(config.max_vertices, 7))
-    census["self-coline"] = {f.decode("ascii") for f in forms}
-    timings["self_coline"] = time.perf_counter() - began
-    began = time.perf_counter()
-    pairs = whitney_census(min(config.max_vertices, 6))
-    census["whitney-pairs"] = {
-        " ".join(sorted(emit_graph6(g) for g in pair))
-        for pair in pairs
-    }
-    timings["whitney"] = time.perf_counter() - began
     timings["total"] = time.perf_counter() - start
     return SweepReport(
-        graphs_scanned=scanned,
-        mismatches=mismatches,
+        graphs_scanned=tally.scanned,
+        mismatches=tally.mismatches,
         exception_census={k: frozenset(v) for k, v in sorted(census.items())},
         timings=timings,
         config=config,

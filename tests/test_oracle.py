@@ -25,6 +25,7 @@ from coline.oracle import (
     is_isomorphic,
     is_tough,
     is_valid_in,
+    iter_class_tree,
     iter_graph_classes,
     longest_cycle,
 )
@@ -480,6 +481,18 @@ def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
         levels[g.m] = levels.get(g.m, 0) + 1
     assert levels == {1: 1, 2: 2, 3: 5, 4: 11, 5: 24, 6: 56, 7: 115, 8: 221, 9: 402, 10: 663}
     assert _sha1_lines(classes) == "06ff6237a2467835e9d591ebadd12b71b6a37249"
+
+
+def test_class_tree_splits_into_subtrees(classes_7_9):
+    # the walk down to 5 edges, with the walk below each 5-edge class in
+    # its place, is the whole walk, in its order: what the sweep's tasks
+    # rely on
+    pieced = []
+    for pair in iter_class_tree(7, 5):
+        below = iter_class_tree(7, 9, pair) if pair[0].m == 5 else [pair]
+        pieced += [g for g, _ in below]
+    assert pieced == classes_7_9
+    assert len(pieced) == 373 and sum(g.m == 5 for g in pieced) == 21
 
 
 def _counted(monkeypatch, name: str) -> list:

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import weakref
 import zlib
 from collections import Counter
@@ -147,24 +149,32 @@ def test_sweep_timings_cover_enumeration(catalog):
 
 
 def test_sweep_streams_classes_into_examination(catalog, monkeypatch):
-    # the first class is examined before the enumeration yields its last
+    # each class of a subtree is examined as its walk yields it, before
+    # the walk yields the next one, and every subtree is examined
     import coline.sweep as sweep_module
 
     events = []
-    enumerate_, examine = oracle.iter_graph_classes, sweep_module._examine_class
+    walk, examine = oracle.iter_class_tree, sweep_module._examine_class
 
-    def enumerating(*args):
-        yield from enumerate_(*args)
-        events.append("enumerated")
+    def walking(max_vertices, max_edges, root=None):
+        for pair in walk(max_vertices, max_edges, root):
+            if root is not None:
+                events.append(("yielded", emit_graph6(pair[0])))
+            yield pair
 
     def examining(g, catalog):
-        events.append("examined")
+        events.append(("examined", emit_graph6(g)))
         return examine(g, catalog)
 
-    monkeypatch.setattr(oracle, "iter_graph_classes", enumerating)
+    monkeypatch.setattr(oracle, "iter_class_tree", walking)
     monkeypatch.setattr(sweep_module, "_examine_class", examining)
-    run_sweep(SweepConfig(max_vertices=5, max_edges=6, worker_count=1), catalog)
-    assert events.index("examined") < events.index("enumerated")
+    report = run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
+    walked = [i for i, (kind, _) in enumerate(events) if kind == "yielded"]
+    assert walked and len(events) - walked[0] == 2 * len(walked)
+    for i in walked:
+        assert events[i + 1] == ("examined", events[i][1])
+    examined = {canon for kind, canon in events if kind == "examined"}
+    assert len(examined) == report.graphs_scanned == 101
 
 
 def test_sweep_reports_its_slowest_classes(catalog):
@@ -225,14 +235,63 @@ def test_slowest_classes_are_the_top_of_a_full_sort(catalog, monkeypatch):
     assert len(want) == SLOWEST_SHOWN and want[0][1] == want[-1][1]
 
 
+def _report_without_clocks(report) -> str:
+    """The report text above its timings plus its certificates block,
+    without the ``workers:`` line: what no worker count may change."""
+    text = report_to_text(report)
+    head = text[: text.index("timings (s):")]
+    lines = [line for line in head.splitlines() if not line.startswith("workers: ")]
+    return "\n".join(lines) + text[text.index("certificates (verdicts):"):]
+
+
 def test_sweep_identical_single_and_multi_worker(catalog):
-    base = SweepConfig(max_vertices=6, max_edges=8, worker_count=1)
-    multi = SweepConfig(max_vertices=6, max_edges=8, worker_count=2)
-    one = run_sweep(base, catalog)
-    many = run_sweep(multi, catalog)
-    assert one.graphs_scanned == many.graphs_scanned
-    assert one.mismatches == many.mismatches
-    assert one.exception_census == many.exception_census
+    # 7/9 splits into many subtrees, which two workers finish in any order
+    one = run_sweep(SweepConfig(max_vertices=7, max_edges=9, worker_count=1), catalog)
+    many = run_sweep(SweepConfig(max_vertices=7, max_edges=9, worker_count=2), catalog)
+    assert one.passed and one.graphs_scanned == 373
+    assert _report_without_clocks(one) == _report_without_clocks(many)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers see the patch only when forked")
+def test_worker_failure_surfaces_as_partial_report(catalog, monkeypatch):
+    # a failure inside a worker's subtree stops the sweep: the report is
+    # partial, names it, and no worker is left running
+    import coline.sweep as sweep_module
+
+    real = sweep_module._examine_class
+    parent = os.getpid()
+    target = min(emit_graph6(g) for g in enumerate_classes(6, 8) if g.m == 8)
+
+    def flaky(g, catalog):
+        if emit_graph6(g) == target:
+            raise RuntimeError(f"simulated worker failure in {os.getpid()}")
+        return real(g, catalog)
+
+    monkeypatch.setattr(sweep_module, "_examine_class", flaky)
+    report = run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=2), catalog)
+    assert report.partial and not report.passed
+    assert "simulated worker failure in " in report.extras["error"]
+    assert f"failure in {parent}'" not in report.extras["error"]
+    assert report.graphs_scanned < 101
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_parent_does_not_enumerate(catalog, monkeypatch):
+    # the parent labels only the classes above the split level and the
+    # catalog's census graphs; a full 8/10 enumeration labels 1,768.  The
+    # forked workers' labellings do not reach this counter.
+    labellings = 0
+    label = oracle._canonical_labelling
+
+    def counting(n, adj):
+        nonlocal labellings
+        labellings += 1
+        return label(n, adj)
+
+    monkeypatch.setattr(oracle, "_canonical_labelling", counting)
+    report = run_sweep(SweepConfig(max_vertices=8, max_edges=10, worker_count=2), catalog)
+    assert report.passed and report.graphs_scanned == 1500
+    assert 0 < labellings <= 150
 
 
 def test_report_text_roundtrip(tmp_path, monkeypatch):
