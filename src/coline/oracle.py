@@ -8,7 +8,10 @@ vertices impose, and the embedding search places the images of a twin
 class of the pattern in increasing order, since permuting twins is an
 automorphism.  Isomorphism is that embedding search on two graphs of
 equal order and size, so it shares nothing with the canonical labeller it
-is cross-checked against.  Practical bound: roughly 16 vertices.  All
+is cross-checked against.  The labeller's search tree takes one child at
+a homogeneous node, where every permutation inside the cells is an
+automorphism (see ``_canonical_adj``), so cliques and stars cost one
+refinement.  Practical bound: roughly 16 vertices.  All
 searches are deterministic (ascending vertex order), so returned
 witnesses are reproducible.
 
@@ -421,6 +424,26 @@ def _join_orbits(parent: list[int], gamma: tuple[int, ...]) -> None:
                 parent[a] = b
 
 
+def _homogeneous(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
+    """Whether every non-singleton cell of the equitable colouring ``cells``
+    is a clique or an independent set, fully joined or not joined to every
+    other cell; then every permutation inside the cells is an automorphism.
+
+    Equitable means the vertices of a cell have equal neighbour counts in
+    each cell, so one vertex per cell decides it.
+    """
+    firsts = []
+    for cell in cells:
+        if len(cell) > 1:
+            mask = 0
+            for v in cell:
+                mask |= 1 << v
+            firsts.append((cell[0], mask))
+    return all(
+        (adj[v] | 1 << v) & mask in (mask, mask & 1 << v) for v, _ in firsts for _, mask in firsts
+    )
+
+
 class _Node:
     """An internal node of the search tree on the current path."""
 
@@ -451,6 +474,16 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
     image of an explored one (McKay & Piperno, "Practical graph isomorphism
     II", J. Symb. Comp. 2014).  Only equivalent subtrees are skipped, so
     the minimum leaf is the one the full search would find.
+
+    At a homogeneous node (``_homogeneous``), the permutations inside the
+    cells are automorphisms that fix the prefix, and they map any leaf
+    below onto any other, so all those leaves have the same rows.  The
+    search appends the adjacent transpositions of each cell to the
+    generators, builds the leaf that descending the first child would
+    reach, with no further refinement, and does not branch there.  So the
+    minimum leaf is unchanged, and the generators still generate the group
+    they did: those transpositions generate every automorphism fixing that
+    node's prefix.
     """
     n = g.n
     if n <= 1:
@@ -464,10 +497,28 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
     while True:
         cells = _cells(colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
-        if target is not None:
+        if target is not None and not _homogeneous(g.adj, cells):
             stack.append(_Node(colors, target))
         else:
-            ordering = [cell[0] for cell in cells]
+            if target is not None:
+                # Every permutation inside the cells is an automorphism that
+                # fixes the prefix, so every leaf below has the same rows:
+                # take the first, where each individualised vertex moves to
+                # the front and nothing else splits.
+                for cell in cells:
+                    for u, v in zip(cell, cell[1:]):
+                        mapping = list(range(n))
+                        mapping[u], mapping[v] = v, u
+                        gamma = tuple(mapping)
+                        generators.append(gamma)
+                        for node in stack:
+                            if node.orbits is not None:
+                                _join_orbits(node.orbits, gamma)
+                descent = [v for cell in cells for v in cell[:-1]]
+                path += descent
+                ordering = descent[::-1] + [cell[-1] for cell in cells]
+            else:
+                ordering = [cell[0] for cell in cells]
             rows = _adjacency_rows(neighbours, ordering)
             if first is None:
                 first = best = (rows, ordering, path[:])

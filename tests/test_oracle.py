@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from itertools import combinations, permutations
@@ -557,17 +558,48 @@ def _automorphism_count(g: Graph) -> int:
 
 
 def _group_order(n: int, generators) -> int:
-    """The order of the permutation group ``generators`` generate, by closure."""
-    group = {tuple(range(n))}
-    frontier = list(group)
-    while frontier:
-        sigma = frontier.pop()
-        for gamma in generators:
-            product = tuple(gamma[v] for v in sigma)
-            if product not in group:
-                group.add(product)
-                frontier.append(product)
-    return len(group)
+    """The order of the permutation group ``generators`` generate: the
+    product of its basic orbit lengths on the base 0, 1, ..., n - 1, by the
+    Schreier–Sims algorithm.  A closure would not finish on S40."""
+    identity = tuple(range(n))
+    strong = [[] for _ in range(n)]  # strong[i]: generators fixing 0..i-1
+    # orbits[i][p]: an element u fixing 0..i-1 with u[i] == p, and u⁻¹
+    orbits = [{i: (identity, identity)} for i in range(n)]
+
+    def insert(g, i):
+        # Sift g, which fixes 0..i-1, down the chain.  A residue that does
+        # not sift through joins the strong generators of the levels it
+        # fixes, and each new (point, generator) pair there gives a
+        # Schreier generator, inserted one level down.
+        start = i
+        while i < n and g != identity:
+            if g[i] not in orbits[i]:
+                break
+            inverse = orbits[i][g[i]][1]
+            g, i = tuple(inverse[w] for w in g), i + 1
+        else:
+            return
+        for level in range(i, start - 1, -1):
+            strong[level].append(g)
+            orbit = orbits[level]
+            pending = [(g, p) for p in list(orbit)]
+            while pending:
+                s, p = pending.pop()
+                u = orbit[p][0]
+                if s[p] in orbit:
+                    back = orbit[s[p]][1]
+                    insert(tuple(back[s[w]] for w in u), level + 1)
+                else:
+                    u = tuple(s[w] for w in u)
+                    inverse = [0] * n
+                    for v, w in enumerate(u):
+                        inverse[w] = v
+                    orbit[s[p]] = (u, tuple(inverse))
+                    pending += [(r, s[p]) for r in strong[level]]
+
+    for gamma in generators:
+        insert(tuple(gamma), 0)
+    return math.prod(len(orbit) for orbit in orbits)
 
 
 def test_labelling_generators_generate_the_automorphism_group(classes_up_to_7):
@@ -645,7 +677,7 @@ def test_refine_matches_round_reference(monkeypatch):
     assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
     # the search tree of an 8/10 enumeration: a change in the number of
     # refinements means the labeller explores a different tree
-    assert calls == 8604
+    assert calls == 3483
     assert len(labellings) <= 1800
     for entry in json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]:
         oracle._canonical_adj(parse_graph6(entry["graph6"]))
@@ -681,11 +713,29 @@ def test_canonical_search_work_is_polynomial_on_symmetric_graphs(monkeypatch):
         return real_refine(g, colors)
 
     monkeypatch.setattr(oracle, "_refine", counting_refine)
-    for name in ("K12", "K1_40", "K5+7K1"):
+    # each refines to a homogeneous colouring at the root, where the search
+    # takes one leaf without refining again
+    for name in ("K12", "K1_40", "K5+7K1", "K1_999", "K100"):
         g = build_named(name)
         calls = 0
         oracle._canonical_adj(g)
-        assert 0 < calls <= 4 * g.n**2, name
+        assert calls == 1, name
+
+
+def test_homogeneous_shortcut_keeps_every_form_and_group(monkeypatch, classes_7_9):
+    # Below a homogeneous node every leaf is an image of the first under
+    # the permutations inside the cells, so taking that leaf alone moves
+    # neither the minimum leaf nor the group the generators generate.
+    inputs = json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]
+    graphs = classes_7_9 + [parse_graph6(entry["graph6"]) for entry in inputs]
+    graphs += _symmetric_graphs()
+    labelled = [oracle._canonical_labelling(g.n, g.adj) for g in graphs]
+    monkeypatch.setattr(oracle, "_homogeneous", lambda adj, cells: False)
+    for g, (canon, _, generators) in zip(graphs, labelled):
+        plain, _, plain_generators = oracle._canonical_labelling(g.n, g.adj)
+        assert canon.adj == plain.adj, emit_graph6(g)
+        order = _group_order(g.n, plain_generators)
+        assert _group_order(g.n, generators) == order, emit_graph6(g)
 
 
 # --- containment -----------------------------------------------------------------
