@@ -150,11 +150,7 @@ def rho(g: Graph) -> int | None:
     Any supergraph of G with fewer than rho(G) edges cannot have a tough
     coline graph, which is what makes this quantity useful.
     """
-    l, _ = coline(g)
-    count = len(components(l))
-    if count < 2:
-        return None
-    return g.m + count
+    return classify_disconnected_coline(g).rho
 
 
 def _is_star(g: Graph) -> int | None:

@@ -218,11 +218,9 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 
 def add_dominating_vertex(g: Graph) -> Graph:
-    """Add one new vertex adjacent to every existing vertex."""
-    new = g.n
-    adj = [mask | 1 << new for mask in g.adj]
-    adj.append((1 << g.n) - 1)
-    return _derived(g.n + 1, tuple(adj))
+    """Add a new vertex 0 adjacent to every vertex; vertex v becomes v + 1."""
+    rows = ((1 << g.n + 1) - 2,) + tuple(row << 1 | 1 for row in g.adj)
+    return _derived(g.n + 1, rows)
 
 
 def strip_isolated(g: Graph) -> Graph:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph6 import emit_graph6
-from .graphcore import Graph, _bits, _derived, coline, components, is_connected
+from .graphcore import Graph, _bits, _derived, add_dominating_vertex, coline, components, is_connected
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,7 @@ def hamiltonian_path(g: Graph) -> CycleOrPath | None:
         return CycleOrPath((0,), False)
     if not is_connected(g):
         return None
-    rows = ((1 << g.n + 1) - 2,) + tuple(row << 1 | 1 for row in g.adj)
-    cycle = hamiltonian_cycle(_derived(g.n + 1, rows))
+    cycle = hamiltonian_cycle(add_dominating_vertex(g))
     if cycle is None:
         return None
     return CycleOrPath(tuple(v - 1 for v in cycle.vertices[1:]), False)
@@ -583,8 +582,8 @@ def _canonical_labelling(
     """The canonical graph of ``Graph(n, adj)``, the position in it of each
     input vertex, and the found automorphisms conjugated onto it.
 
-    Nothing is cached: the class enumeration labels each child once, so a
-    cache keyed on labelled rows would only grow with the range.
+    Only the class enumeration calls this, and nothing is cached: it labels
+    each child once, so a cache keyed on labelled rows would only grow.
     """
     rows, ordering, generators = _canonical_adj(_derived(n, adj))
     position = [0] * n
@@ -596,7 +595,7 @@ def _canonical_labelling(
 
 def canonical_graph(g: Graph) -> Graph:
     """A canonically relabelled copy; equal for isomorphic inputs."""
-    return _canonical_labelling(g.n, g.adj)[0]
+    return _derived(g.n, _canonical_adj(g)[0])
 
 
 def canonical_form(g: Graph) -> bytes:

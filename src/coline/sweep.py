@@ -1,12 +1,12 @@
 """Exhaustive small-graph verification harness.
 
-The sweep walks every isomorphism class of graphs without isolated
-vertices inside configurable size bounds, decides toughness, Hamiltonicity
-and traceability of each coline graph twice (characterisation vs exact
-oracle) and records any disagreement.  It also tags each class with the
-exception censuses its oracle verdicts put it in (``census_tags``) and
-compares them with the catalog, so its report alone says whether a sweep
-passed; the catalog bootstrap derives the catalogs by the same rule.
+The sweep walks every isomorphism class of graphs without isolated vertices
+inside configurable size bounds, decides toughness, Hamiltonicity and
+traceability of each coline graph twice (characterisation vs exact oracle)
+and records any disagreement.  It also tags each class with the exception
+censuses its oracle verdicts put it in (``census_tags``) and compares them
+with the catalog, so its report alone says whether a sweep passed; the
+catalog bootstrap runs the same walk and examination without a catalog.
 
 Verdicts are isomorphism-invariant (a tested property), so checking one
 canonical representative per class is equivalent to checking every
@@ -50,7 +50,7 @@ from .characterize import (
     validate_catalog,
     wu_meng_blocker,
 )
-from .graph6 import emit_graph6
+from .graph6 import emit_graph6, parse_graph6
 from .graphcore import Graph, build_named, coline, components, is_connected, line_graph
 
 SLOWEST_SHOWN = 10  # classes listed with their per-check times in a report
@@ -107,7 +107,8 @@ enumerate_classes = oracle.iter_graph_classes
 
 # --- per-class examination ---------------------------------------------------
 
-def _examine_class(g: Graph, catalog: Catalog) -> dict:
+def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
+    """One class's record; with no catalog (the bootstrap's) only its census tags."""
     start = time.perf_counter()
     canon = emit_graph6(g)  # classes arrive canonically labelled
     record: dict = {"canon": canon, "mismatches": [], "timings": {}, "certificates": Counter()}
@@ -121,6 +122,13 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
             record["mismatches"].append((check, f"{verdict.value} clause={verdict.clause}", str(seen)))
 
     clock("canonical_coline", start)
+    tough, hamiltonian, traceable = oracle_verdicts(g, l, record["certificates"], record["timings"])
+    start = time.perf_counter()
+    record["census"] = census_tags(g, tough, hamiltonian, traceable)
+    clock("census", start)
+    if catalog is None:
+        return record
+
     start = time.perf_counter()
     if g.m >= 3:
         decided = characterize.build_report(g, catalog)
@@ -129,7 +137,6 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
         trace_verdict = characterize.decide_coline_traceable(g, catalog)
     clock("decisions", start)
 
-    tough, hamiltonian, traceable = oracle_verdicts(g, l, record["certificates"], record["timings"])
     if g.m >= 3:
         compare("toughness", decided.tough, tough)
         compare("hamiltonicity", decided.hamiltonian, hamiltonian)
@@ -141,10 +148,6 @@ def _examine_class(g: Graph, catalog: Catalog) -> dict:
             clock("power_cycle", start)
     if g.m >= 2:
         compare("traceability", trace_verdict, traceable)
-
-    start = time.perf_counter()
-    record["census"] = census_tags(g, tough, hamiltonian, traceable)
-    clock("census", start)
 
     start = time.perf_counter()
     klass = characterize.classify_disconnected_coline(g)
@@ -320,7 +323,7 @@ class _Tally:
         self.timings["merge"] += time.perf_counter() - began
 
 
-def _examined(classes, catalog: Catalog) -> _Tally:
+def _examined(classes, catalog: Catalog | None) -> _Tally:
     """Examine each class of the ``(class, generators)`` iterator
     ``classes`` as it is produced, timing the production under
     ``enumeration``.  A failure stops the run and is kept in ``error``."""
@@ -338,7 +341,7 @@ def _examined(classes, catalog: Catalog) -> _Tally:
     return tally
 
 
-def _subtree(root: tuple, catalog: Catalog, max_vertices: int, max_edges: int) -> _Tally:
+def _subtree(root: tuple, catalog: Catalog | None, max_vertices: int, max_edges: int) -> _Tally:
     """A task: ``root`` and every class below it, walked and examined."""
     return _examined(oracle.iter_class_tree(max_vertices, max_edges, root), catalog)
 
@@ -366,39 +369,26 @@ def _run(task):
     return task()
 
 
-def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:
-    """Cross-verify every decision procedure over the configured range and
-    compare each catalog census with ``expected_census`` for ``catalog``.
-
-    The parent walks the class tree down to ``_split_level`` edges.  Each
-    class at that level, with its automorphism generators, is the root of
-    one task, which walks the subtree below it, examines each class as the
-    walk yields it and returns the records folded into a ``_Tally``; the
-    self-coline and Whitney censuses are two more tasks.  The parent
-    examines the few classes above the split level itself and merges the
-    tallies.  One worker runs the tasks in-process; more share a pool,
-    which takes the tasks in any order, since no part of the report
-    depends on it.
-
-    A failure surfaces as a partial report, whose graphs_scanned counts
-    the classes examined before it in the tallies merged, rather than as
-    a crash; the remaining tasks are dropped and the pool stopped.
+def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tasks: list) -> None:
+    """Examine every class of ``config``'s range with ``catalog`` (see
+    ``_examine_class``), run ``extra_tasks`` too and merge each tally into
+    ``tally``.  The parent walks the class tree down to ``_split_level``
+    edges and examines the classes above that level itself; each class at
+    the level, with its automorphism generators, roots one ``_subtree``
+    task.  One worker runs the tasks in-process; more share a pool, which
+    takes them in any order, since no tally depends on it.  A failure is
+    kept in ``tally.error``, with ``tally.scanned`` counting the classes
+    examined before it in the tallies merged; the remaining tasks are
+    dropped and the pool stopped.
     """
-    catalog = catalog or characterize.load_catalog()
-    start = time.perf_counter()
-    expected = expected_census(catalog, config.max_vertices, config.max_edges)
-    tally = _Tally()
-    # every search keeps its clock, at 0.0 where certificates decided all
-    tally.timings.update(dict.fromkeys(("toughness", "hamiltonicity", "power_cycle", "traceability"), 0.0))
-    tally.timings["merge"] = time.perf_counter() - start
     began = time.perf_counter()
     split = _split_level(config.max_edges)
     above, roots = [], []
     for pair in oracle.iter_class_tree(config.max_vertices, split):
         (roots if pair[0].m == split else above).append(pair)
-    tally.timings["enumeration"] = time.perf_counter() - began
+    tally.timings["enumeration"] += time.perf_counter() - began
     tasks = [partial(_subtree, root, catalog, config.max_vertices, config.max_edges) for root in roots]
-    tasks += [partial(_self_coline, config.max_vertices), partial(_whitney, config.max_vertices)]
+    tasks += extra_tasks
     workers = config.worker_count
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         results = map(_run, tasks) if pool is None else pool.imap_unordered(_run, tasks)
@@ -409,8 +399,23 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
                 if part is None:
                     break
                 tally.merge(part)
-        except Exception as exc:  # noqa: BLE001 - partial report carries the error
+        except Exception as exc:  # noqa: BLE001 - the tally carries the error
             tally.error = repr(exc)
+
+
+def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:
+    """Cross-verify every decision procedure over the configured range and
+    compare each catalog census with ``expected_census`` for ``catalog``.
+    ``_walk`` examines the classes, with the self-coline and Whitney
+    censuses as two more tasks; a failure gives a partial report, not a crash."""
+    catalog = catalog or characterize.load_catalog()
+    start = time.perf_counter()
+    expected = expected_census(catalog, config.max_vertices, config.max_edges)
+    tally = _Tally()
+    # every search keeps its clock, at 0.0 where certificates decided all
+    tally.timings.update(dict.fromkeys(("toughness", "hamiltonicity", "power_cycle", "traceability"), 0.0))
+    tally.timings["merge"] = time.perf_counter() - start
+    _walk(tally, config, catalog, [partial(task, config.max_vertices) for task in (_self_coline, _whitney)])
     began = time.perf_counter()
     tally.mismatches.sort(key=lambda mismatch: mismatch[0])  # stable: a class keeps its check order
     census = {key: set() for key in expected} | tally.census
@@ -515,17 +520,19 @@ def bootstrap_catalog(
 ) -> tuple[Catalog, dict]:
     """Derive the exception catalogs from the oracles alone and validate them.
 
-    The tough18 and trace9 are the classes ``census_tags`` puts there, and
-    every census must equal ``expected_census`` for the derived catalog.  A
+    ``_walk`` examines the classes of ``SweepConfig(max_vertices,
+    max_edges)`` in-process and without a catalog, so the range has the
+    sweep's bounds (2 to 10 vertices).  The tough18 and trace9 are the
+    classes ``census_tags`` puts there, and every census must equal
+    ``expected_census`` for the derived catalog.  A failed examination, a
     count other than 18/9 or a census mismatch aborts loudly: that means an
     oracle or enumeration bug (or a genuine discrepancy), never data to adjust.
     """
-    census: dict[str, dict[str, Graph]] = defaultdict(dict)
-    for g in oracle.iter_graph_classes(max_vertices, max_edges):
-        l, _ = coline(g)
-        for key in census_tags(g, *oracle_verdicts(g, l, Counter(), {})):
-            census[key][emit_graph6(g)] = g  # classes arrive canonically labelled
-
+    tally = _Tally()
+    _walk(tally, SweepConfig(max_vertices, max_edges), None, [])
+    if tally.error:
+        raise CatalogError(f"bootstrap stopped after {tally.scanned} classes: {tally.error}")
+    census = defaultdict(set, tally.census)
     found = {"toughness_exceptions": census["tough-exceptions"], "trace_exceptions": census["trace-exceptions"]}
     for section, field, want in CATALOG_SECTIONS:
         if len(found[field]) != want:
@@ -533,11 +540,11 @@ def bootstrap_catalog(
                 f"bootstrap found {len(found[field])} {section} members, expected {want}; "
                 "this signals a bug or a genuine discrepancy, not data to adjust"
             )
-    catalog = Catalog(**{field: tuple(found[field][k] for k in sorted(found[field])) for field in found})
+    catalog = Catalog(**{field: tuple(parse_graph6(form) for form in sorted(found[field])) for field in found})
     wrong = [
         f"{key} has {len(census[key])} members, expected {len(want)}"
         for key, want in sorted(expected_census(catalog, max_vertices, max_edges).items())
-        if census[key].keys() != want
+        if census[key] != want
     ]
     if wrong:
         raise CatalogError(f"bootstrap census mismatch: {'; '.join(wrong)}")

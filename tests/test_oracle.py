@@ -703,6 +703,34 @@ def test_canonical_form_invariant_on_symmetric_graphs():
             assert canonical_form(relabel(g, perm)) == form
 
 
+def test_canonical_graph_conjugates_no_generators(monkeypatch, capsys):
+    # canonical_graph keeps the rows alone; only the class enumeration
+    # needs the generators conjugated onto them
+    from coline.cli import main
+
+    def forbidden(*args):
+        raise AssertionError("canonical_graph conjugated the generators")
+
+    star = build_named("K1_999")
+    perm = list(range(star.n))[::-1]
+    monkeypatch.setattr(oracle, "_canonical_labelling", forbidden)
+    assert canonical_form(star) == canonical_form(relabel(star, perm))
+    assert main(["classify", "--named", "K5"]) == 0
+    assert json.loads(capsys.readouterr().out)["graph"]["canonical_graph6"] == "D~{"
+
+
+def test_path_search_runs_on_the_dominating_vertex_extension(monkeypatch):
+    # the rows the traceability bridge (criterion 9) is checked on
+    seen = []
+    real = oracle.hamiltonian_cycle
+    monkeypatch.setattr(oracle, "hamiltonian_cycle", lambda g: seen.append(g) or real(g))
+    for name in ("P5", "K1_3", "C6"):
+        g = build_named(name)
+        seen.clear()
+        hamiltonian_path(g)
+        assert seen == [add_dominating_vertex(g)], name
+
+
 def test_canonical_search_work_is_polynomial_on_symmetric_graphs(monkeypatch):
     calls = 0
     real_refine = oracle._refine

@@ -402,6 +402,35 @@ def test_sweep_decides_toughness_once_per_class(catalog, monkeypatch):
     assert sorted(decided) == sorted(classes)
 
 
+def test_bootstrap_makes_no_decision_and_loads_no_catalog(monkeypatch, served_sweep_range):
+    # the bootstrap derives the catalog, so its examination of each class
+    # stops at the census tags
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the bootstrap read a decision or a catalog")
+
+    for name in ("load_catalog", "build_report", "decide_coline_traceable"):
+        monkeypatch.setattr(characterize, name, forbidden)
+    rebuilt, _ = bootstrap_catalog(8, 10)
+    packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
+    assert emit_catalog(rebuilt).encode("ascii") == packaged
+
+
+def test_bootstrap_failure_raises_catalog_error(monkeypatch, served_sweep_range):
+    import coline.sweep as sweep_module
+
+    real = sweep_module.oracle_verdicts
+    failing = canonical_form(build_named("C5")).decode()
+
+    def flaky(g, *args):
+        if emit_graph6(g) == failing:
+            raise RuntimeError("simulated oracle failure")
+        return real(g, *args)
+
+    monkeypatch.setattr(sweep_module, "oracle_verdicts", flaky)
+    with pytest.raises(CatalogError, match=r"bootstrap stopped after \d+ classes: .*simulated oracle failure"):
+        bootstrap_catalog(8, 10)
+
+
 def test_bootstrap_count_check_fires_on_narrow_range():
     # a 6-vertex window cannot contain all 18 exceptions
     with pytest.raises(CatalogError):
