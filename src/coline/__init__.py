@@ -42,7 +42,7 @@ from .oracle import (
     find_roots,
     hamiltonian_cycle,
     hamiltonian_path,
-    is_induced_free,
+    induced_k2_3k1,
     is_isomorphic,
     is_tough,
     longest_cycle,

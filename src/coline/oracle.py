@@ -3,12 +3,13 @@
 Everything here is backtracking or subset enumeration over bitmask graphs;
 no pruning rule can change an answer, only the time taken.  The embedding
 and power-cycle searches keep the candidates of each level as one bitmask,
-the AND of the adjacency rows (or their complements) that the placed
-vertices impose, and the embedding search places the images of a twin
-class of the pattern in increasing order, since permuting twins is an
-automorphism.  Isomorphism is that embedding search on two graphs of
-equal order and size, so it shares nothing with the canonical labeller it
-is cross-checked against.  The labeller's search tree takes one child at
+the AND of the adjacency rows that the placed vertices impose, and the
+embedding search places the images of a twin class of the pattern in
+increasing order, since permuting twins is an automorphism.  Isomorphism
+is that embedding search on two graphs of equal order and size, so it
+shares nothing with the canonical labeller it is cross-checked against.
+The one induced pattern the sweep looks for, K2+3K1, has its own search
+of nested bitmask loops (``induced_k2_3k1``).  The labeller's search tree takes one child at
 a homogeneous node, where every permutation inside the cells is an
 automorphism (see ``_canonical_adj``), so cliques and stars cost one
 refinement.  Practical bound: roughly 16 vertices.  All
@@ -343,8 +344,11 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
 
 # --- canonical forms -------------------------------------------------------
 
-def _refine(neighbours: list[list[int]], colors: tuple[int, ...]) -> tuple[int, ...]:
+def _refine(
+    neighbours: list[list[int]], colors: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[list[int]]]:
     """Stable colour refinement; new colour ids depend only on invariants.
+    Returns the colours and their cells, in colour order.
 
     ``neighbours[v]`` lists the neighbours of ``v``.  Each round gives every
     vertex the rank of its signature (its colour, its sorted neighbour
@@ -366,15 +370,19 @@ def _refine(neighbours: list[list[int]], colors: tuple[int, ...]) -> tuple[int, 
             else:
                 by_signature: dict[tuple[int, ...], list[int]] = {}
                 for v in cell:
-                    signature = tuple(sorted([colors[u] for u in neighbours[v]]))
-                    by_signature.setdefault(signature, []).append(v)
+                    signature = tuple(sorted(map(colors.__getitem__, neighbours[v])))
+                    part = by_signature.get(signature)
+                    if part is None:
+                        by_signature[signature] = [v]
+                    else:
+                        part.append(v)
                 parts = [by_signature[signature] for signature in sorted(by_signature)]
             for part in parts:
                 for v in part:
                     new[v] = len(split)
                 split.append(part)
         if len(split) == len(cells) or len(split) == len(new):
-            return tuple(new)
+            return tuple(new), split
         colors, cells = new, split
 
 
@@ -492,9 +500,8 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
     generators: list[tuple[int, ...]] = []
     first = best = None  # (rows, ordering, path) of the first and best leaf
     neighbours = _neighbour_lists(g)
-    colors = _refine(neighbours, g.degrees())
+    colors, cells = _refine(neighbours, g.degrees())
     while True:
-        cells = _cells(colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is not None and not _homogeneous(g.adj, cells):
             stack.append(_Node(colors, target))
@@ -570,7 +577,7 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
             del path[level:]
             path.append(v)
             individualised = tuple(c if u != v else -1 for u, c in enumerate(node.colors))
-            colors = _refine(neighbours, individualised)
+            colors, cells = _refine(neighbours, individualised)
             break
         else:
             return best[0], best[1], generators
@@ -623,30 +630,25 @@ def _twin_classes(g: Graph) -> list[int]:
     ]
 
 
-def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None:
-    """An injective map of pattern into host keeping every edge (and, when
-    ``induced``, every non-edge), as the host image of each pattern vertex;
-    None if there is none.
+def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
+    """An injective map of pattern into host keeping every edge, as the
+    host image of each pattern vertex; None if there is none.
 
     Pattern vertices are placed one per level, most constrained first.  The
-    candidates of a level are one host bitmask: the eligible unused
-    vertices, ANDed with the host row of every placed pattern-neighbour's
-    image and, for an induced search, with the complement of the row of
-    every placed non-neighbour's image.  Eligible means every host vertex
-    for an induced search and a host vertex of at least the pattern
-    vertex's degree otherwise.  Permuting a twin class of the pattern is an
-    automorphism, so each class places its images in increasing order,
-    which keeps one embedding of each set of equivalent ones.  The search
-    keeps its levels on a list, not the call stack, so it takes patterns of
-    any order.
+    candidates of a level are one host bitmask: the unused host vertices of
+    at least the pattern vertex's degree, ANDed with the host row of every
+    placed pattern-neighbour's image.  Permuting a twin class of the
+    pattern is an automorphism, so each class places its images in
+    increasing order, which keeps one embedding of each set of equivalent
+    ones.  The search keeps its levels on a list, not the call stack, so it
+    takes patterns of any order.
     """
     if pattern.n > host.n or pattern.m > host.m:
         return None
     host_degs, pat_degs = host.degrees(), pattern.degrees()
-    if not induced:
-        pairs = zip(sorted(pat_degs, reverse=True), sorted(host_degs, reverse=True))
-        if any(p > h for p, h in pairs):
-            return None
+    pairs = zip(sorted(pat_degs, reverse=True), sorted(host_degs, reverse=True))
+    if any(p > h for p, h in pairs):
+        return None
     # Place pattern vertices most-constrained first: the most placed
     # neighbours, then the higher degree, then the lower index.  key[v] is
     # v's rank by degree less n per placed neighbour, or n*n once placed.
@@ -672,15 +674,14 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None
     for d in range(len(at_least) - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
     # Per level: the eligible host vertices, the placed pattern vertices
-    # whose images must be adjacent (and, induced, non-adjacent) to this
-    # one's, and the latest placed vertex of the same twin class (-1 if none).
+    # whose images must be adjacent to this one's, and the latest placed
+    # vertex of the same twin class (-1 if none).
     twin = _twin_classes(pattern)
     latest: dict[int, int] = {}
-    eligible, joined, apart, previous = [], [], [], []
+    eligible, joined, previous = [], [], []
     for i, v in enumerate(order):
-        eligible.append(at_least[0] if induced else at_least[pat_degs[v]])
+        eligible.append(at_least[pat_degs[v]])
         joined.append([u for u in _bits(pattern.adj[v]) if level[u] < i])
-        apart.append([u for u in order[:i] if not pattern.adj[v] >> u & 1] if induced else [])
         previous.append(latest.get(twin[v], -1))
         latest[twin[v]] = v
 
@@ -693,8 +694,6 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None
         candidates = eligible[i] & ~used
         for u in joined[i]:
             candidates &= rows[images[u]]
-        for u in apart[i]:
-            candidates &= ~rows[images[u]]
         if previous[i] >= 0:
             candidates &= -(2 << images[previous[i]])  # images above the twin's
         while not candidates:  # back to the deepest level with a candidate left
@@ -710,12 +709,45 @@ def _embed(host: Graph, pattern: Graph, induced: bool) -> tuple[int, ...] | None
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Non-induced subgraph containment."""
-    return _embed(host, pattern, induced=False) is not None
+    return _embed(host, pattern) is not None
 
 
-def is_induced_free(host: Graph, pattern: Graph) -> bool:
-    """True iff no vertex subset of host induces a copy of pattern."""
-    return _embed(host, pattern, induced=True) is None
+def induced_k2_3k1(g: Graph) -> tuple[int, int, int, int, int] | None:
+    """Vertices ``(a, b, x, y, z)`` that induce K2+3K1 in ``g``, the
+    lexicographically first, or None.
+
+    ab is an edge, and x < y < z are pairwise non-adjacent and adjacent to
+    neither a nor b.  So for each edge ab in order, the search takes the
+    vertices R outside N(a) and N(b), and looks in R for an x, then a y
+    in R above x and outside N(x), then a z likewise, each set one bitmask.
+    Every coline is free of K2+3K1, the complement of K5 - e, since no line
+    graph has an induced K5 - e (Beineke 1970); the sweep checks that with
+    this search, which reads only ``g.adj``.
+    """
+    rows, full = g.adj, (1 << g.n) - 1
+    for a, row in enumerate(rows):
+        later = row >> a + 1 << a + 1
+        while later:
+            low = later & -later
+            later ^= low
+            b = low.bit_length() - 1
+            xs = full & ~(row | rows[b])  # N(a) holds b and N(b) holds a
+            if xs.bit_count() < 3:
+                continue
+            # each mask keeps only vertices above the one just taken
+            while xs:
+                low = xs & -xs
+                xs ^= low
+                x = low.bit_length() - 1
+                ys = xs & ~rows[x]
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    y = low.bit_length() - 1
+                    zs = ys & ~rows[y]
+                    if zs:
+                        return a, b, x, y, (zs & -zs).bit_length() - 1
+    return None
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> IsoCertificate | None:
@@ -728,7 +760,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> IsoCertificate | None:
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
-    images = _embed(g2, g1, induced=False)
+    images = _embed(g2, g1)
     return None if images is None else IsoCertificate(images)
 
 
@@ -833,12 +865,24 @@ def _pair_orbit(pair: tuple[int, int], generators) -> set[tuple[int, int]]:
 
 def _augmentations(g: Graph, generators, max_vertices: int):
     """One-edge extensions ``(rows, edge)`` keeping every vertex
-    non-isolated, one per orbit of the group ``generators`` generate.
+    non-isolated, one per orbit of the group ``generators`` generate,
+    leaving out those ``_accept`` would reject by degree sum alone.
 
     Every generator is an automorphism of ``g``, so a skipped extension is
-    isomorphic to a kept one, with the added edges corresponding.
+    isomorphic to a kept one, with the added edges corresponding.  Adding
+    an edge raises each degree by at most one, so every edge of ``g`` keeps
+    at least its degree sum in the child.  A child whose added edge has a
+    smaller sum than the largest over ``g``'s edges is then not top-rated,
+    and is skipped before its orbit is taken or its rows built.  The added
+    edge's sum is deg(u) + deg(v) + 2, deg(u) + 2 to a new vertex, and 2 for
+    a new K2.  Automorphisms keep degrees, so a skipped pair's whole orbit
+    would be skipped too, and the kept children and their order are those
+    of the unpruned walk.
     """
     n = g.n
+    degrees = g.degrees()
+    # the least deg(u) + deg(v) an added edge needs to be top-rated
+    need = max(degrees[u] + degrees[v] for u, v in g.edges()) - 2
 
     def extended(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
         grown = list(rows)
@@ -849,17 +893,17 @@ def _augmentations(g: Graph, generators, max_vertices: int):
     seen: set[tuple[int, int]] = set()
     for u in range(n):
         for v in range(u + 1, n):
-            if not g.adj[u] >> v & 1 and (u, v) not in seen:
+            if degrees[u] + degrees[v] >= need and not g.adj[u] >> v & 1 and (u, v) not in seen:
                 seen |= _pair_orbit((u, v), generators)
                 yield extended(g.adj, u, v), (u, v)
-    if n + 1 <= max_vertices:
+    if n + 1 <= max_vertices and max(degrees) >= need:
         orbits = list(range(n))
         for gamma in generators:
             _join_orbits(orbits, gamma)
         for u in range(n):
-            if orbits[u] == u:
+            if orbits[u] == u and degrees[u] >= need:
                 yield extended(g.adj + (0,), u, n), (u, n)
-    if n + 2 <= max_vertices:
+    if n + 2 <= max_vertices and need <= 0:
         yield extended(g.adj + (0, 0), n, n + 1), (n, n + 1)
 
 
@@ -877,17 +921,25 @@ def _accept(rows: tuple[int, ...], edge: tuple[int, int]):
 
     degrees = [row.bit_count() for row in rows]
 
-    def rating(u: int, v: int) -> tuple[int, int, int]:
-        du, dv = degrees[u], degrees[v]
-        return du + dv, min(du, dv), (rows[u] & rows[v]).bit_count()
+    def rating(u: int, v: int) -> tuple[int, int]:  # between edges of equal degree sum
+        return min(degrees[u], degrees[v]), (rows[u] & rows[v]).bit_count()
 
+    total = degrees[edge[0]] + degrees[edge[1]]
     top = rating(*edge)
     top_rated = []
-    for u in range(len(rows)):
-        for v in _bits(rows[u] >> u + 1 << u + 1):
+    for u, du in enumerate(degrees):
+        later = rows[u] >> u + 1 << u + 1
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            if du + degrees[v] < total:
+                continue
+            if du + degrees[v] > total:
+                return None  # rejected unlabelled: the deletion edge is top-rated
             r = rating(u, v)
             if r > top:
-                return None  # rejected unlabelled: the deletion edge is top-rated
+                return None
             if r == top:
                 top_rated.append((u, v))
     canon, position, generators = _canonical_labelling(len(rows), rows)

@@ -51,12 +51,9 @@ from .characterize import (
     wu_meng_blocker,
 )
 from .graph6 import emit_graph6, parse_graph6
-from .graphcore import Graph, build_named, coline, components, is_connected, line_graph
+from .graphcore import Graph, coline, components, is_connected, line_graph
 
 SLOWEST_SHOWN = 10  # classes listed with their per-check times in a report
-
-# Every coline graph is (K2+3K1)-free.
-_FORBIDDEN_PATTERN = build_named("K2+3K1")
 
 
 @dataclass(frozen=True)
@@ -107,11 +104,26 @@ enumerate_classes = oracle.iter_graph_classes
 
 # --- per-class examination ---------------------------------------------------
 
+class _Record(dict):
+    """One class's examination: its ``graph``, ``mismatches``, ``timings``,
+    ``certificates`` and ``census`` tags.  Its ``canon``, the graph6 of the
+    class (classes arrive canonically labelled), is encoded when first
+    read, since most classes are never named: ``_Tally.fold`` encodes it
+    only for a class with a mismatch, a census tag or a place among the
+    slowest.
+    """
+
+    def __missing__(self, key: str) -> str:
+        if key != "canon":
+            raise KeyError(key)
+        canon = self["canon"] = emit_graph6(self["graph"])
+        return canon
+
+
 def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
     """One class's record; with no catalog (the bootstrap's) only its census tags."""
     start = time.perf_counter()
-    canon = emit_graph6(g)  # classes arrive canonically labelled
-    record: dict = {"canon": canon, "mismatches": [], "timings": {}, "certificates": Counter()}
+    record = _Record(graph=g, mismatches=[], timings={}, certificates=Counter())
     l, _ = coline(g)
 
     def clock(name: str, start: float) -> None:
@@ -157,7 +169,7 @@ def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
     clock("classification", start)
 
     start = time.perf_counter()
-    if not oracle.is_induced_free(l, _FORBIDDEN_PATTERN):
+    if oracle.induced_k2_3k1(l) is not None:  # every coline is (K2+3K1)-free
         record["mismatches"].append(("induced-freeness", "free", "induced copy found"))
     clock("induced_freeness", start)
 
@@ -301,13 +313,17 @@ class _Tally:
     def fold(self, record: dict) -> None:
         began = time.perf_counter()
         self.scanned += 1
-        canon = record["canon"]
+        total = sum(record["timings"].values())
+        slow = len(self.slowest) < SLOWEST_SHOWN or total >= self.slowest[-1][1]
+        named = record["mismatches"] or record["census"] or slow
+        canon = emit_graph6(record["graph"]) if named else None
         self.mismatches += [(canon, *mismatch) for mismatch in record["mismatches"]]
         for key in record["census"]:
             self.census.setdefault(key, set()).add(canon)
         self.timings.update(record["timings"])
         self.certificates.update(record["certificates"])
-        self.keep_slowest([(canon, sum(record["timings"].values()), record["timings"])])
+        if slow:
+            self.keep_slowest([(canon, total, record["timings"])])
         self.timings["merge"] += time.perf_counter() - began
 
     def merge(self, other: _Tally) -> None:

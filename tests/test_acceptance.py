@@ -33,7 +33,7 @@ from coline.oracle import (
     cms_exact,
     hamiltonian_cycle,
     hamiltonian_path,
-    is_induced_free,
+    induced_k2_3k1,
     is_isomorphic,
     is_tough,
     longest_cycle,
@@ -223,10 +223,9 @@ def test_criterion_10_self_coline_and_line_graph_twins():
 
 
 def test_criterion_11_induced_freeness(classes_up_to_6):
-    pattern = build_named("K2+3K1")
     for g in classes_up_to_6:
         l, _ = coline(g)
-        assert is_induced_free(l, pattern)
+        assert induced_k2_3k1(l) is None
     _passed(11, f"(K2+3K1)-freeness of {len(classes_up_to_6)} coline graphs")
 
 

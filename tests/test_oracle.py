@@ -22,7 +22,7 @@ from coline.oracle import (
     find_roots,
     hamiltonian_cycle,
     hamiltonian_path,
-    is_induced_free,
+    induced_k2_3k1,
     is_isomorphic,
     is_tough,
     is_valid_in,
@@ -482,6 +482,9 @@ def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
         levels[g.m] = levels.get(g.m, 0) + 1
     assert levels == {1: 1, 2: 2, 3: 5, 4: 11, 5: 24, 6: 56, 7: 115, 8: 221, 9: 402, 10: 663}
     assert _sha1_lines(classes) == "06ff6237a2467835e9d591ebadd12b71b6a37249"
+    # the order the walk yields them in, which its subtrees follow
+    yielded = [emit_graph6(g) for g in classes_sweep_range]
+    assert _sha1_lines(yielded) == "ffd7597818d9ae0c2502b2db0b2c56ebe4e1f055"
 
 
 def test_class_tree_splits_into_subtrees(classes_7_9):
@@ -517,6 +520,46 @@ def test_class_enumeration_labels_few_children(monkeypatch):
     labellings = _counted(monkeypatch, "_canonical_labelling")
     assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
     assert len(labellings) <= 1800
+
+
+def _unpruned_augmentations(g: Graph, generators, max_vertices: int):
+    """One-edge extensions ``(rows, edge)``, one per orbit of the group
+    ``generators`` generate, with no child skipped by its degree sum."""
+
+    def extended(rows, u, v):
+        grown = list(rows)
+        grown[u] |= 1 << v
+        grown[v] |= 1 << u
+        return tuple(grown)
+
+    n, seen = g.n, set()
+    for u, v in combinations(range(n), 2):
+        if not g.has_edge(u, v) and (u, v) not in seen:
+            seen |= oracle._pair_orbit((u, v), generators)
+            yield extended(g.adj, u, v), (u, v)
+    if n + 1 <= max_vertices:
+        orbits = list(range(n))
+        for gamma in generators:
+            oracle._join_orbits(orbits, gamma)
+        for u in range(n):
+            if orbits[u] == u:
+                yield extended(g.adj + (0,), u, n), (u, n)
+    if n + 2 <= max_vertices:
+        yield extended(g.adj + (0, 0), n, n + 1), (n, n + 1)
+
+
+def test_augmentation_skips_only_children_accept_rejects(monkeypatch, classes_7_9):
+    # A child whose added edge has a smaller degree sum than an edge of its
+    # parent is never top-rated, so skipping it before it is built leaves
+    # the classes and their order as the unpruned walk gives them.
+    accepts = _counted(monkeypatch, "_accept")
+    assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
+    # a work counter: the children built and rated at 8/10 (9,205 unpruned)
+    assert len(accepts) == 3791
+    monkeypatch.setattr(oracle, "_augmentations", _unpruned_augmentations)
+    accepts.clear()
+    assert list(iter_graph_classes(7, 9)) == classes_7_9
+    assert len(accepts) == 1765  # the pruned walk rates 838 children here
 
 
 def test_class_enumeration_leaves_nothing_behind():
@@ -661,6 +704,11 @@ def _round_refine(neighbours, colors):
         colors = new
 
 
+def _colour_cells(colors) -> list[list[int]]:
+    """The vertices of each colour, by colour, each cell in vertex order."""
+    return [[v for v, c in enumerate(colors) if c == colour] for colour in sorted(set(colors))]
+
+
 def test_refine_matches_round_reference(monkeypatch):
     calls = 0
     real_refine = oracle._refine
@@ -668,9 +716,10 @@ def test_refine_matches_round_reference(monkeypatch):
     def checked_refine(neighbours, colors):
         nonlocal calls
         calls += 1
-        refined = real_refine(neighbours, colors)
+        refined, cells = real_refine(neighbours, colors)
         assert refined == _round_refine(neighbours, colors)
-        return refined
+        assert cells == _colour_cells(refined)
+        return refined, cells
 
     monkeypatch.setattr(oracle, "_refine", checked_refine)
     labellings = _counted(monkeypatch, "_canonical_labelling")
@@ -688,7 +737,8 @@ def test_refine_matches_round_reference(monkeypatch):
         colors = list(g.degrees())
         colors[rng.randrange(g.n)] = -1
         colors = tuple(colors)
-        assert oracle._refine(neighbours, colors) == _round_refine(neighbours, colors)
+        refined = _round_refine(neighbours, colors)
+        assert oracle._refine(neighbours, colors) == (refined, _colour_cells(refined))
 
 
 def test_canonical_form_invariant_on_symmetric_graphs():
@@ -777,11 +827,11 @@ def test_contains_subgraph_examples():
 
 def test_is_induced_free_examples():
     pattern = build_named("K2+3K1")
-    assert is_induced_free(coline(build_named("K5"))[0], pattern)
-    assert not is_induced_free(pattern, pattern)
-    # non-induced containment differs from induced on purpose
-    assert contains_subgraph(build_named("K5"), build_named("C4"))
-    assert is_induced_free(build_named("K5"), build_named("C4"))
+    assert induced_k2_3k1(coline(build_named("K5"))[0]) is None
+    assert induced_k2_3k1(pattern) == (0, 1, 2, 3, 4)
+    # induced, not just contained: K6 holds K2+3K1 as a subgraph
+    assert contains_subgraph(build_named("K6"), pattern)
+    assert induced_k2_3k1(build_named("K6")) is None
 
 
 # Named patterns on at most 5 vertices with a class of twins (u, v with
@@ -817,16 +867,28 @@ def test_twin_classes_match_pairwise_definition(classes_up_to_6):
         ]
 
 
+def _first_k2_3k1(g: Graph):
+    """The least ``(a, b, x, y, z)`` with ab the only edge among the five
+    (a < b, x < y < z), over every 5-set of ``g``; None if there is none."""
+    found = []
+    for five in combinations(range(g.n), 5):
+        edges = [pair for pair in combinations(five, 2) if g.has_edge(*pair)]
+        if len(edges) == 1:
+            found.append(edges[0] + tuple(v for v in five if v not in edges[0]))
+    return min(found, default=None)
+
+
 def test_embedding_searches_match_permutation_reference(classes_up_to_6, classes_up_to_7):
     patterns = [build_named(name) for name in TWIN_PATTERNS]
     assert all(_has_twins(p) for p in patterns)
     hosts = list(classes_up_to_6)
     hosts += [coline(g)[0] for g in classes_up_to_7 if g.m <= 7]
+    k2_3k1 = 1  # the edge mask of K2+3K1: pair (0, 1), the first of combinations(range(5), 2)
     for host in hosts:
         induced = {}
         for pattern in patterns:
             if pattern.n > host.n:
-                assert is_induced_free(host, pattern) and not contains_subgraph(host, pattern)
+                assert not contains_subgraph(host, pattern)
                 continue
             if pattern.n not in induced:
                 induced[pattern.n] = _labelled_induced_subgraphs(host, pattern.n)
@@ -836,8 +898,20 @@ def test_embedding_searches_match_permutation_reference(classes_up_to_6, classes
                 if pattern.has_edge(a, b)
             )
             found = induced[pattern.n]
-            assert is_induced_free(host, pattern) == (want not in found)
             assert contains_subgraph(host, pattern) == any(mask & want == want for mask in found)
+        witness = induced_k2_3k1(host)
+        assert (witness is None) == (k2_3k1 not in induced.get(5, ()))
+        assert witness == _first_k2_3k1(host)
+    # hosts that hold copies: every witness induces K2+3K1, and is the first
+    holding = 0
+    for host in _gnp_graphs(400, 1970, 9):
+        witness = induced_k2_3k1(host)
+        assert witness == _first_k2_3k1(host)
+        if witness is not None:
+            holding += 1
+            a, b = witness[:2]
+            assert [pair for pair in combinations(witness, 2) if host.has_edge(*pair)] == [(a, b)]
+    assert holding == 81  # of the 400, so the witnesses are exercised too
 
 
 # --- powers of a Hamiltonian cycle and cms ------------------------------------------

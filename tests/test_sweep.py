@@ -7,6 +7,7 @@ from dataclasses import replace
 from importlib import resources
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -235,13 +236,45 @@ def test_slowest_classes_are_the_top_of_a_full_sort(catalog, monkeypatch):
     assert len(want) == SLOWEST_SHOWN and want[0][1] == want[-1][1]
 
 
+def test_tally_names_only_the_classes_it_keeps(monkeypatch):
+    # a class with no mismatch and no census tag is encoded only if it
+    # enters the slowest; a tie enters when its canon is the smaller
+    import coline.sweep as sweep_module
+
+    encoded = []
+    monkeypatch.setattr(sweep_module, "emit_graph6", lambda g: encoded.append(g) or emit_graph6(g))
+    classes = sorted(enumerate_classes(5, 6), key=emit_graph6, reverse=True)
+
+    def folded(times):
+        tally, entries = sweep_module._Tally(), []
+        for g, seconds in zip(classes, times):
+            timings = {"toughness": seconds}
+            tally.fold({"graph": g, "mismatches": [], "timings": timings, "certificates": Counter(), "census": []})
+            entries.append((emit_graph6(g), seconds, timings))
+        assert tally.slowest == sorted(entries, key=lambda entry: (-entry[1], entry[0]))[:SLOWEST_SHOWN]
+
+    folded([1.0 / (i + 1) for i in range(len(classes))])  # each slower than the next
+    assert len(encoded) == SLOWEST_SHOWN < len(classes)
+    folded([0.001] * len(classes))  # all tied: the smallest canons, which come last
+
+
 def _report_without_clocks(report) -> str:
     """The report text above its timings plus its certificates block,
-    without the ``workers:`` line: what no worker count may change."""
+    without the ``workers:`` line: what no worker count may change, cut as
+    CI's ``unclocked`` cuts a report file."""
     text = report_to_text(report)
     head = text[: text.index("timings (s):")]
-    lines = [line for line in head.splitlines() if not line.startswith("workers: ")]
-    return "\n".join(lines) + text[text.index("certificates (verdicts):"):]
+    lines = [line for line in head.splitlines(keepends=True) if not line.startswith("workers: ")]
+    return "".join(lines) + text[text.index("certificates (verdicts):"):]
+
+
+SWEEP_8_10 = Path(__file__).resolve().parent / "golden" / "sweep-8-10-unclocked.txt"
+
+
+def test_acceptance_sweep_report_is_the_committed_text(full_sweep):
+    # the 8/10 report without its clocks, byte for byte: classes,
+    # mismatches, censuses and certificate counts
+    assert _report_without_clocks(full_sweep) == SWEEP_8_10.read_text()
 
 
 def test_sweep_identical_single_and_multi_worker(catalog):
