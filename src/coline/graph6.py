@@ -7,7 +7,7 @@ that triggered them.
 
 from __future__ import annotations
 
-import math
+from itertools import compress, count
 
 from .graphcore import MAX_INPUT_EDGES, MAX_INPUT_VERTICES, Graph, _derived
 
@@ -24,6 +24,11 @@ class Graph6Error(ValueError):
 _PLUS_63 = bytes(range(63, 127)) + bytes(192)
 # Takes the offset off again; bytes outside 63..126 are rejected before use.
 _MINUS_63 = bytes(63) + bytes(range(64)) + bytes(129)
+# The printable graph6 bytes, deleted to leave only the bad ones.
+_GRAPH6_BYTES = bytes(range(63, 127))
+# For each 6-bit body value, the positions of its set bits counted from the
+# high bit (the first triangle bit of the byte), ascending.
+_SET_POSITIONS = tuple(tuple(j for j in range(6) if value >> 5 - j & 1) for value in range(64))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -57,9 +62,9 @@ def parse_graph6(text: str | bytes) -> Graph:
     data = (text.encode("ascii") if isinstance(text, str) else bytes(text)).rstrip(b"\n")
     if not data:
         raise Graph6Error("empty input", 0)
-    for offset, byte in enumerate(data):
-        if byte != 126 and not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte} outside graph6 range", offset)
+    if data.translate(None, _GRAPH6_BYTES):
+        offset, byte = next((k, b) for k, b in enumerate(data) if not 63 <= b <= 126)
+        raise Graph6Error(f"byte {byte} outside graph6 range", offset)
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -87,15 +92,16 @@ def parse_graph6(text: str | bytes) -> Graph:
     if edges > MAX_INPUT_EDGES:
         raise Graph6Error(f"{edges} edges exceed the limit of {MAX_INPUT_EDGES}", pos)
     adj = [0] * n
-    for index, value in enumerate(body):
-        while value:
-            low = value & -value
-            value ^= low
-            # bit k of the triangle sits in column col, with
-            # col * (col - 1) / 2 <= k < col * (col + 1) / 2
-            k = 6 * index + 6 - low.bit_length()
-            col = (math.isqrt(8 * k + 1) + 1) // 2
-            row = k - col * (col - 1) // 2
+    # Bits are visited in increasing triangle index k, so the column only
+    # moves forward: column col holds k in [base, base + col).
+    col, base = 1, 0
+    for index in compress(count(), body):
+        for j in _SET_POSITIONS[body[index]]:
+            k = 6 * index + j
+            while k >= base + col:
+                base += col
+                col += 1
+            row = k - base
             adj[row] |= 1 << col
             adj[col] |= 1 << row
     return _derived(n, tuple(adj))

@@ -4,7 +4,13 @@ Graphs are simple, undirected and labelled with dense vertex indices
 0..n-1.  Adjacency is stored as one integer bitmask per vertex, which keeps
 all the small-graph searches in this package fast and allocation-free.
 Graph values are immutable and hashable; every operation returns a new
-graph.
+graph.  The edge count ``Graph.m`` is counted once per graph, on first use.
+
+The operations on the classify path touch each set bit a constant number
+of times: ``coline`` reads each row straight off the incidence masks of
+the input's edges, and ``components`` stops growing a component once no
+vertex is left outside it, so the near-complete coline of a sparse input
+costs one or two row reads.
 
 Every graph the package builds is valid by construction.  The builders
 (``Graph.from_edges``, the graph6 and edge-list parsers, ``build_named``)
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -60,9 +67,9 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
 
-    @property
+    @cached_property
     def m(self) -> int:
-        """Number of edges."""
+        """Number of edges, counted on first use; the rows never change."""
         return sum(mask.bit_count() for mask in self.adj) // 2
 
     def degree(self, v: int) -> int:
@@ -80,10 +87,12 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         """Edges as (u, v) with u < v, sorted lexicographically."""
         out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in _bits(rest):
-                out.append((u, v))
+        for u, row in enumerate(self.adj):
+            rest = row >> u + 1  # bit b is vertex u + 1 + b
+            while rest:
+                low = rest & -rest
+                out.append((u, u + low.bit_length()))
+                rest ^= low
         return tuple(out)
 
     def with_edge(self, u: int, v: int) -> Graph:
@@ -166,17 +175,19 @@ def components(g: Graph, within: int | None = None) -> tuple[int, ...]:
     remaining = (1 << g.n) - 1 if within is None else within
     comps = []
     while remaining:
-        comp = frontier = remaining & -remaining
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grow |= adj[low.bit_length() - 1]
-            frontier = grow & remaining & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
+        # Grow from the smallest remaining vertex.  Each reached vertex's
+        # row is read once, and growth stops as soon as nothing is left
+        # outside, so a near-complete graph reads one or two rows.
+        frontier = remaining & -remaining
+        outside = remaining ^ frontier
+        while frontier and outside:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & outside
+            outside ^= new
+            frontier |= new
+        comps.append(remaining ^ outside)
+        remaining = outside
     return tuple(comps)
 
 
@@ -195,11 +206,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
     Vertex i of the result is ``edge_list[i]``; two vertices are adjacent
     exactly when the corresponding edges of ``g`` share an endpoint.
     """
-    edge_list = g.edges()
-    incident = [0] * g.n  # incident[v]: bitmask of the edges at v
-    for i, (a, b) in enumerate(edge_list):
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
+    edge_list, incident = _incidence(g)
     adj = tuple(
         (incident[a] | incident[b]) & ~(1 << i) for i, (a, b) in enumerate(edge_list)
     )
@@ -207,9 +214,26 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
 
 
 def coline(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
-    """Complement of the line graph; vertex i of the result is edge i of g."""
-    lg, edge_list = line_graph(g)
-    return complement(lg), edge_list
+    """Complement of the line graph; vertex i of the result is edge i of g.
+
+    Row i is every edge but those meeting edge i (itself included), read
+    straight off the incidence masks in one pass.
+    """
+    edge_list, incident = _incidence(g)
+    full = (1 << len(edge_list)) - 1
+    adj = tuple(full ^ (incident[a] | incident[b]) for a, b in edge_list)
+    return _derived(len(edge_list), adj), edge_list
+
+
+def _incidence(g: Graph) -> tuple[tuple[Edge, ...], list[int]]:
+    """``g.edges()``, and for each vertex the bitmask of the edges at it."""
+    edge_list = g.edges()
+    incident = [0] * g.n
+    for i, (a, b) in enumerate(edge_list):
+        bit = 1 << i
+        incident[a] |= bit
+        incident[b] |= bit
+    return edge_list, incident
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -225,10 +249,9 @@ def add_dominating_vertex(g: Graph) -> Graph:
 
 def strip_isolated(g: Graph) -> Graph:
     """Drop degree-0 vertices; a graph without any is returned as is."""
-    kept = tuple(v for v in range(g.n) if g.adj[v])
-    if len(kept) == g.n:
+    if all(g.adj):
         return g
-    return g.subgraph(kept)
+    return g.subgraph(tuple(v for v in range(g.n) if g.adj[v]))
 
 
 # --- named constructions ---------------------------------------------------

@@ -389,7 +389,15 @@ def _refine(
 def _neighbour_lists(g: Graph) -> list[list[int]]:
     # Lists, not tuples: CPython keeps freed small tuples on free lists, and
     # one tuple per vertex raised classify's peak RSS by about 0.4 MB.
-    return [list(_bits(row)) for row in g.adj]
+    lists = []
+    for row in g.adj:
+        neighbours = []
+        while row:
+            low = row & -row
+            neighbours.append(low.bit_length() - 1)
+            row ^= low
+        lists.append(neighbours)
+    return lists
 
 
 def _cells(colors: tuple[int, ...]) -> list[list[int]]:
@@ -400,7 +408,9 @@ def _cells(colors: tuple[int, ...]) -> list[list[int]]:
 
 
 def _adjacency_rows(neighbours: list[list[int]], ordering: list[int]) -> tuple[int, ...]:
-    position = {v: i for i, v in enumerate(ordering)}
+    position = [0] * len(ordering)
+    for i, v in enumerate(ordering):
+        position[v] = i
     rows = []
     for v in ordering:
         row = 0

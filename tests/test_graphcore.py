@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from coline.graphcore import (
     build_named,
     coline,
     complement,
+    components,
     disjoint_union,
     line_graph,
     strip_isolated,
@@ -220,9 +222,18 @@ def test_line_graph_examples():
     assert lg.n == 2 and lg.m == 1
 
 
-def test_coline_is_complement_of_line_graph():
-    for name in ("K4", "C6", "H2", "K1_4", "F4", "K3+P3"):
-        g = build_named(name)
+@pytest.fixture(scope="module")
+def large_inputs():
+    """The CI smoke test's seeded G(1000, 5000) and K100, the edge limit's
+    densest input (4,950 coline vertices)."""
+    pairs = list(combinations(range(1000), 2))
+    sparse = Graph.from_edges(1000, random.Random(1000).sample(pairs, 5000))
+    return sparse, build_named("K100")
+
+
+def test_coline_is_complement_of_line_graph(large_inputs):
+    names = ("K4", "C6", "H2", "K1_4", "F4", "K3+P3")
+    for g in [build_named(name) for name in names] + list(large_inputs):
         cg, edge_list = coline(g)
         lg, same_list = line_graph(g)
         assert edge_list == same_list == g.edges()
@@ -248,6 +259,71 @@ def test_line_graph_matches_pairwise_definition(classes_up_to_6):
         reference = _pairwise_line_graph(g)
         assert line_graph(g) == (reference, g.edges())
         assert coline(g) == (complement(reference), g.edges())
+
+
+def _reference_components(g: Graph, within: int | None = None) -> tuple[int, ...]:
+    """Breadth-first search over vertex sets that reads every row of every
+    component, ordered by smallest member."""
+    left = {v for v in range(g.n) if within is None or within >> v & 1}
+    comps = []
+    while left:
+        queue = [min(left)]
+        seen = set(queue)
+        for v in queue:
+            for u in range(g.n):
+                if g.adj[v] >> u & 1 and u in left and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        comps.append(sum(1 << v for v in seen))
+        left -= seen
+    return tuple(comps)
+
+
+def test_components_match_reference_search():
+    rng = random.Random(29)
+    graphs = []
+    for n in (0, 1, 2, 5, 17, 40, 64, 65, 100):
+        for density in (0.02, 0.05, 0.1, 0.3, 0.6, 1.0):
+            graphs.append(Graph(n, tuple(_random_symmetric(rng, n, density))))
+    # near-complete colines of sparse graphs, where growth stops earliest
+    for n in (12, 30, 60):
+        pairs = list(combinations(range(n), 2))
+        graphs.append(coline(Graph.from_edges(n, rng.sample(pairs, 2 * n)))[0])
+    for g in graphs:
+        masks = [None, 0] + [1 << v for v in range(0, g.n, 7)]
+        masks += [rng.getrandbits(g.n) for _ in range(3)]
+        for within in masks:
+            assert components(g, within) == _reference_components(g, within), (g, within)
+
+
+def test_large_sparse_input_has_connected_coline(large_inputs):
+    sparse, _ = large_inputs
+    l, _ = coline(sparse)
+    assert components(l) == ((1 << 5000) - 1,)
+
+
+def test_edge_count_is_cached_per_graph():
+    g = build_named("H2")
+    a, b = Graph(g.n, g.adj), Graph(g.n, g.adj)
+    # equality and hashing see the rows only, whether m was read or not
+    for reader in (None, a, b):
+        if reader is not None:
+            assert reader.m == 7
+        assert a == b and hash(a) == hash(b)
+    derived = [
+        g.with_edge(4, 5),
+        g.subgraph((0, 1, 2, 5)),
+        complement(g),
+        coline(g)[0],
+        strip_isolated(Graph(9, g.adj + (0, 0))),
+        strip_isolated(g),
+    ]
+    for h in derived:
+        assert h.m == len(h.edges())
+    assert [h.m for h in derived] == [8, 4, 14, 11, 7, 7]
+    for h in (a, Graph(g.n, g.adj)):  # m read, and not read, before pickling
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and hash(copy) == hash(h) and copy.m == 7
 
 
 def test_coline_examples():
