@@ -176,8 +176,6 @@ def check_common_arg(ctx: LongestCycleContext) -> list[Violation]:
                     for sj in range(len(around)):
                         for sk in range(sj, len(around)):
                             xj, xk = around[sj], around[sk]
-                            if xi == xk:
-                                continue
                             probes = (
                                 oriented.host.has_edge(oriented.succ(xi), xj)
                                 or oriented.host.has_edge(oriented.pred(xi), xj)

@@ -311,7 +311,6 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
     if ham is not None:
         return ham
     best: list[int] | None = None
-    full = (1 << g.n) - 1
 
     def search(path: list[int], visited: int, start: int) -> None:
         nonlocal best
@@ -319,13 +318,6 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
         if len(path) >= 3 and g.has_edge(current, start):
             if best is None or len(path) > len(best):
                 best = list(path)
-        # Upper bound: vertices still reachable from the current endpoint
-        # through unvisited vertices above ``start``, the only ones added.
-        allowed = full & ~visited & -(1 << start) | 1 << current
-        comp = next(c for c in components(g, allowed) if c >> current & 1)
-        reachable = comp.bit_count() - 1
-        if best is not None and len(path) + reachable <= len(best):
-            return
         for v in _bits(g.adj[current] & ~visited):
             if v <= start:
                 continue
@@ -334,8 +326,6 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
             path.pop()
 
     for start in range(g.n):
-        if best is not None and len(best) == g.n:
-            break
         search([start], 1 << start, start)
     if best is None:
         return None
@@ -464,15 +454,17 @@ def _homogeneous(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
 class _Node:
     """An internal node of the search tree on the current path."""
 
-    __slots__ = ("colors", "cell", "next", "orbits")
+    __slots__ = ("colors", "cell", "next", "orbits", "joined")
 
     def __init__(self, colors: tuple[int, ...], cell: list[int]):
         self.colors = colors
         self.cell = cell  # the target cell, whose vertices are the children
         self.next = 0  # index in cell of the next child
-        # Orbits of the generators that fix this node's prefix pointwise,
-        # built when the second child is due.
+        # Orbits of the generators that fix this node's prefix pointwise, a
+        # union-find built when the second child is due.  Each time a child
+        # is due it joins the generators found since, from ``joined`` on.
         self.orbits: list[int] | None = None
+        self.joined = 0
 
 
 def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
@@ -525,11 +517,7 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
                     for u, v in zip(cell, cell[1:]):
                         mapping = list(range(n))
                         mapping[u], mapping[v] = v, u
-                        gamma = tuple(mapping)
-                        generators.append(gamma)
-                        for node in stack:
-                            if node.orbits is not None:
-                                _join_orbits(node.orbits, gamma)
+                        generators.append(tuple(mapping))
                 descent = [v for cell in cells for v in cell[:-1]]
                 path += descent
                 ordering = descent[::-1] + [cell[-1] for cell in cells]
@@ -549,9 +537,6 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
                     fixed += 1
                 if fixed < len(path):  # otherwise gamma is the identity
                     generators.append(gamma)
-                    for node in stack[: fixed + 1]:
-                        if node.orbits is not None:
-                            _join_orbits(node.orbits, gamma)
                 # Neither path of two distinct leaves is a prefix of the
                 # other.  Where they part, gamma maps the explored child's
                 # subtree onto the current one: go back to that node.
@@ -570,10 +555,11 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
             if index > 0:
                 if orbits is None:
                     orbits = node.orbits = list(range(n))
-                    prefix = path[:level]
-                    for gamma in generators:
-                        if all(gamma[p] == p for p in prefix):
-                            _join_orbits(orbits, gamma)
+                prefix = path[:level]
+                for gamma in generators[node.joined :]:
+                    if all(gamma[p] == p for p in prefix):
+                        _join_orbits(orbits, gamma)
+                node.joined = len(generators)
                 # Every earlier vertex of the cell was explored or is in the
                 # orbit of one that was, so a vertex that is not the smallest
                 # of its orbit is covered.

@@ -104,26 +104,12 @@ enumerate_classes = oracle.iter_graph_classes
 
 # --- per-class examination ---------------------------------------------------
 
-class _Record(dict):
-    """One class's examination: its ``graph``, ``mismatches``, ``timings``,
-    ``certificates`` and ``census`` tags.  Its ``canon``, the graph6 of the
-    class (classes arrive canonically labelled), is encoded when first
-    read, since most classes are never named: ``_Tally.fold`` encodes it
-    only for a class with a mismatch, a census tag or a place among the
-    slowest.
-    """
-
-    def __missing__(self, key: str) -> str:
-        if key != "canon":
-            raise KeyError(key)
-        canon = self["canon"] = emit_graph6(self["graph"])
-        return canon
-
-
 def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
-    """One class's record; with no catalog (the bootstrap's) only its census tags."""
+    """One class's record: its ``graph``, ``mismatches``, ``timings``,
+    ``certificates`` and ``census`` tags; with no catalog (the bootstrap's)
+    only its census tags."""
     start = time.perf_counter()
-    record = _Record(graph=g, mismatches=[], timings={}, certificates=Counter())
+    record = {"graph": g, "mismatches": [], "timings": {}, "certificates": Counter()}
     l, _ = coline(g)
 
     def clock(name: str, start: float) -> None:

@@ -4,15 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from itertools import combinations
 
 import pytest
 
-from coline import __version__, characterize, cli
+from coline import __version__, characterize, cli, lemmacheck, oracle
 from coline.cli import main
 from coline.graph6 import emit_graph6
-from coline.graphcore import Graph, build_named
+from coline.graphcore import Graph, build_named, coline
+from coline.oracle import canonical_graph
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +451,101 @@ def test_sweep_census_mismatch_exits_1(capsys, monkeypatch, tmp_path):
     assert "mismatches: 0" in out
     assert "trace-corona: 0 (MISMATCH)\n" in out
     assert "passed: False" in report.read_text()
+
+
+def _planted_classification(change):
+    def plant(klass):
+        return replace(klass, **change(klass))
+
+    return plant
+
+
+# Each case makes one predicate of the sweep wrong on one class, named as
+# in build_named: (module, function, class, wrong answer from the right
+# one, the mismatch's check, theorem and oracle fields).
+PLANTED = {
+    "classification-count": (
+        "characterize", "classify_disconnected_coline", "K1_3",
+        _planted_classification(lambda k: {"component_count": k.component_count + 1}),
+        "classification", "star", "component count 3 != reported 4",
+    ),
+    "classification-connected": (
+        "characterize", "classify_disconnected_coline", "K1_3",
+        _planted_classification(lambda k: {"case": characterize.ColineCase.CONNECTED}),
+        "classification", "connected", "coline disconnected but classified connected",
+    ),
+    "classification-disconnected": (
+        "characterize", "classify_disconnected_coline", "C5",
+        _planted_classification(lambda k: {"case": characterize.ColineCase.STAR}),
+        "classification", "star", "coline connected but classified disconnected",
+    ),
+    "classification-rho": (
+        "characterize", "classify_disconnected_coline", "K1_3",
+        _planted_classification(lambda k: {"rho": k.rho + 1}),
+        "classification", "star", "(c, rho) = (3, 7) != expected (3, 6)",
+    ),
+    "induced-freeness": (
+        "oracle", "induced_k2_3k1", "C5",
+        lambda found: (0, 1, 2, 3, 4),
+        "induced-freeness", "free", "induced copy found",
+    ),
+    "lemma": (
+        "lemmacheck", "run_all_checks", "K5",
+        lambda found: found + [lemmacheck.Violation("planted", (0,), "planted violation")],
+        "lemma:planted", "no violation", "planted violation",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_sweep_reports_a_planted_mismatch(capsys, monkeypatch, tmp_path, case):
+    # every class on at most 5 vertices; the predicate is wrong on one
+    # class only, so the sweep reports that one check on that class
+    module_name, function, name, wrong, check, theorem, seen = PLANTED[case]
+    module = {"characterize": characterize, "oracle": oracle, "lemmacheck": lemmacheck}[module_name]
+    target = canonical_graph(build_named(name))
+    target_coline, _ = coline(target)
+    real = getattr(module, function)
+
+    def planted(arg):
+        found = real(arg)
+        host = arg.host if module is lemmacheck else arg
+        return wrong(found) if host in (target, target_coline) else found
+
+    monkeypatch.setattr(module, function, planted)
+    report = tmp_path / "report.txt"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-vertices", "5", "--max-edges", "10", "--output", str(report)
+    )
+    assert code == 1
+    line = f"  {emit_graph6(target)}  {check}  theorem={theorem}  oracle={seen}\n"
+    assert f"\nmismatches: 1\n{line}" in out
+    text = report.read_text()
+    assert f"\nmismatches: 1\n{line}\n" in text
+    assert "passed: False" in text and "partial: False" in text
+
+
+def test_sweep_reports_a_partial_run(capsys, monkeypatch, tmp_path):
+    import coline.sweep as sweep_module
+
+    real = sweep_module._examine_class
+    examined = []
+
+    def failing(g, catalog):
+        if len(examined) == 4:
+            raise RuntimeError("planted failure")
+        examined.append(g)
+        return real(g, catalog)
+
+    monkeypatch.setattr(sweep_module, "_examine_class", failing)
+    report = tmp_path / "report.txt"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--max-vertices", "5", "--max-edges", "6", "--output", str(report)
+    )
+    assert code == 1
+    assert "classes scanned: 4\nmismatches: 0\n" in out
+    assert out.endswith("partial run after 4 classes: RuntimeError('planted failure')\n")
+    assert "partial: True\npassed: False\n" in report.read_text()
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["catalog", "bootstrap"]])

@@ -192,22 +192,46 @@ def test_longest_cycle_examples():
     assert len(longest_cycle(h3_coline)) == 6
 
 
-def test_longest_cycle_matches_hamiltonicity(classes_up_to_6):
-    for g in classes_up_to_6:
-        if g.n > 6:
-            continue
-        best = longest_cycle(g)
-        ham = hamiltonian_cycle(g)
-        if ham is not None:
-            assert best is not None and len(best) == g.n
-        elif best is not None:
-            assert len(best) < g.n
-            assert is_valid_in(best, g)
-
-
 def test_longest_cycle_deterministic():
     prism, _ = coline(build_named("C6"))
     assert longest_cycle(prism) == longest_cycle(prism)
+
+
+def _brute_circumference(g: Graph) -> int:
+    """The most vertices on a cycle of ``g``, 0 for a forest: every vertex
+    subset, in every order that starts at its smallest vertex."""
+    return max(
+        (
+            k
+            for k in range(3, g.n + 1)
+            for subset in combinations(range(g.n), k)
+            for rest in permutations(subset[1:])
+            if all(g.has_edge(a, b) for a, b in zip(subset[:1] + rest, rest + subset[:1]))
+        ),
+        default=0,
+    )
+
+
+def test_longest_cycle_is_longest(classes_up_to_6):
+    # a longest cycle has n vertices exactly when g is Hamiltonian
+    graphs = [h for g in classes_up_to_6 for h in (g, coline(g)[0]) if h.n <= 6]
+    assert len(graphs) == 208
+    for g in graphs:
+        best = longest_cycle(g)
+        assert best is None or (best.closed and is_valid_in(best, g)), emit_graph6(g)
+        assert (0 if best is None else len(best)) == _brute_circumference(g), emit_graph6(g)
+
+
+def test_longest_cycles_of_the_sweep_range_are_pinned(classes_sweep_range):
+    # the cycles the lemma checks read: any change to the search's order or
+    # cuts that returns another cycle changes this digest
+    cycles = []
+    for g in sorted(classes_sweep_range, key=lambda g: (g.m, emit_graph6(g))):
+        l, _ = coline(g)
+        if hamiltonian_cycle(l) is None and (best := longest_cycle(l)) is not None:
+            cycles.append(repr(best.vertices))
+    assert len(cycles) == 285
+    assert _sha1_lines(cycles) == "c397345bfd68f330fe26a575bf9b63730e9717f1"
 
 
 # --- toughness and connectivity -------------------------------------------------
@@ -798,6 +822,25 @@ def test_canonical_search_work_is_polynomial_on_symmetric_graphs(monkeypatch):
         calls = 0
         oracle._canonical_adj(g)
         assert calls == 1, name
+
+
+def test_canonical_search_trees_are_pinned(monkeypatch):
+    # graphs whose search branches and prunes by orbits: a node that skips
+    # a different set of children changes its refinement count.  The two
+    # seeded random cubic graphs find automorphisms that move the prefix
+    # of a node pushed later, which that node's orbits must leave out.
+    refinements = _counted(monkeypatch, "_refine")
+    named = {
+        "8K2": 64, "20K2": 400, "10K3": 252, "C40": 6,
+        "Petersen": 15, "6C4": 113, "4K1_3": 30, "K3+2K2": 4,
+    }
+    cubic = {"MKW@GoA@S_?D@DoG?": 18, "MAGs?OBQ?LY??Sg?_": 14}
+    pinned = [(name, build_named(name), want) for name, want in named.items()]
+    pinned += [(form, parse_graph6(form), want) for form, want in cubic.items()]
+    for name, g, want in pinned:
+        refinements.clear()
+        canonical_graph(g)
+        assert len(refinements) == want, name
 
 
 def test_homogeneous_shortcut_keeps_every_form_and_group(monkeypatch, classes_7_9):
