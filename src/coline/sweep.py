@@ -15,10 +15,12 @@ labelled graph.  Classes come from canonical augmentation
 which keeps the 8-vertex sweep tractable.  The walk is split at a fixed
 edge count: the parent walks down to it, and each class there roots one
 task that walks its own subtree, examines each class as the walk yields
-it and folds the record into a tally it returns.  So the enumeration runs
-where the examination does, in the workers; only the roots and the
-tallies cross between processes, and the parent, which merges the
-tallies, holds nothing per class.
+it and folds the record into a tally it returns; the few classes above
+the split make one more task.  So the enumeration runs where the
+examination does, in the workers; only the classes and the tallies cross
+between processes, and the parent, which only merges the tallies, holds
+nothing per class.  A failed task or a dead worker ends the walk with a
+partial report: queued tasks are dropped, running ones finish.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ import os
 import time
 from bisect import insort
 from collections import Counter, defaultdict
-from contextlib import nullcontext
+from concurrent import futures  # the process pool itself loads on first use
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from multiprocessing import Pool
 
 from . import characterize, lemmacheck, oracle
 from .characterize import (
@@ -326,10 +327,11 @@ class _Tally:
 
 
 def _examined(classes, catalog: Catalog | None) -> _Tally:
-    """Examine each class of the ``(class, generators)`` iterator
+    """A task: examine each class of the ``(class, generators)`` iterable
     ``classes`` as it is produced, timing the production under
     ``enumeration``.  A failure stops the run and is kept in ``error``."""
     tally = _Tally()
+    classes = iter(classes)
     try:
         while True:
             start = time.perf_counter()
@@ -367,21 +369,18 @@ def _whitney(max_vertices: int) -> _Tally:
     return tally
 
 
-def _run(task):
-    return task()
-
-
 def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tasks: list) -> None:
     """Examine every class of ``config``'s range with ``catalog`` (see
     ``_examine_class``), run ``extra_tasks`` too and merge each tally into
     ``tally``.  The parent walks the class tree down to ``_split_level``
-    edges and examines the classes above that level itself; each class at
-    the level, with its automorphism generators, roots one ``_subtree``
-    task.  One worker runs the tasks in-process; more share a pool, which
-    takes them in any order, since no tally depends on it.  A failure is
-    kept in ``tally.error``, with ``tally.scanned`` counting the classes
-    examined before it in the tallies merged; the remaining tasks are
-    dropped and the pool stopped.
+    edges and then only merges: the classes above that level make the first
+    task, and each class at the level, with its automorphism generators,
+    roots one ``_subtree`` task.  One worker runs the tasks in order,
+    in-process; more share a process pool, whose tallies are merged as they
+    complete, since none depends on the order.  A failed task or a dead
+    worker is kept in ``tally.error``, with ``tally.scanned`` counting the
+    classes examined before it in the tallies merged; the queued tasks are
+    dropped and the running ones finish before the pool shuts down.
     """
     began = time.perf_counter()
     split = _split_level(config.max_edges)
@@ -389,20 +388,22 @@ def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tas
     for pair in oracle.iter_class_tree(config.max_vertices, split):
         (roots if pair[0].m == split else above).append(pair)
     tally.timings["enumeration"] += time.perf_counter() - began
-    tasks = [partial(_subtree, root, catalog, config.max_vertices, config.max_edges) for root in roots]
+    tasks = [partial(_examined, above, catalog)]
+    tasks += [partial(_subtree, root, catalog, config.max_vertices, config.max_edges) for root in roots]
     tasks += extra_tasks
-    workers = config.worker_count
-    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
-        results = map(_run, tasks) if pool is None else pool.imap_unordered(_run, tasks)
-        try:
-            tally.merge(_examined(iter(above), catalog))
-            while tally.error is None:
-                part = next(results, None)
-                if part is None:
-                    break
-                tally.merge(part)
-        except Exception as exc:  # noqa: BLE001 - the tally carries the error
-            tally.error = repr(exc)
+    pool = futures.ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else None
+    try:
+        parts = (task() for task in tasks) if pool is None else (
+            future.result() for future in futures.as_completed([pool.submit(task) for task in tasks]))
+        for part in parts:
+            tally.merge(part)
+            if tally.error is not None:
+                break
+    except Exception as exc:  # noqa: BLE001 - the tally carries the error
+        tally.error = repr(exc)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepReport:

@@ -579,7 +579,7 @@ def test_sweep_worker_cap_starts_no_processes(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(sweep_module, "Pool", no_pool)
+    monkeypatch.setattr(sweep_module.futures, "ProcessPoolExecutor", no_pool)
     code, _, err = run_cli(capsys, "sweep", "--workers", "1000000")
     assert code == 2 and "worker_count must be at most" in err
 

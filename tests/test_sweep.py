@@ -92,7 +92,7 @@ def test_worker_count_is_capped(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(sweep_module, "Pool", no_pool)
+    monkeypatch.setattr(sweep_module.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="at most"):
         SweepConfig(worker_count=10**6)
     assert SweepConfig(worker_count=2).worker_count == 2
@@ -307,6 +307,33 @@ def test_worker_failure_surfaces_as_partial_report(catalog, monkeypatch):
     assert "simulated worker failure in " in report.extras["error"]
     assert f"failure in {parent}'" not in report.extras["error"]
     assert report.graphs_scanned < 101
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers see the patch only when forked")
+def test_dead_worker_ends_the_sweep(catalog, monkeypatch, capsys):
+    # a worker that dies outright, as under the OOM killer, ends the sweep
+    # with a partial report, through the API and the CLI, and no child
+    # process is left behind
+    import coline.sweep as sweep_module
+
+    real = sweep_module._examine_class
+    parent = os.getpid()
+    target = min(emit_graph6(g) for g in enumerate_classes(6, 8) if g.m == 8)
+
+    def dying(g, catalog):
+        if emit_graph6(g) == target and os.getpid() != parent:
+            os._exit(1)
+        return real(g, catalog)
+
+    monkeypatch.setattr(sweep_module, "_examine_class", dying)
+    report = run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=2), catalog)
+    assert report.partial and not report.passed
+    assert report.extras["error"].startswith("BrokenProcessPool(")
+    assert multiprocessing.active_children() == []
+    assert main(["sweep", "--max-vertices", "6", "--max-edges", "8", "--workers", "2"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("partial run after ") and " classes: BrokenProcessPool(" in last
     assert multiprocessing.active_children() == []
 
 
