@@ -22,6 +22,7 @@ from . import oracle
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphcore import (
     Graph,
+    _f_graph,
     build_named,
     coline,
     components,
@@ -132,11 +133,8 @@ class DecisionReport:
 
 def is_type_A(g: Graph) -> bool:
     """Some edge meets every other edge, and co(G) has exactly 2 components."""
-    m = g.m
-    if m == 0:
-        return False
     has_dominating_edge = any(
-        g.degree(u) + g.degree(v) - 2 == m - 1 for u, v in g.edges()
+        g.degree(u) + g.degree(v) - 2 == g.m - 1 for u, v in g.edges()
     )
     if not has_dominating_edge:
         return False
@@ -187,8 +185,9 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
         return ColineClass(ColineCase.K4_MINUS, None, count, value)
     if oracle.is_isomorphic(core, NAMED["K4"]):
         return ColineClass(ColineCase.K4, None, count, value)
+    # F_k has k + 1 vertices and k + 1 edges
     k = core.m - 1
-    if k >= 2 and oracle.is_isomorphic(core, build_named(f"F{k}")):
+    if core.n == k + 1 and oracle.is_isomorphic(core, _f_graph(k)):
         return ColineClass(ColineCase.F, k, count, value)
     if is_type_A(core):
         return ColineClass(ColineCase.TYPE_A, None, count, value)

@@ -22,6 +22,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import __version__, characterize, oracle
@@ -134,6 +135,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except ScopeError as exc:
         decision = None
         report["verdicts"] = {"out_of_scope": str(exc)}
+        with suppress(ScopeError):  # traceability is decided from 2 edges up
+            report["verdicts"]["traceable"] = _verdict_json(characterize.decide_coline_traceable(g, catalog))
     else:
         report["verdicts"] = {
             key: _verdict_json(getattr(decision, key))
@@ -151,8 +154,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_cms(args: argparse.Namespace) -> int:
     catalog = characterize.load_catalog(args.catalog)
     g = _load_graph(args)
-    if g.m < 1:
-        raise ScopeError("cms needs at least one edge")
     if g.m > 12:
         raise ScopeError(f"cms search budget is 12 edges, got {g.m}")
     report, _ = _base_report(g)

@@ -168,8 +168,6 @@ def check_common_arg(ctx: LongestCycleContext) -> list[Violation]:
             for x in comp:
                 nbrs = _cycle_neighbors_in_order(oriented, x)
                 d = len(nbrs)
-                if d < 2:
-                    continue
                 for a in range(d):
                     xi = nbrs[a]
                     around = [nbrs[(a + s) % d] for s in range(1, d)]
@@ -222,8 +220,6 @@ def check_non_xy_edges(ctx: LongestCycleContext) -> list[Violation]:
         for comp in oriented.off_components:
             for x in comp:
                 nbrs = _cycle_neighbors_in_order(oriented, x)
-                if len(nbrs) < 2:
-                    continue
                 for xi in nbrs:
                     for xj in nbrs:
                         if xi == xj:

@@ -828,7 +828,7 @@ def cms_exact(g: Graph) -> int:
     of a Hamiltonian cycle; 1 is always attainable.
     """
     if g.m == 0:
-        raise ValueError("needs at least one edge")
+        raise ValueError("cms needs at least one edge")
     l, _ = coline(g)
     k = 1
     while k < g.m and contains_power_ham_cycle(l, k):

@@ -4,7 +4,7 @@ import pytest
 
 from coline import oracle
 from coline.characterize import load_catalog
-from coline.sweep import SweepConfig, enumerate_classes, run_sweep
+from coline.sweep import SweepConfig, run_sweep
 
 
 @pytest.fixture(scope="session")
@@ -53,18 +53,18 @@ def full_sweep(catalog, class_tree_sweep_range):
 @pytest.fixture(scope="session")
 def classes_up_to_6():
     """All isomorphism classes without isolated vertices on <= 6 vertices."""
-    return list(enumerate_classes(6, 15))
+    return list(oracle.iter_graph_classes(6, 15))
 
 
 @pytest.fixture(scope="session")
 def classes_up_to_7():
     """All isomorphism classes without isolated vertices on <= 7 vertices."""
-    return list(enumerate_classes(7, 21))
+    return list(oracle.iter_graph_classes(7, 21))
 
 
 @pytest.fixture(scope="session")
 def classes_7_9():
-    return list(enumerate_classes(7, 9))
+    return list(oracle.iter_graph_classes(7, 9))
 
 
 @pytest.fixture(scope="session")

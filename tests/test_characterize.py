@@ -54,6 +54,17 @@ def test_classify_takes_a_thousand_vertices():
     assert (klass.case, klass.parameter, klass.rho) == (ColineCase.F, 998, 1002)
 
 
+def test_classify_book_graph_past_the_name_limit():
+    # edge 01 meets every edge 0w and 1w (w = 2..501): 1001 edges, type A;
+    # F_1000 would have 1001 vertices, more than a name may build
+    edges = [(0, 1)] + [(a, w) for w in range(2, 502) for a in (0, 1)]
+    book = Graph.from_edges(502, edges)
+    assert book.m == 1001
+    klass = classify_disconnected_coline(book)
+    assert (klass.case, klass.component_count, klass.rho) == (ColineCase.TYPE_A, 2, 1003)
+    assert rho(book) == 1003
+
+
 def test_classify_star_precedence_over_type_a():
     # K_{1,2} fits both the star family and the type-A definition
     p3 = build_named("P3")
@@ -236,6 +247,8 @@ def test_catalog_round_trip(catalog):
 def test_catalog_rejects_corruption(catalog, tmp_path):
     with pytest.raises(CatalogError):
         parse_catalog("nonsense v9\n[tough18]\n")
+    with pytest.raises(CatalogError, match="line 2: data before any section"):
+        parse_catalog("coline-catalog v2\nD~{\n[tough18]\n")
     text = emit_catalog(catalog)
     # drop one toughness exception: cardinality check must fire
     lines = text.splitlines()
@@ -265,6 +278,7 @@ WITH_ISOLATED = "with-isolated"
         ("tough18", "K1_3", "tough18 member already covered by a counting clause"),
         ("trace9", "K1_3", "trace9 member already covered by a counting clause"),
         ("trace9", "K3_circ_K1", "trace9 must not contain the corona"),
+        ("trace9", "C6", "trace9 member E.* has a traceable coline"),
         ("tough18", COPY_OF_LAST, "tough18 contains isomorphic duplicates"),
         ("trace9", COPY_OF_LAST, "trace9 contains isomorphic duplicates"),
         ("tough18", WITH_ISOLATED, r"tough18 member Els\? has an isolated vertex"),

@@ -124,6 +124,16 @@ _VERIFY_JSON = {
         {"out_of_scope": "toughness decision needs at least 3 edges, got 1"},
         {"tough": True, "hamiltonian": False, "traceable": True},
     ),
+    # out of scope for toughness, but traceability is decided from 2 edges
+    "2K2": (
+        {"canonical_graph6": "CK", "n": 4, "m": 2, "max_degree": 1, "non_isolated": 4},
+        {"n": 2, "components": 1},
+        {
+            "out_of_scope": "toughness decision needs at least 3 edges, got 2",
+            "traceable": {"value": True, "clause": "none", "all_matches": []},
+        },
+        {"tough": True, "hamiltonian": False, "traceable": True},
+    ),
 }
 
 
@@ -244,6 +254,19 @@ def test_classify_out_of_scope(capsys):
     report = json.loads(out)
     assert "out_of_scope" in report["verdicts"]
     assert report["oracle"]["traceable"] is True
+
+
+def test_classify_two_edges_decides_traceability(capsys):
+    # co(K1_2) is two isolated vertices, co(2K2) is K2; one edge has no verdict
+    for name, value, clause in (("K1_2", False, "(i)"), ("2K2", True, "none")):
+        code, out, _ = run_cli(capsys, "classify", "--named", name)
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert set(verdicts) == {"out_of_scope", "traceable"}
+        assert (verdicts["traceable"]["value"], verdicts["traceable"]["clause"]) == (value, clause), name
+        assert (oracle.hamiltonian_path(coline(build_named(name))[0]) is not None) == value
+    code, out, _ = run_cli(capsys, "classify", "--named", "K2")
+    assert set(json.loads(out)["verdicts"]) == {"out_of_scope"}
 
 
 def test_bad_graph6_is_usage_error(capsys):
@@ -400,6 +423,12 @@ def test_cms_command(capsys):
 def test_cms_budget(capsys):
     code, _, err = run_cli(capsys, "cms", "--named", "K6")  # 15 edges
     assert code == 2
+
+
+def test_cms_without_edges_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "cms", "--named", "K1")
+    assert (code, out) == (2, "")
+    assert "cms needs at least one edge" in err
 
 
 def test_roots_command(capsys):

@@ -58,6 +58,12 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(Graph6Error) as err:
         parse_graph6("D\x1f{{")  # byte below 63
     assert err.value.offset == 1
+    with pytest.raises(Graph6Error, match="beyond 258047 vertices") as err:
+        parse_graph6("~~??????")
+    assert err.value.offset == 1
+    with pytest.raises(Graph6Error, match="truncated size header") as err:
+        parse_graph6("~??")
+    assert err.value.offset == 3
 
 
 def test_edge_list_round_trip(classes_up_to_6):
@@ -78,6 +84,12 @@ def test_edge_list_format():
         parse_edge_list("n=2\n0 5\n")
     with pytest.raises(ValueError):
         parse_edge_list("a b\n")
+    with pytest.raises(ValueError, match="^line 1: bad vertex count 'n=x'$"):
+        parse_edge_list("n=x\n0 1\n")
+    with pytest.raises(ValueError, match="^line 1: negative vertex count$"):
+        parse_edge_list("n=-1\n")
+    with pytest.raises(ValueError, match="^line 2: negative vertex index$"):
+        parse_edge_list("0 1\n-1 2\n")
 
 
 def _reference_emit(g: Graph) -> str:

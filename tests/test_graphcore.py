@@ -32,6 +32,8 @@ def test_graph_validation():
         Graph.from_edges(-1, [])  # negative vertex count
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])  # endpoint out of range
+    with pytest.raises(ValueError, match="^self-loop at 1$"):
+        Graph.from_edges(2, [(1, 1)])
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.m == 2
     assert g.degrees() == (1, 2, 1)
@@ -367,14 +369,17 @@ def test_build_named():
     assert is_isomorphic(build_named("2K2"), disjoint_union(build_named("K2"), build_named("K2")))
     with pytest.raises(ValueError):
         build_named("Q7")
-    with pytest.raises(ValueError):
-        build_named("C2")
-    with pytest.raises(ValueError):
-        build_named("F1")
-    with pytest.raises(ValueError):
-        build_named("K1_0")
     with pytest.raises(ValueError, match="bad count '0' in '0K2'"):
         build_named("0K2")
+    with pytest.raises(ValueError, match="bad component '' in 'K2\\+'"):
+        build_named("K2+")
+
+
+@pytest.mark.parametrize("name, value", [("C2", 2), ("P0", 0), ("K1_0", 0), ("F1", 1)])
+def test_build_named_rejects_atoms_below_their_minimum(name, value):
+    # the parser checks each atom's parameter; the builders behind it do not
+    with pytest.raises(ValueError, match=f"^parameter {value} too small for '{name}'$"):
+        build_named(name)
 
 
 def test_h_graphs_shape():

@@ -65,6 +65,25 @@ def test_hamiltonian_cycle_examples():
     assert hamiltonian_cycle(prism) is not None
 
 
+def test_is_valid_in_rejects_bad_walks():
+    p3 = build_named("P3")
+    assert not is_valid_in(CycleOrPath((0, 3), False), p3)  # vertex 3 outside 0..2
+    assert not is_valid_in(CycleOrPath((-1, 0), False), p3)
+    assert not is_valid_in(CycleOrPath((0, 1), True), p3)  # two vertices close no cycle
+
+
+def test_oracles_on_the_empty_graph():
+    empty = Graph(0, ())
+    assert is_tough(empty) == oracle.ToughnessResult(True, None, True)
+    assert hamiltonian_path(empty) is None
+    assert find_roots(empty) == oracle.RootSearch((empty,), True)
+
+
+def test_class_tree_below_one_edge_is_empty():
+    assert list(iter_class_tree(1, 5)) == []
+    assert list(iter_class_tree(5, 0)) == []
+
+
 def test_hamiltonian_cycle_needs_three_vertices():
     assert hamiltonian_cycle(Graph(2, (2, 1))) is None
     assert hamiltonian_cycle(Graph(1, (0,))) is None
@@ -460,9 +479,7 @@ def test_canonical_form_agrees_with_permutation_oracle():
 
 
 def _classes(max_vertices):
-    from coline.sweep import enumerate_classes
-
-    return list(enumerate_classes(max_vertices, max_vertices * (max_vertices - 1) // 2))
+    return list(iter_graph_classes(max_vertices, max_vertices * (max_vertices - 1) // 2))
 
 
 def test_canonical_form_invariant_under_relabeling(classes_sweep_range):
@@ -966,6 +983,8 @@ def test_contains_power_ham_cycle():
     assert contains_power_ham_cycle(prism, 1)
     assert contains_power_ham_cycle(prism, 0)
     assert not contains_power_ham_cycle(Graph(2, (2, 1)), 1)
+    with pytest.raises(ValueError, match="power must be non-negative"):
+        contains_power_ham_cycle(prism, -1)
 
 
 def test_power_one_matches_hamiltonicity(classes_up_to_6):

@@ -22,7 +22,6 @@ from coline.sweep import (
     SLOWEST_SHOWN,
     SweepConfig,
     bootstrap_catalog,
-    enumerate_classes,
     expected_census,
     oracle_verdicts,
     report_to_text,
@@ -60,7 +59,7 @@ def test_class_enumeration_matches_labeled_dedup():
         if core.m >= 1:
             labeled.setdefault(core.m, set()).add(canonical_form(core))
     classes = {}
-    for g in enumerate_classes(5, 8):
+    for g in oracle.iter_graph_classes(5, 8):
         classes.setdefault(g.m, set()).add(canonical_form(g))
     assert labeled == classes
 
@@ -72,7 +71,7 @@ def test_classes_are_canonically_labelled(classes_7_9):
 
 
 def test_class_representatives_have_no_isolated_vertices():
-    for g in enumerate_classes(6, 6):
+    for g in oracle.iter_graph_classes(6, 6):
         assert all(g.degree(v) > 0 for v in range(g.n))
         assert g.n <= 6 and 1 <= g.m <= 6
 
@@ -145,7 +144,7 @@ def test_sweep_timings_cover_enumeration(catalog):
     # checks where a certificate decides them
     text = report_to_text(report)
     listed = set(next(line for line in text.splitlines() if line.startswith("checks: "))[8:].split(", "))
-    unlisted = {"enumeration", "merge", "canonical_coline", "census", "decisions", "certificates"}
+    unlisted = {"enumeration", "merge", "expected_census", "canonical_coline", "census", "decisions", "certificates"}
     assert set(timings) - unlisted <= listed
 
 
@@ -244,7 +243,7 @@ def test_tally_names_only_the_classes_it_keeps(monkeypatch):
 
     encoded = []
     monkeypatch.setattr(sweep_module, "emit_graph6", lambda g: encoded.append(g) or emit_graph6(g))
-    classes = sorted(enumerate_classes(5, 6), key=emit_graph6, reverse=True)
+    classes = sorted(oracle.iter_graph_classes(5, 6), key=emit_graph6, reverse=True)
 
     def folded(times):
         tally, entries = sweep_module._Tally(), []
@@ -294,7 +293,7 @@ def test_worker_failure_surfaces_as_partial_report(catalog, monkeypatch):
 
     real = sweep_module._examine_class
     parent = os.getpid()
-    target = min(emit_graph6(g) for g in enumerate_classes(6, 8) if g.m == 8)
+    target = min(emit_graph6(g) for g in oracle.iter_graph_classes(6, 8) if g.m == 8)
 
     def flaky(g, catalog):
         if emit_graph6(g) == target:
@@ -319,7 +318,7 @@ def test_dead_worker_ends_the_sweep(catalog, monkeypatch, capsys):
 
     real = sweep_module._examine_class
     parent = os.getpid()
-    target = min(emit_graph6(g) for g in enumerate_classes(6, 8) if g.m == 8)
+    target = min(emit_graph6(g) for g in oracle.iter_graph_classes(6, 8) if g.m == 8)
 
     def dying(g, catalog):
         if emit_graph6(g) == target and os.getpid() != parent:
@@ -459,7 +458,7 @@ def test_sweep_decides_toughness_once_per_class(catalog, monkeypatch):
 
     monkeypatch.setattr(characterize, "decide_coline_tough", counting)
     run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
-    classes = [emit_graph6(g) for g in enumerate_classes(6, 8) if g.m >= 3]
+    classes = [emit_graph6(g) for g in oracle.iter_graph_classes(6, 8) if g.m >= 3]
     assert sorted(decided) == sorted(classes)
 
 
@@ -506,6 +505,13 @@ def test_self_coline_census():
     }
     assert canonical_form(build_named("C4")) not in forms
     assert canonical_form(build_named("K3")) not in forms
+
+
+def test_census_budgets():
+    with pytest.raises(ValueError, match="max_vertices <= 8"):
+        self_coline_census(9)
+    with pytest.raises(ValueError, match="max_vertices <= 6"):
+        whitney_census(7)
 
 
 def test_whitney_census():
