@@ -3,7 +3,9 @@
 On a certified longest cycle every structural property holds (otherwise a
 longer cycle could be spliced together), so the checkers stay silent.
 Handing them a deliberately short cycle makes each one fire, which is what
-certifies they test something real.
+certifies they test something real.  The trivial-components property holds
+only on tough hosts, so a genuine longest cycle of a non-tough coline is
+its control.
 """
 
 import itertools
@@ -22,7 +24,7 @@ for name in ("K5", "H1", "H2", "H3"):
     l, _ = coline(g)
     cycle = longest_cycle(l)
     ctx = make_context(l, cycle)
-    violations = run_all_checks(ctx) + check_trivial_components(ctx, g)
+    violations = run_all_checks(ctx) + check_trivial_components(ctx)
     print(f"  co({name}): longest cycle {len(cycle)}/{l.n}, violations: {len(violations)}")
 
 print("\nnegative control: a 4-cycle in the prism co(C6)")
@@ -38,3 +40,10 @@ violations = run_all_checks(ctx)
 kinds = sorted({v.kind for v in violations})
 print(f"  short cycle {control.vertices}: {len(violations)} violations of kinds {kinds}")
 print(f"  first witness: {violations[0]}")
+
+print("\nnegative control: a longest cycle of the non-tough co(C4+K2)")
+l, _ = coline(build_named("C4+K2"))
+ctx = make_context(l, longest_cycle(l))
+(violation,) = check_trivial_components(ctx)
+others = len(run_all_checks(ctx))
+print(f"  longest cycle {len(ctx.cycle)}/{l.n}: {violation.detail}; other violations: {others}")

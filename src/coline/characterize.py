@@ -131,15 +131,15 @@ class DecisionReport:
 
 # --- Lemma-style classification of disconnected colines ----------------------
 
+def _has_dominating_edge(g: Graph) -> bool:
+    """Some edge meets every other edge."""
+    degrees = g.degrees()
+    return any(degrees[u] + degrees[v] - 2 == g.m - 1 for u, v in g.edges())
+
+
 def is_type_A(g: Graph) -> bool:
     """Some edge meets every other edge, and co(G) has exactly 2 components."""
-    has_dominating_edge = any(
-        g.degree(u) + g.degree(v) - 2 == g.m - 1 for u, v in g.edges()
-    )
-    if not has_dominating_edge:
-        return False
-    l, _ = coline(g)
-    return len(components(l)) == 2
+    return _has_dominating_edge(g) and len(components(coline(g)[0])) == 2
 
 
 def rho(g: Graph) -> int | None:
@@ -189,7 +189,7 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
     k = core.m - 1
     if core.n == k + 1 and oracle.is_isomorphic(core, _f_graph(k)):
         return ColineClass(ColineCase.F, k, count, value)
-    if is_type_A(core):
+    if count == 2 and _has_dominating_edge(core):
         return ColineClass(ColineCase.TYPE_A, None, count, value)
     raise AssertionError(
         f"disconnected coline escaped the classification: {emit_graph6(core)}"

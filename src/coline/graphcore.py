@@ -15,7 +15,7 @@ costs one or two row reads.
 Every graph the package builds is valid by construction.  The builders
 (``Graph.from_edges``, the graph6 and edge-list parsers, ``build_named``)
 check their input; they and the operations here and in ``oracle``
-(``disjoint_union``, ``line_graph``, ``complement``, ``Graph.subgraph``, the
+(``disjoint_union``, ``line_graph``, ``complement``, ``strip_isolated``, the
 canonical relabelling and the rest) make symmetric, irreflexive rows within
 0..n-1 and wrap them with ``_derived`` unchecked.  Only the public
 constructor ``Graph(n, adj)``, where rows come from outside, checks them.
@@ -72,9 +72,6 @@ class Graph:
         """Number of edges, counted on first use; the rows never change."""
         return sum(mask.bit_count() for mask in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(mask.bit_count() for mask in self.adj)
 
@@ -94,35 +91,6 @@ class Graph:
                 out.append((u, u + low.bit_length()))
                 rest ^= low
         return tuple(out)
-
-    def with_edge(self, u: int, v: int) -> Graph:
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise ValueError(f"vertex {w} outside 0..{self.n - 1}")
-        if u == v:
-            raise ValueError("no self-loops")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return _derived(self.n, tuple(adj))
-
-    def subgraph(self, vertices: tuple[int, ...]) -> Graph:
-        """Induced subgraph, relabelled by position in ``vertices``.
-
-        The vertices must be distinct and within 0..n-1.
-        """
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("repeated vertex in subgraph")
-        for v in vertices:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        adj = [0] * len(vertices)
-        for v in vertices:
-            for u in _bits(self.adj[v]):
-                if u in index:
-                    adj[index[v]] |= 1 << index[u]
-        return _derived(len(vertices), tuple(adj))
 
     @staticmethod
     def from_edges(n: int, edges) -> Graph:
@@ -248,10 +216,26 @@ def add_dominating_vertex(g: Graph) -> Graph:
 
 
 def strip_isolated(g: Graph) -> Graph:
-    """Drop degree-0 vertices; a graph without any is returned as is."""
+    """Drop degree-0 vertices; a graph without any is returned as is.
+
+    The kept vertices keep their order.  A dropped vertex has no neighbour,
+    so every set bit of a kept row is a kept vertex: one lookup each.
+    """
     if all(g.adj):
         return g
-    return g.subgraph(tuple(v for v in range(g.n) if g.adj[v]))
+    kept = [v for v in range(g.n) if g.adj[v]]
+    bit = [0] * g.n
+    for i, v in enumerate(kept):
+        bit[v] = 1 << i
+    adj = []
+    for v in kept:
+        row, out = g.adj[v], 0
+        while row:
+            low = row & -row
+            out |= bit[low.bit_length() - 1]
+            row ^= low
+        adj.append(out)
+    return _derived(len(kept), tuple(adj))
 
 
 # --- named constructions ---------------------------------------------------
@@ -274,7 +258,7 @@ def _star(leaves: int) -> Graph:
 
 def _f_graph(k: int) -> Graph:
     """Star with k leaves plus one edge joining two leaves (F_2 is K3)."""
-    return _star(k).with_edge(1, 2)
+    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)] + [(1, 2)])
 
 
 def _net() -> Graph:
@@ -293,7 +277,7 @@ _FIXED = {
     "K4_minus": lambda: Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
     "K3_plus": lambda: Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),
     "K3_circ_K1": _net,
-    "H1": lambda: _net().with_edge(3, 4),
+    "H1": lambda: Graph.from_edges(6, _net().edges() + ((3, 4),)),
     "H2": lambda: Graph.from_edges(7, _net().edges() + ((3, 6),)),
     "H3": lambda: disjoint_union(_net(), _complete(2)),
     "Petersen": _petersen,

@@ -163,7 +163,7 @@ def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
     if tough and not hamiltonian:
         start = time.perf_counter()
         ctx = lemmacheck.make_context(l, oracle.longest_cycle(l))
-        violations = lemmacheck.run_all_checks(ctx) + lemmacheck.check_trivial_components(ctx, g)
+        violations = lemmacheck.run_all_checks(ctx) + lemmacheck.check_trivial_components(ctx)
         for violation in violations:
             record["mismatches"].append((f"lemma:{violation.kind}", "no violation", violation.detail))
         clock("lemma_properties", start)

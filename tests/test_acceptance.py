@@ -122,7 +122,7 @@ def test_criterion_06_three_tough_non_hamiltonian_roots():
         assert hamiltonian_cycle(l) is None
         ctx = make_context(l, longest_cycle(l))
         assert run_all_checks(ctx) == []
-        assert check_trivial_components(ctx, g) == []
+        assert check_trivial_components(ctx) == []
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed(6, f"H1-H3 colines tough, non-hamiltonian, lemma-clean ({elapsed:.3f}s)")
@@ -181,7 +181,7 @@ def test_criterion_08_longest_cycle_lemma_suite(full_sweep):
         if all(pet.has_edge(combo[i], combo[(i + 1) % 5]) for i in range(5)):
             short = CycleOrPath(combo, True)
             break
-    assert check_trivial_components(make_context(pet, short), k5)
+    assert check_trivial_components(make_context(pet, short))
     _passed(8, "lemma suite clean on sweep + all negative controls fire")
 
 

@@ -79,6 +79,24 @@ def test_is_type_a():
     assert not is_type_A(build_named("K1_3"))
 
 
+def test_classifier_agrees_with_is_type_a(classes_sweep_range):
+    # the classifier decides type A from its own component count, so check
+    # it against is_type_A, which builds the coline afresh; the two meet
+    # only on K_{1,2}, which the classifier gives to the stars
+    disconnected = type_a = 0
+    for g in classes_sweep_range:
+        klass = classify_disconnected_coline(g)
+        if klass.case is ColineCase.CONNECTED:
+            continue
+        disconnected += 1
+        type_a += klass.case is ColineCase.TYPE_A
+        star = klass.case is ColineCase.STAR
+        assert (klass.case is ColineCase.TYPE_A) == (is_type_A(g) and not star), g
+        if star and is_type_A(g):
+            assert is_isomorphic(g, build_named("P3")), g
+    assert (disconnected, type_a) == (46, 31)
+
+
 def test_rho():
     assert rho(build_named("C4")) == 6
     assert rho(build_named("F5")) == 9
@@ -100,7 +118,7 @@ def test_rho_is_a_toughness_obstruction():
         # grow by pendant edges on fresh vertices, staying under the bound
         grown = base
         for extra in range(room):
-            grown = Graph(grown.n + 1, grown.adj + (0,)).with_edge(0, grown.n)
+            grown = Graph.from_edges(grown.n + 1, grown.edges() + ((0, grown.n),))
             assert grown.m < bound
             l, _ = coline(grown)
             assert not is_tough(l).value

@@ -186,13 +186,15 @@ def test_classify_padded_input_relabels_once(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, "classify", "--named", "H1")
     plain = json.loads(out)
     relabels = []
-    subgraph = Graph.subgraph
+    strip = characterize.strip_isolated
 
-    def counting_subgraph(self, vertices):
-        relabels.append(vertices)
-        return subgraph(self, vertices)
+    def counting_strip(g):
+        core = strip(g)
+        if core is not g:
+            relabels.append(core)
+        return core
 
-    monkeypatch.setattr(Graph, "subgraph", counting_subgraph)
+    monkeypatch.setattr(characterize, "strip_isolated", counting_strip)
     code, out, _ = run_cli(capsys, "classify", "--named", "H1+3K1")
     assert code == 0
     padded = json.loads(out)

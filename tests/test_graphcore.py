@@ -107,33 +107,15 @@ def test_graph_validation_matches_per_bit_reference():
         Graph(-1, ())
 
 
-def test_subgraph_and_with_edge_reject_bad_vertices():
-    p3 = build_named("P3")
-    for vertices in ((0, 0), (0, 7), (-1, 1), (2, 1, 2)):
-        with pytest.raises(ValueError):
-            p3.subgraph(vertices)
-    for u, v in ((0, 5), (5, 0), (-1, 2), (1, 1)):
-        with pytest.raises(ValueError):
-            p3.with_edge(u, v)
-    assert p3.subgraph((2, 1)) == Graph.from_edges(2, [(0, 1)])
-    assert p3.subgraph(()) == Graph(0, ())
-    assert p3.with_edge(2, 0) == build_named("K3")
-
-
-def _derived_graphs(g: Graph, rng: random.Random) -> list[Graph]:
+def _derived_graphs(g: Graph) -> list[Graph]:
     """Every graph the package derives from ``g`` without re-checking it."""
-    vertices = rng.sample(range(g.n), rng.randint(0, g.n))
-    out = [
+    return [
         line_graph(g)[0],
         complement(g),
         coline(g)[0],
         canonical_graph(g),
         strip_isolated(g),
-        g.subgraph(tuple(vertices)),
     ]
-    if g.n >= 2:
-        out.append(g.with_edge(*rng.sample(range(g.n), 2)))
-    return out
 
 
 def _random_graph6(rng: random.Random, n: int, density: float) -> str:
@@ -179,7 +161,7 @@ def test_derived_graphs_are_valid(classes_up_to_6):
     for g in graphs:
         assert Graph(g.n, g.adj) == g, g
     for g in graphs:
-        for h in _derived_graphs(g, rng):
+        for h in _derived_graphs(g):
             assert Graph(h.n, h.adj) == h, (g, h)
 
 
@@ -313,8 +295,6 @@ def test_edge_count_is_cached_per_graph():
             assert reader.m == 7
         assert a == b and hash(a) == hash(b)
     derived = [
-        g.with_edge(4, 5),
-        g.subgraph((0, 1, 2, 5)),
         complement(g),
         coline(g)[0],
         strip_isolated(Graph(9, g.adj + (0, 0))),
@@ -322,7 +302,7 @@ def test_edge_count_is_cached_per_graph():
     ]
     for h in derived:
         assert h.m == len(h.edges())
-    assert [h.m for h in derived] == [8, 4, 14, 11, 7, 7]
+    assert [h.m for h in derived] == [14, 11, 7, 7]
     for h in (a, Graph(g.n, g.adj)):  # m read, and not read, before pickling
         copy = pickle.loads(pickle.dumps(h))
         assert copy == h and hash(copy) == hash(h) and copy.m == 7
@@ -400,3 +380,17 @@ def test_strip_isolated():
     assert core == Graph.from_edges(2, [(0, 1)])
     h = build_named("C4")
     assert strip_isolated(h) is h
+
+
+def test_strip_isolated_matches_reference(classes_up_to_6):
+    # pad each class with isolated vertices at random places; the core is
+    # the edges relabelled through the sorted non-isolated vertices
+    rng = random.Random(33)
+    for g in classes_up_to_6:
+        n = g.n + rng.randint(1, 4)
+        kept = sorted(rng.sample(range(n), g.n))
+        padded = Graph.from_edges(n, [(kept[u], kept[v]) for u, v in g.edges()])
+        index = {v: i for i, v in enumerate(v for v in range(n) if padded.adj[v])}
+        reference = Graph.from_edges(g.n, [(index[u], index[v]) for u, v in padded.edges()])
+        assert strip_isolated(padded) == reference
+        assert reference == g

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from coline.graph6 import parse_graph6
 from coline.graphcore import build_named, coline
 from coline.lemmacheck import (
-    ToughnessPreconditionError,
     check_common_arg,
     check_independent_sets,
     check_neighbor_gaps,
@@ -66,20 +66,18 @@ def test_context_decomposition():
 
 def exceptional_contexts():
     for name in ("K5", "H1", "H2", "H3"):
-        g = build_named(name)
-        l, _ = coline(g)
-        cycle = longest_cycle(l)
-        yield name, g, make_context(l, cycle)
+        l, _ = coline(build_named(name))
+        yield make_context(l, longest_cycle(l))
 
 
 def test_no_violations_on_longest_cycles():
-    for name, g, ctx in exceptional_contexts():
+    for ctx in exceptional_contexts():
         assert check_neighbor_gaps(ctx) == []
         assert check_independent_sets(ctx) == []
         assert check_no_crossing_paths(ctx) == []
         assert check_common_arg(ctx) == []
         assert check_non_xy_edges(ctx) == []
-        assert check_trivial_components(ctx, g) == []
+        assert check_trivial_components(ctx) == []
 
 
 def test_no_violations_on_hamiltonian_hosts():
@@ -117,18 +115,18 @@ def test_negative_control_trivial_components():
     pet, _ = coline(k5)
     assert is_tough(pet).value
     short = next(cycles_of_length(pet, 5))
-    violations = check_trivial_components(make_context(pet, short), k5)
+    violations = check_trivial_components(make_context(pet, short))
     assert violations and len(violations[0].vertices) == 5
 
 
-def test_trivial_components_precondition():
-    g = build_named("C4+K2")
-    l, _ = coline(g)
-    cycle = longest_cycle(l)
-    with pytest.raises(ToughnessPreconditionError):
-        check_trivial_components(make_context(l, cycle), g)
-    # wrong host is also rejected
-    k5 = build_named("K5")
-    pet, _ = coline(k5)
-    with pytest.raises(ToughnessPreconditionError):
-        check_trivial_components(make_context(pet, longest_cycle(pet)), build_named("C6"))
+def test_trivial_components_fire_on_non_tough_host():
+    # toughness is the caller's claim: on a non-tough coline a genuine
+    # longest cycle may leave a non-trivial component, while the checks
+    # that hold on every longest cycle stay silent
+    l, _ = coline(parse_graph6("E`QG"))  # C4+K2
+    assert l.n == 5 and not is_tough(l).value
+    ctx = make_context(l, longest_cycle(l))
+    assert len(ctx.cycle) == 3
+    (violation,) = check_trivial_components(ctx)
+    assert violation.kind == "trivial-components" and len(violation.vertices) == 2
+    assert run_all_checks(ctx) == []
