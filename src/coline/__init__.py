@@ -11,6 +11,14 @@ The package root is the decision layer: the constructions, graph6, the
 oracles and the decisions.  The sweep and the catalog bootstrap live in
 ``coline.sweep`` and are imported from there, so a process that only
 classifies never loads them or their process pool.
+
+Nor does it load ``dataclasses``.  The records the oracles and decisions
+return (``ToughnessResult``, ``ClauseVerdict``, ``Catalog``,
+``DecisionReport`` and the rest) are ``NamedTuple``s, which cost little to
+create at import.  ``Graph`` and ``CycleOrPath`` are small plain classes
+with the equality, hashing and repr of a frozen dataclass: ``Graph``
+checks its rows and caches its edge count, and the ``len()`` of a
+``CycleOrPath`` is its vertex count, so neither fits a tuple.
 """
 
 __version__ = "0.1.0"

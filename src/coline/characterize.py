@@ -12,11 +12,10 @@ here, from code, and never stored in the catalog file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from importlib import resources
 from itertools import combinations
+from typing import NamedTuple
 
 from . import oracle
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
@@ -80,8 +79,7 @@ class ColineCase(Enum):
     CONNECTED = "connected"
 
 
-@dataclass(frozen=True)
-class ColineClass:
+class ColineClass(NamedTuple):
     """Which disconnection family co(G) falls into, with c(co(G)) and rho."""
 
     case: ColineCase
@@ -90,8 +88,7 @@ class ColineClass:
     rho: int | None
 
 
-@dataclass(frozen=True)
-class ClauseVerdict:
+class ClauseVerdict(NamedTuple):
     """Outcome of one clause-based decision.
 
     ``clause`` is the first matching exception clause ("none" when the
@@ -104,8 +101,7 @@ class ClauseVerdict:
     all_matches: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     toughness_exceptions: tuple[Graph, ...]
     trace_exceptions: tuple[Graph, ...]
 
@@ -119,8 +115,7 @@ class Catalog:
         )
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     m: int
     max_degree: int
     tough: ClauseVerdict
@@ -401,7 +396,15 @@ def validate_catalog(catalog: Catalog) -> None:
             raise CatalogError(f"trace9 member {emit_graph6(g)} has a traceable coline")
 
 
-def _checked(text: str) -> Catalog:
+# Read beside this module rather than through importlib.resources, which
+# on Python 3.12 and later imports inspect and ast into every process.
+_PACKAGED_CATALOG = os.path.join(os.path.dirname(__file__), "data", "catalog.txt")
+
+
+def _read_checked(path: str | os.PathLike) -> Catalog:
+    # a non-ASCII byte stays one character, for the graph6 parser to reject
+    with open(path, "rb") as handle:
+        text = handle.read().decode("ascii", "surrogateescape")
     catalog = parse_catalog(text)
     validate_catalog(catalog)
     return catalog
@@ -410,10 +413,9 @@ def _checked(text: str) -> Catalog:
 @cache
 def _packaged_catalog() -> Catalog:
     try:
-        text = resources.files("coline").joinpath("data/catalog.txt").read_text()
+        return _read_checked(_PACKAGED_CATALOG)
     except FileNotFoundError as exc:
         raise CatalogError("packaged catalog missing; run the catalog bootstrap") from exc
-    return _checked(text)
 
 
 def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
@@ -421,7 +423,4 @@ def load_catalog(path: str | os.PathLike | None = None) -> Catalog:
     is read once per process."""
     if path is None:
         return _packaged_catalog()
-    # a non-ASCII byte stays one character, for the graph6 parser to reject
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-        text = handle.read()
-    return _checked(text)
+    return _read_checked(path)

@@ -19,12 +19,18 @@ check their input; they and the operations here and in ``oracle``
 canonical relabelling and the rest) make symmetric, irreflexive rows within
 0..n-1 and wrap them with ``_derived`` unchecked.  Only the public
 constructor ``Graph(n, adj)``, where rows come from outside, checks them.
+
+``Graph`` is a plain class rather than a frozen dataclass, so that a
+``coline`` process never imports ``dataclasses`` (and the ``inspect`` and
+``ast`` it pulls in) and no decorator compiles methods at import.  It is
+no ``NamedTuple`` either: its constructor checks the rows and it caches
+``m``.  It writes out the equality, hashing and repr the dataclass had,
+and setting or deleting a field raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator
@@ -39,33 +45,54 @@ MAX_INPUT_VERTICES = 1000
 MAX_INPUT_EDGES = 5000
 
 
-@dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the bitmask of neighbours of ``v``.  The constructor
-    checks its rows in time linear in the edges; the package's own builders
-    skip that check (see the module docstring).
+    stores the rows as a tuple and checks them in time linear in the edges;
+    the package's own builders skip that check (see the module docstring).
+    Two graphs are equal when their rows are; fields cannot be set or
+    deleted.
     """
 
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, adj) -> None:
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        adj = tuple(adj)
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, mask in enumerate(adj):
             if mask & ~full:
-                raise ValueError(f"vertex {v} has neighbours outside 0..{self.n - 1}")
+                raise ValueError(f"vertex {v} has neighbours outside 0..{n - 1}")
             if mask >> v & 1:
                 raise ValueError(f"vertex {v} has a self-loop")
-        for v, mask in enumerate(self.adj):
+        for v, mask in enumerate(adj):
             for u in _bits(mask):
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     @cached_property
     def m(self) -> int:

@@ -24,19 +24,43 @@ nothing, so a caller that needs a "no" runs the exhaustive search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph6 import emit_graph6
 from .graphcore import Graph, _bits, _derived, add_dominating_vertex, coline, components, is_connected
 
 
-@dataclass(frozen=True)
 class CycleOrPath:
-    """A simple cycle (closed) or simple path (open) in some host graph."""
+    """A simple cycle (closed) or simple path (open) in some host graph.
+
+    Its ``len()`` is its number of vertices, so it is no tuple of its two
+    fields; fields cannot be set or deleted.
+    """
 
     vertices: tuple[int, ...]
     closed: bool
+
+    def __init__(self, vertices: tuple[int, ...], closed: bool) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "closed", closed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.closed == other.closed
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.closed))
+
+    def __repr__(self) -> str:
+        return f"CycleOrPath(vertices={self.vertices!r}, closed={self.closed!r})"
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -57,23 +81,20 @@ def is_valid_in(walk: CycleOrPath, g: Graph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ToughnessWitness:
+class ToughnessWitness(NamedTuple):
     """A cutset S with c(G - S) > |S|, certifying non-toughness."""
 
     cutset: tuple[int, ...]
     components_after: int
 
 
-@dataclass(frozen=True)
-class ToughnessResult:
+class ToughnessResult(NamedTuple):
     value: bool
     witness: ToughnessWitness | None
     vacuous: bool  # no cutset exists at all (complete graphs)
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(NamedTuple):
     """mapping[i] is the image in g2 of vertex i of g1."""
 
     mapping: tuple[int, ...]
@@ -838,8 +859,7 @@ def cms_exact(g: Graph) -> int:
 
 # --- root search -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootSearch:
+class RootSearch(NamedTuple):
     roots: tuple[Graph, ...]
     complete: bool  # False when larger roots could exist beyond the budget
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -260,6 +261,27 @@ def test_catalog_round_trip(catalog):
     assert [canonical_form(g) for g in again.toughness_exceptions] == [
         canonical_form(g) for g in catalog.toughness_exceptions
     ]
+
+
+def test_records_survive_pickling(catalog):
+    # the sweep's worker processes send these records back pickled
+    k5, claw = build_named("K5"), build_named("K1_3")
+    records = [
+        catalog,
+        classify_disconnected_coline(build_named("K1_4")),
+        build_report(k5, catalog),
+        build_report(k5, catalog).tough,
+        oracle.is_tough(claw),
+        oracle.is_tough(claw).witness,
+        oracle.is_isomorphic(k5, k5),
+        oracle.find_roots(Graph(3, (0, 0, 0))),
+        oracle.hamiltonian_cycle(coline(build_named("C6"))[0]),
+    ]
+    assert None not in records
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+    assert pickle.loads(pickle.dumps(catalog)).wu_meng_21 == catalog.wu_meng_21
 
 
 def test_catalog_rejects_corruption(catalog, tmp_path):

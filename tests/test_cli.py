@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from importlib import resources
 from itertools import combinations
 
@@ -228,13 +227,13 @@ def test_only_raw_rows_are_checked(capsys, monkeypatch):
     rng = random.Random(300)
     g = Graph.from_edges(300, rng.sample(list(combinations(range(300), 2)), 900))
     checked = []
-    check = Graph.__post_init__
+    check = Graph.__init__
 
-    def counting_check(self):
-        checked.append(self.n)
-        check(self)
+    def counting_check(self, n, adj):
+        checked.append(n)
+        check(self, n, adj)
 
-    monkeypatch.setattr(Graph, "__post_init__", counting_check)
+    monkeypatch.setattr(Graph, "__init__", counting_check)
     code, out, _ = run_cli(capsys, "classify", "--graph6", emit_graph6(g))
     assert code == 0 and json.loads(out)["graph"]["m"] == 900
     assert checked == []
@@ -383,15 +382,19 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
 
 
 def test_classify_loads_only_the_decision_layer():
-    # a classify process never imports the sweep, the lemma checks or a
-    # process pool; a sweep run later in the same interpreter loads them
+    # a classify process never imports the sweep, the lemma checks, a
+    # process pool or dataclasses (with the inspect and ast it pulls in);
+    # a sweep run later in the same interpreter loads them
     script = """
 import contextlib, io, json, sys
 import coline
 from coline import cli
 with contextlib.redirect_stdout(io.StringIO()):
     classified = cli.main(["classify", "--named", "K5"])
-loaded = [name for name in ("coline.sweep", "coline.lemmacheck", "multiprocessing") if name in sys.modules]
+loaded = [
+    name for name in ("coline.sweep", "coline.lemmacheck", "multiprocessing", "dataclasses", "inspect", "ast")
+    if name in sys.modules
+]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     swept = cli.main(["sweep", "--max-vertices", "4", "--max-edges", "3"])
 print(json.dumps([classified, loaded, swept, out.getvalue()]))
@@ -486,7 +489,7 @@ def test_sweep_census_mismatch_exits_1(capsys, monkeypatch, tmp_path):
 
 def _planted_classification(change):
     def plant(klass):
-        return replace(klass, **change(klass))
+        return klass._replace(**change(klass))
 
     return plant
 

@@ -38,6 +38,23 @@ def test_graph_validation():
     assert g.m == 2
     assert g.degrees() == (1, 2, 1)
     assert g.edges() == ((0, 1), (1, 2))
+    rows = [2, 1]
+    g = Graph(2, rows)  # rows given as a list are kept as a tuple
+    rows[0] = 0
+    assert g.adj == (2, 1) and hash(g) == hash(Graph(2, (2, 1)))
+
+
+def test_graph_is_a_frozen_value():
+    g = Graph(2, (2, 1))
+    assert repr(g) == "Graph(n=2, adj=(2, 1))"
+    assert g == Graph.from_edges(2, [(0, 1)]) and hash(g) == hash(Graph.from_edges(2, [(0, 1)]))
+    assert g != (2, (2, 1)) and g != Graph(2, (0, 0))
+    for field in ("n", "adj", "m"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(g, field)
+    assert g.n == 2 and g.adj == (2, 1) and g.m == 1
 
 
 def _reference_validation_error(n: int, adj: tuple[int, ...]) -> str | None:

@@ -1048,6 +1048,20 @@ def test_find_roots_whitney_pair():
     assert result.complete
 
 
+def test_cycle_or_path_is_a_frozen_value():
+    walk = CycleOrPath((0, 2, 1), True)
+    assert len(walk) == 3 and len(CycleOrPath((), False)) == 0
+    assert repr(walk) == "CycleOrPath(vertices=(0, 2, 1), closed=True)"
+    assert walk == CycleOrPath((0, 2, 1), True) and hash(walk) == hash(CycleOrPath((0, 2, 1), True))
+    assert walk != CycleOrPath((0, 2, 1), False) and walk != ((0, 2, 1), True)
+    for field in ("vertices", "closed"):
+        with pytest.raises(AttributeError):
+            setattr(walk, field, ())
+        with pytest.raises(AttributeError):
+            delattr(walk, field)
+    assert walk.vertices == (0, 2, 1) and walk.closed
+
+
 def test_find_roots_c5():
     result = find_roots(build_named("C5"))
     assert [canonical_form(g) for g in result.roots] == [canonical_form(build_named("C5"))]

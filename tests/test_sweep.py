@@ -3,7 +3,6 @@ import os
 import weakref
 import zlib
 from collections import Counter
-from dataclasses import replace
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -440,7 +439,7 @@ def test_sweep_certifies_the_report_bundle(catalog, monkeypatch):
         if emit_graph6(g) != target:
             return report
         wrong = characterize.ClauseVerdict(not report.traceable.value, "flipped", ("flipped",))
-        return replace(report, traceable=wrong)
+        return report._replace(traceable=wrong)
 
     monkeypatch.setattr(characterize, "build_report", flipped)
     report = run_sweep(SweepConfig(max_vertices=5, max_edges=6), catalog)
@@ -608,8 +607,8 @@ def test_flipped_decisions_still_show_as_mismatches(catalog, monkeypatch):
         def flip(verdict):
             return characterize.ClauseVerdict(not verdict.value, "flipped", ("flipped",))
 
-        return replace(report, tough=flip(report.tough), hamiltonian=flip(report.hamiltonian),
-                       traceable=flip(report.traceable))
+        return report._replace(tough=flip(report.tough), hamiltonian=flip(report.hamiltonian),
+                               traceable=flip(report.traceable))
 
     monkeypatch.setattr(characterize, "build_report", flipped)
     for g in targets:
