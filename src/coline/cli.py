@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from contextlib import suppress
-from pathlib import Path
 
 from . import __version__, characterize, oracle
 from .characterize import CATALOG_FORMAT, CatalogError, ScopeError
@@ -188,12 +187,12 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def _check_output(path: str) -> None:
     """Raise the OSError writing ``path`` would, before a long run, not after."""
-    target = Path(path)
-    if target.is_dir():
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not target.parent.is_dir():
+    if not path or not os.path.isdir(parent):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    if not os.access(target if target.exists() else target.parent, os.W_OK):
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
@@ -206,7 +205,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _check_output(args.output)
     report = sweep.run_sweep(config, catalog)
     if args.output:
-        Path(args.output).write_text(sweep.report_to_text(report), encoding="ascii")
+        with open(args.output, "w", encoding="ascii") as out:
+            out.write(sweep.report_to_text(report))
     census = report.exception_census
     print(f"classes scanned: {report.graphs_scanned}")
     print(f"mismatches: {len(report.mismatches)}")
@@ -227,7 +227,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
         _check_output(args.output)
         catalog, summary = sweep.bootstrap_catalog()
-        Path(args.output).write_text(characterize.emit_catalog(catalog), encoding="ascii")
+        with open(args.output, "w", encoding="ascii") as out:
+            out.write(characterize.emit_catalog(catalog))
         print(f"wrote {args.output}")
         print(json.dumps(summary, indent=2))
         return EXIT_OK

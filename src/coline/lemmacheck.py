@@ -7,8 +7,11 @@ on a genuine longest cycle all of them return empty violation lists, and
 each fires on a deliberately non-longest cycle, so the sweep can assert
 both directions.
 
-Checks whose statement depends on the cycle orientation are evaluated in
-both orientations; the properties hold either way on longest cycles.
+Orientation: each general check is stated once, for the cycle's own
+orientation, where x+ is the successor of x and x- its predecessor.  It
+is run on the cycle and on its reverse, since the properties hold either
+way on longest cycles, and each violation's detail ends in ``(fwd)`` or
+``(rev)`` to say which.
 
 ``check_trivial_components`` holds only on tough hosts, and takes
 toughness as the caller's claim, as ``make_context`` takes the cycle's
@@ -17,41 +20,36 @@ length; on a non-tough host it may fire on a genuine longest cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import wraps
+from itertools import combinations, permutations
+from typing import NamedTuple
 
 from . import oracle
 from .graphcore import Graph, _bits, components
 from .oracle import CycleOrPath
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     vertices: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class LongestCycleContext:
+class LongestCycleContext(NamedTuple):
     """A host graph with an oriented cycle and the derived off-cycle data.
 
     ``off_components``: the connected components of host minus the cycle,
     each a sorted vertex tuple; ``neighbor_sets``: per component, its
-    on-cycle neighbours.
+    on-cycle neighbours; ``succ`` and ``pred``: each cycle vertex x mapped
+    to x+ and x-.
     """
 
     host: Graph
     cycle: CycleOrPath
     off_components: tuple[tuple[int, ...], ...]
     neighbor_sets: tuple[tuple[int, ...], ...]
-
-    def succ(self, v: int) -> int:
-        vs = self.cycle.vertices
-        return vs[(vs.index(v) + 1) % len(vs)]
-
-    def pred(self, v: int) -> int:
-        vs = self.cycle.vertices
-        return vs[(vs.index(v) - 1) % len(vs)]
+    succ: dict[int, int]
+    pred: dict[int, int]
 
 
 def make_context(host: Graph, cycle: CycleOrPath) -> LongestCycleContext:
@@ -62,8 +60,9 @@ def make_context(host: Graph, cycle: CycleOrPath) -> LongestCycleContext:
     """
     if not cycle.closed or not oracle.is_valid_in(cycle, host):
         raise ValueError("not a valid closed cycle of the host graph")
+    vs = cycle.vertices
     on_cycle = 0
-    for v in cycle.vertices:
+    for v in vs:
         on_cycle |= 1 << v
     off = (1 << host.n) - 1 & ~on_cycle
     comps = []
@@ -75,78 +74,73 @@ def make_context(host: Graph, cycle: CycleOrPath) -> LongestCycleContext:
             reach |= host.adj[v]
         comps.append(comp)
         neighbor_sets.append(tuple(_bits(reach & on_cycle)))
-    return LongestCycleContext(host, cycle, tuple(comps), tuple(neighbor_sets))
+    succ = dict(zip(vs, vs[1:] + vs[:1]))
+    pred = {after: v for v, after in succ.items()}
+    return LongestCycleContext(host, cycle, tuple(comps), tuple(neighbor_sets), succ, pred)
 
 
 def reverse_context(ctx: LongestCycleContext) -> LongestCycleContext:
-    flipped = CycleOrPath(tuple(reversed(ctx.cycle.vertices)), True)
-    return LongestCycleContext(ctx.host, flipped, ctx.off_components, ctx.neighbor_sets)
+    """The same cycle run the other way: x+ and x- trade places."""
+    flipped = CycleOrPath(ctx.cycle.vertices[::-1], True)
+    return ctx._replace(cycle=flipped, succ=ctx.pred, pred=ctx.succ)
 
 
+def _in_both_orientations(check):
+    """Run ``check``, stated for the cycle's own orientation, on the cycle
+    and on its reverse, tagging each violation's detail with which."""
+
+    @wraps(check)
+    def both(ctx: LongestCycleContext) -> list[Violation]:
+        return [
+            found._replace(detail=f"{found.detail} ({tag})")
+            for oriented, tag in ((ctx, "fwd"), (reverse_context(ctx), "rev"))
+            for found in check(oriented)
+        ]
+
+    return both
+
+
+@_in_both_orientations
 def check_neighbor_gaps(ctx: LongestCycleContext) -> list[Violation]:
-    """No on-cycle neighbour of an off-cycle component may be followed or
-    preceded by another neighbour of the same component."""
+    """No on-cycle neighbour x of an off-cycle component H has x+ in N(H)."""
     out = []
     for comp, neighbors in zip(ctx.off_components, ctx.neighbor_sets):
-        nset = set(neighbors)
         for x in neighbors:
-            for other, label in ((ctx.succ(x), "successor"), (ctx.pred(x), "predecessor")):
-                if other in nset:
-                    out.append(
-                        Violation(
-                            "neighbor-gaps",
-                            (x, other) + comp,
-                            f"{label} {other} of {x} also touches component {comp}",
-                        )
-                    )
+            after = ctx.succ[x]
+            if after in neighbors:
+                detail = f"successor {after} of {x} also touches component {comp}"
+                out.append(Violation("neighbor-gaps", (x, after) + comp, detail))
     return out
 
 
+@_in_both_orientations
 def check_independent_sets(ctx: LongestCycleContext) -> list[Violation]:
-    """N(H)+ plus any component vertex is independent; same for N(H)-."""
+    """N(H)+ plus any vertex of the off-cycle component H is independent."""
     out = []
     for comp, neighbors in zip(ctx.off_components, ctx.neighbor_sets):
-        for shift, label in ((ctx.succ, "+"), (ctx.pred, "-")):
-            shifted = [shift(x) for x in neighbors]
-            for x in comp:
-                group = shifted + [x]
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        if ctx.host.has_edge(group[i], group[j]):
-                            out.append(
-                                Violation(
-                                    "independent-sets",
-                                    (group[i], group[j], x),
-                                    f"edge inside N(H){label} + {{{x}}}, H={comp}",
-                                )
-                            )
+        shifted = [ctx.succ[x] for x in neighbors]
+        for x in comp:
+            for a, b in combinations(shifted + [x], 2):
+                if ctx.host.has_edge(a, b):
+                    detail = f"edge inside N(H)+ + {{{x}}}, H={comp}"
+                    out.append(Violation("independent-sets", (a, b, x), detail))
     return out
 
 
+@_in_both_orientations
 def check_no_crossing_paths(ctx: LongestCycleContext) -> list[Violation]:
-    """No x+y+ or x-y- path through off-cycle vertices, for x, y in N(H).
+    """No x+y+ path through off-cycle vertices, for x, y in N(H).
 
     The inner vertices of such a path lie in one off-cycle component, so it
     exists iff the two ends are adjacent or both touch one component.
     """
     out = []
     for comp, neighbors in zip(ctx.off_components, ctx.neighbor_sets):
-        for i in range(len(neighbors)):
-            for j in range(i + 1, len(neighbors)):
-                x, y = neighbors[i], neighbors[j]
-                for shift, label in ((ctx.succ, "+"), (ctx.pred, "-")):
-                    a, b = shift(x), shift(y)
-                    if a != b and (
-                        ctx.host.has_edge(a, b)
-                        or any(a in ns and b in ns for ns in ctx.neighbor_sets)
-                    ):
-                        out.append(
-                            Violation(
-                                "crossing-paths",
-                                (x, y, a, b) + comp,
-                                f"x{label}y{label} path {a}..{b} off the cycle, H={comp}",
-                            )
-                        )
+        for x, y in combinations(neighbors, 2):
+            a, b = ctx.succ[x], ctx.succ[y]
+            if ctx.host.has_edge(a, b) or any(a in ns and b in ns for ns in ctx.neighbor_sets):
+                detail = f"x+y+ path {a}..{b} off the cycle, H={comp}"
+                out.append(Violation("crossing-paths", (x, y, a, b) + comp, detail))
     return out
 
 
@@ -154,59 +148,46 @@ def _cycle_neighbors_in_order(ctx: LongestCycleContext, x: int) -> list[int]:
     return [v for v in ctx.cycle.vertices if ctx.host.has_edge(x, v)]
 
 
+@_in_both_orientations
 def check_common_arg(ctx: LongestCycleContext) -> list[Violation]:
     """Arc-pair exclusion around an off-cycle vertex x.
 
     For neighbours x_i then x_j then x_k of x in cyclic order (x_j = x_k
-    allowed), an edge from x_i's cycle-neighbourhood to x_j or x_k forbids
-    the edge x_j- x_k+.  Both orientations are tested; the j = k boundary
-    form is reported with its own tag.
+    allowed), an edge from x_i+ or x_i- to x_j or x_k forbids the edge
+    x_j- x_k+.  The j = k boundary form is reported with its own tag.
     """
     out = []
-    for oriented, tag in ((ctx, "fwd"), (reverse_context(ctx), "rev")):
-        for comp in oriented.off_components:
-            for x in comp:
-                nbrs = _cycle_neighbors_in_order(oriented, x)
-                d = len(nbrs)
-                for a in range(d):
-                    xi = nbrs[a]
-                    around = [nbrs[(a + s) % d] for s in range(1, d)]
-                    for sj in range(len(around)):
-                        for sk in range(sj, len(around)):
-                            xj, xk = around[sj], around[sk]
-                            probes = (
-                                oriented.host.has_edge(oriented.succ(xi), xj)
-                                or oriented.host.has_edge(oriented.pred(xi), xj)
-                                or oriented.host.has_edge(oriented.succ(xi), xk)
-                                or oriented.host.has_edge(oriented.pred(xi), xk)
-                            )
-                            closing = oriented.host.has_edge(
-                                oriented.pred(xj), oriented.succ(xk)
-                            )
-                            if probes and closing:
-                                form = "j=k" if xj == xk else "general"
-                                out.append(
-                                    Violation(
-                                        "common-arg",
-                                        (x, xi, xj, xk),
-                                        f"{form} form fired ({tag}): probes and "
-                                        f"{oriented.pred(xj)}-{oriented.succ(xk)} all present",
-                                    )
+    has_edge = ctx.host.has_edge
+    for comp in ctx.off_components:
+        for x in comp:
+            nbrs = _cycle_neighbors_in_order(ctx, x)
+            for a, xi in enumerate(nbrs):
+                ends = (ctx.succ[xi], ctx.pred[xi])
+                around = nbrs[a + 1 :] + nbrs[:a]
+                for sj, xj in enumerate(around):
+                    for xk in around[sj:]:
+                        z, z_prime = ctx.pred[xj], ctx.succ[xk]
+                        probes = any(has_edge(end, y) for end in ends for y in (xj, xk))
+                        if probes and has_edge(z, z_prime):
+                            form = "j=k" if xj == xk else "general"
+                            out.append(
+                                Violation(
+                                    "common-arg",
+                                    (x, xi, xj, xk),
+                                    f"{form} form fired: probes and {z}-{z_prime} all present",
                                 )
+                            )
     return out
 
 
 def _arc_edges(ctx: LongestCycleContext, start: int, stop: int):
-    """Consecutive pairs (w, w+) along the forward arc start..stop."""
-    vs = ctx.cycle.vertices
-    n = len(vs)
-    i = vs.index(start)
-    j = vs.index(stop)
-    while i != j:
-        yield vs[i], vs[(i + 1) % n]
-        i = (i + 1) % n
+    """Consecutive pairs (w, w+) along the arc start..stop."""
+    while start != stop:
+        yield start, ctx.succ[start]
+        start = ctx.succ[start]
 
 
+@_in_both_orientations
 def check_non_xy_edges(ctx: LongestCycleContext) -> list[Violation]:
     """Edges on the arc between two neighbours of an off-cycle vertex x
     cannot connect to both flanking vertices x_i-, x_j+ in either pairing.
@@ -216,31 +197,23 @@ def check_non_xy_edges(ctx: LongestCycleContext) -> list[Violation]:
     cycle rewiring degenerates and no exclusion applies.
     """
     out = []
-    for oriented, tag in ((ctx, "fwd"), (reverse_context(ctx), "rev")):
-        for comp in oriented.off_components:
-            for x in comp:
-                nbrs = _cycle_neighbors_in_order(oriented, x)
-                for xi in nbrs:
-                    for xj in nbrs:
-                        if xi == xj:
-                            continue
-                        z = oriented.pred(xi)
-                        z_prime = oriented.succ(xj)
-                        if z_prime == xi or z == xj:
-                            continue
-                        for w, w_next in _arc_edges(oriented, xi, xj):
-                            for first, second in ((z, z_prime), (z_prime, z)):
-                                if oriented.host.has_edge(w, first) and oriented.host.has_edge(
-                                    w_next, second
-                                ):
-                                    out.append(
-                                        Violation(
-                                            "non-xy-edges",
-                                            (x, xi, xj, w, w_next, first, second),
-                                            f"({tag}) arc edge {w}{w_next} joins "
-                                            f"{first} and {second}",
-                                        )
-                                    )
+    has_edge = ctx.host.has_edge
+    for comp in ctx.off_components:
+        for x in comp:
+            for xi, xj in permutations(_cycle_neighbors_in_order(ctx, x), 2):
+                z, z_prime = ctx.pred[xi], ctx.succ[xj]
+                if z_prime == xi or z == xj:
+                    continue
+                for w, w_next in _arc_edges(ctx, xi, xj):
+                    for first, second in ((z, z_prime), (z_prime, z)):
+                        if has_edge(w, first) and has_edge(w_next, second):
+                            out.append(
+                                Violation(
+                                    "non-xy-edges",
+                                    (x, xi, xj, w, w_next, first, second),
+                                    f"arc edge {w}{w_next} joins {first} and {second}",
+                                )
+                            )
     return out
 
 
@@ -248,31 +221,22 @@ def check_trivial_components(ctx: LongestCycleContext) -> list[Violation]:
     """Every off-cycle component of a longest cycle in a tough host must be
     a single vertex.  Toughness is the caller's claim; the host is not
     checked."""
-    out = []
-    for comp in ctx.off_components:
-        if len(comp) > 1:
-            out.append(
-                Violation(
-                    "trivial-components",
-                    comp,
-                    f"off-cycle component has {len(comp)} vertices",
-                )
-            )
-    return out
+    return [
+        Violation("trivial-components", comp, f"off-cycle component has {len(comp)} vertices")
+        for comp in ctx.off_components
+        if len(comp) > 1
+    ]
 
 
 ALL_CHECKS = (
-    ("neighbor-gaps", check_neighbor_gaps),
-    ("independent-sets", check_independent_sets),
-    ("crossing-paths", check_no_crossing_paths),
-    ("common-arg", check_common_arg),
-    ("non-xy-edges", check_non_xy_edges),
+    check_neighbor_gaps,
+    check_independent_sets,
+    check_no_crossing_paths,
+    check_common_arg,
+    check_non_xy_edges,
 )
 
 
 def run_all_checks(ctx: LongestCycleContext) -> list[Violation]:
     """All orientation-aware structural checks (not the toughness-gated one)."""
-    out = []
-    for _, check in ALL_CHECKS:
-        out.extend(check(ctx))
-    return out
+    return [found for check in ALL_CHECKS for found in check(ctx)]

@@ -383,8 +383,9 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
 
 def test_classify_loads_only_the_decision_layer():
     # a classify process never imports the sweep, the lemma checks, a
-    # process pool or dataclasses (with the inspect and ast it pulls in);
-    # a sweep run later in the same interpreter loads them
+    # process pool, dataclasses (with the inspect and ast it pulls in) or
+    # pathlib; a sweep run later in the same interpreter loads them.  The
+    # interpreter starts without site, which on some hosts imports pathlib
     script = """
 import contextlib, io, json, sys
 import coline
@@ -392,7 +393,11 @@ from coline import cli
 with contextlib.redirect_stdout(io.StringIO()):
     classified = cli.main(["classify", "--named", "K5"])
 loaded = [
-    name for name in ("coline.sweep", "coline.lemmacheck", "multiprocessing", "dataclasses", "inspect", "ast")
+    name
+    for name in (
+        "coline.sweep", "coline.lemmacheck", "multiprocessing", "dataclasses", "inspect", "ast",
+        "pathlib",
+    )
     if name in sys.modules
 ]
 with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -402,7 +407,7 @@ print(json.dumps([classified, loaded, swept, out.getvalue()]))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
@@ -597,6 +602,19 @@ def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, c
     assert code == 3
     assert err.startswith("i/o error: [Errno") and str(target) in err
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_empty_output_path_fails_before_bootstrap(capsys, monkeypatch):
+    # an empty path names no file: opening it raises ENOENT, so the check does
+    import coline.sweep as sweep_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran although --output cannot be written")
+
+    monkeypatch.setattr(sweep_module, "bootstrap_catalog", never)
+    code, out, err = run_cli(capsys, "catalog", "bootstrap", "--output", "")
+    assert code == 3
+    assert err.startswith("i/o error: [Errno 2]") and out == ""
 
 
 def test_sweep_bad_flags(capsys):

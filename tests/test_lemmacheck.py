@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,15 @@ from coline.lemmacheck import (
     run_all_checks,
 )
 from coline.oracle import CycleOrPath, is_tough, longest_cycle
+
+CHECKS = (
+    check_neighbor_gaps,
+    check_independent_sets,
+    check_no_crossing_paths,
+    check_common_arg,
+    check_non_xy_edges,
+    check_trivial_components,
+)
 
 
 def cycles_of_length(g, k):
@@ -110,6 +120,26 @@ def test_negative_control_non_xy_edges(k5_short_context):
     assert check_non_xy_edges(k5_short_context)
 
 
+@pytest.mark.parametrize(
+    "control, cycle, counts",
+    [
+        ("prism_short_context", (0, 3, 1, 4), (8, 24, 12, 0, 4, 1)),
+        ("k5_short_context", (0, 1, 2, 3), (8, 20, 12, 40, 48, 0)),
+    ],
+)
+def test_negative_controls_per_kind(request, control, cycle, counts):
+    # each general check runs once in each orientation, so a check that
+    # drops or doubles one changes its count, and reversing the cycle
+    # leaves every check's violations the same up to order
+    ctx = request.getfixturevalue(control)
+    assert ctx.cycle.vertices == cycle
+    back = reverse_context(ctx)
+    for check, count in zip(CHECKS, counts):
+        found = [(v.kind, v.vertices) for v in check(ctx)]
+        assert len(found) == count, check.__name__
+        assert Counter((v.kind, v.vertices) for v in check(back)) == Counter(found), check.__name__
+
+
 def test_negative_control_trivial_components():
     k5 = build_named("K5")
     pet, _ = coline(k5)
@@ -130,3 +160,20 @@ def test_trivial_components_fire_on_non_tough_host():
     (violation,) = check_trivial_components(ctx)
     assert violation.kind == "trivial-components" and len(violation.vertices) == 2
     assert run_all_checks(ctx) == []
+
+
+def test_checks_over_the_sweep_range(classes_sweep_range):
+    # the longest cycle of each of the 285 non-Hamiltonian 8/10 colines
+    # that have a cycle: the general checks hold on all of them, and the
+    # trivial-components check fires only on non-tough ones
+    contexts = []
+    for g in classes_sweep_range:
+        l, _ = coline(g)
+        cycle = longest_cycle(l)
+        if cycle is not None and len(cycle) < l.n:
+            contexts.append(make_context(l, cycle))
+    assert len(contexts) == 285
+    assert [ctx for ctx in contexts if run_all_checks(ctx)] == []
+    fired = [ctx.host for ctx in contexts if check_trivial_components(ctx)]
+    assert len(fired) == 11
+    assert not any(is_tough(l).value for l in fired)
