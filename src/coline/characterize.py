@@ -146,16 +146,6 @@ def rho(g: Graph) -> int | None:
     return classify_disconnected_coline(g).rho
 
 
-def _is_star(g: Graph) -> int | None:
-    """Number of leaves if g is K_{1,lambda} (lambda >= 1), else None."""
-    if g.n < 2 or g.m != g.n - 1:
-        return None
-    degs = sorted(g.degrees())
-    if degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1]):
-        return g.n - 1
-    return None
-
-
 def classify_disconnected_coline(g: Graph) -> ColineClass:
     """Place g in the six-family classification of disconnected colines.
 
@@ -171,9 +161,9 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
         return ColineClass(ColineCase.CONNECTED, None, count, None)
     value = core.m + count
 
-    leaves = _is_star(core)
-    if leaves is not None:
-        return ColineClass(ColineCase.STAR, leaves, count, value)
+    # with no isolated vertex, a vertex on all m = n - 1 edges makes the core K_{1,m}
+    if core.m == core.n - 1 == core.max_degree():
+        return ColineClass(ColineCase.STAR, core.m, count, value)
     if oracle.is_isomorphic(core, _C4):
         return ColineClass(ColineCase.C4, None, count, value)
     if oracle.is_isomorphic(core, NAMED["K4_minus"]):

@@ -192,9 +192,10 @@ def check_non_xy_edges(ctx: LongestCycleContext) -> list[Violation]:
     """Edges on the arc between two neighbours of an off-cycle vertex x
     cannot connect to both flanking vertices x_i-, x_j+ in either pairing.
 
-    Configurations where the flanking vertices fold back onto the arc's own
-    endpoints (x_j+ = x_i or x_i- = x_j) are skipped: there the would-be
-    cycle rewiring degenerates and no exclusion applies.
+    A configuration where the flanking vertices fold back onto the arc's own
+    endpoints, x_j+ = x_i, is skipped: there the would-be cycle rewiring
+    degenerates and no exclusion applies.  (x_i- = x_j is the same
+    condition, since pred inverts succ.)
     """
     out = []
     has_edge = ctx.host.has_edge
@@ -202,7 +203,7 @@ def check_non_xy_edges(ctx: LongestCycleContext) -> list[Violation]:
         for x in comp:
             for xi, xj in permutations(_cycle_neighbors_in_order(ctx, x), 2):
                 z, z_prime = ctx.pred[xi], ctx.succ[xj]
-                if z_prime == xi or z == xj:
+                if z_prime == xi:
                     continue
                 for w, w_next in _arc_edges(ctx, xi, xj):
                     for first, second in ((z, z_prime), (z_prime, z)):

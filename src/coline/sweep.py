@@ -120,7 +120,7 @@ def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
         if verdict.value != seen:
             record["mismatches"].append((check, f"{verdict.value} clause={verdict.clause}", str(seen)))
 
-    clock("canonical_coline", start)
+    clock("coline", start)
     tough, hamiltonian, traceable = oracle_verdicts(g, l, record["certificates"], record["timings"])
     start = time.perf_counter()
     record["census"] = census_tags(g, tough, hamiltonian, traceable)

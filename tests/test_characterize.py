@@ -11,6 +11,7 @@ from coline.characterize import (
     ScopeError,
     build_report,
     classify_disconnected_coline,
+    counting_clause,
     decide_coline_hamiltonian,
     decide_coline_tough,
     decide_coline_traceable,
@@ -137,6 +138,7 @@ def test_decide_tough(catalog):
     assert (verdict.value, verdict.clause) == (False, "(i)")
     verdict = decide_coline_tough(build_named("C4+K2"), catalog)
     assert (verdict.value, verdict.clause) == (False, "(iii)")
+    assert decide_coline_tough(build_named("C4+K2")) == verdict  # no catalog: the packaged one
     assert decide_coline_tough(build_named("K5"), catalog).value
     assert decide_coline_tough(build_named("H1"), catalog).value
     verdict = decide_coline_tough(build_named("C4"), catalog)
@@ -148,6 +150,7 @@ def test_decide_hamiltonian(catalog):
     assert (verdict.value, verdict.clause) == (False, "K5")
     verdict = decide_coline_hamiltonian(build_named("H3"), catalog)
     assert (verdict.value, verdict.clause) == (False, "H3")
+    assert decide_coline_hamiltonian(build_named("H3")) == verdict  # no catalog: the packaged one
     assert decide_coline_hamiltonian(build_named("C6"), catalog).value
     verdict = decide_coline_hamiltonian(build_named("K1_4"), catalog)
     assert not verdict.value and verdict.clause.startswith("not-tough")
@@ -171,6 +174,7 @@ def test_decide_traceable(catalog):
     assert decide_coline_traceable(build_named("K5"), catalog).value
     verdict = decide_coline_traceable(build_named("C4"), catalog)
     assert (verdict.value, verdict.clause) == (False, "(iii)")
+    assert decide_coline_traceable(build_named("C4")) == verdict  # no catalog: the packaged one
 
 
 def test_scope_errors(catalog):
@@ -182,6 +186,9 @@ def test_scope_errors(catalog):
         decide_coline_traceable(build_named("K2"), catalog)
     # m = 2 is enough for traceability
     assert not decide_coline_traceable(build_named("P3"), catalog).value
+    # the public clause test takes the empty graph, which has no maximum degree
+    assert counting_clause(Graph(0, ()), 0) is None
+    assert counting_clause(Graph(0, ()), 1) is None
 
 
 def test_verdicts_ignore_isolated_vertices(catalog):
@@ -317,6 +324,9 @@ WITH_ISOLATED = "with-isolated"
     [
         ("tough18", "K1_3", "tough18 member already covered by a counting clause"),
         ("trace9", "K1_3", "trace9 member already covered by a counting clause"),
+        # a counting clause covers 2K2 at slack 0 but not 1, and P4 at slack 1 but not 2
+        ("tough18", "2K2", "tough18 member already covered by a counting clause"),
+        ("trace9", "P4", "trace9 member already covered by a counting clause"),
         ("trace9", "K3_circ_K1", "trace9 must not contain the corona"),
         ("trace9", "C6", "trace9 member E.* has a traceable coline"),
         ("tough18", COPY_OF_LAST, "tough18 contains isomorphic duplicates"),

@@ -112,8 +112,8 @@ def test_negative_control_crossing_paths(prism_short_context):
 def test_negative_control_common_arg(k5_short_context):
     violations = check_common_arg(k5_short_context)
     assert violations
-    forms = {v.detail.split(" form")[0] for v in violations}
-    assert "general" in forms or "j=k" in forms
+    forms = Counter(v.detail.split(" form")[0] for v in violations)
+    assert forms == {"j=k": 24, "general": 16}
 
 
 def test_negative_control_non_xy_edges(k5_short_context):

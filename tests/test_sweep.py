@@ -124,7 +124,7 @@ def test_sweep_timings_cover_enumeration(catalog):
     total = timings.pop("total")
     for phase in (
         "enumeration",
-        "canonical_coline",
+        "coline",
         "certificates",
         "toughness",
         "hamiltonicity",
@@ -143,7 +143,7 @@ def test_sweep_timings_cover_enumeration(catalog):
     # checks where a certificate decides them
     text = report_to_text(report)
     listed = set(next(line for line in text.splitlines() if line.startswith("checks: "))[8:].split(", "))
-    unlisted = {"enumeration", "merge", "expected_census", "canonical_coline", "census", "decisions", "certificates"}
+    unlisted = {"enumeration", "merge", "expected_census", "coline", "census", "decisions", "certificates"}
     assert set(timings) - unlisted <= listed
 
 
@@ -186,7 +186,8 @@ def test_sweep_reports_its_slowest_classes(catalog):
         assert total == pytest.approx(sum(checks.values()))
     text = report_to_text(report)
     assert text.index("timings (s):") < text.index("slowest classes (ms):")
-    assert f"\n  {slowest[0][0]}  total={1000 * totals[0]:.1f}  canonical_coline=" in text
+    listed = next(line for line in text.splitlines() if line.startswith(f"  {slowest[0][0]}  total="))
+    assert listed.startswith(f"  {slowest[0][0]}  total={1000 * totals[0]:.1f}  ") and " coline=" in listed
 
 
 def test_sweep_keeps_no_record_per_class(catalog, monkeypatch):
@@ -260,7 +261,7 @@ def test_tally_names_only_the_classes_it_keeps(monkeypatch):
 def _report_without_clocks(report) -> str:
     """The report text above its timings plus its certificates block,
     without the ``workers:`` line: what no worker count may change, cut as
-    CI's ``unclocked`` cuts a report file."""
+    ``tests/smoke.py`` cuts a report file."""
     text = report_to_text(report)
     head = text[: text.index("timings (s):")]
     lines = [line for line in head.splitlines(keepends=True) if not line.startswith("workers: ")]
