@@ -28,7 +28,6 @@ from .graphcore import (
     add_dominating_vertex,
     build_named,
     coline,
-    complement,
     components,
     disjoint_union,
     is_connected,

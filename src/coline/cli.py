@@ -229,7 +229,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         catalog, summary = sweep.bootstrap_catalog()
         with open(args.output, "w", encoding="ascii") as out:
             out.write(characterize.emit_catalog(catalog))
-        print(f"wrote {args.output}")
+        print(f"wrote {args.output}", file=sys.stderr)  # stdout is the JSON summary alone
         print(json.dumps(summary, indent=2))
         return EXIT_OK
     # load_catalog validates every catalog it returns

@@ -15,9 +15,9 @@ costs one or two row reads.
 Every graph the package builds is valid by construction.  The builders
 (``Graph.from_edges``, the graph6 and edge-list parsers, ``build_named``)
 check their input; they and the operations here and in ``oracle``
-(``disjoint_union``, ``line_graph``, ``complement``, ``strip_isolated``, the
-canonical relabelling and the rest) make symmetric, irreflexive rows within
-0..n-1 and wrap them with ``_derived`` unchecked.  Only the public
+(``disjoint_union``, ``line_graph``, ``strip_isolated``, the canonical
+relabelling and the rest) make symmetric, irreflexive rows within 0..n-1
+and wrap them with ``_derived`` unchecked.  Only the public
 constructor ``Graph(n, adj)``, where rows come from outside, checks them.
 
 ``Graph`` is a plain class rather than a frozen dataclass, so that a
@@ -188,11 +188,6 @@ def components(g: Graph, within: int | None = None) -> tuple[int, ...]:
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) <= 1
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return _derived(g.n, tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj)))
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:

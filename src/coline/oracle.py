@@ -3,11 +3,10 @@
 Everything here is backtracking or subset enumeration over bitmask graphs;
 no pruning rule can change an answer, only the time taken.  The embedding
 and power-cycle searches keep the candidates of each level as one bitmask,
-the AND of the adjacency rows that the placed vertices impose, and the
-embedding search places the images of a twin class of the pattern in
-increasing order, since permuting twins is an automorphism.  Isomorphism
-is that embedding search on two graphs of equal order and size, so it
-shares nothing with the canonical labeller it is cross-checked against.
+the AND of the adjacency rows that the placed vertices impose.
+Isomorphism is that embedding search on two graphs of equal order and
+size, so it shares nothing with the canonical labeller it is
+cross-checked against.
 The one induced pattern the sweep looks for, K2+3K1, has its own search
 of nested bitmask loops (``induced_k2_3k1``).  The labeller's search tree takes one child at
 a homogeneous node, where every permutation inside the cells is an
@@ -629,24 +628,6 @@ def canonical_form(g: Graph) -> bytes:
 
 # --- subgraph containment and isomorphism ----------------------------------
 
-def _twin_classes(g: Graph) -> list[int]:
-    """``label[v]``: the smallest vertex twin to ``v``, where u and v are
-    twins when N(u) minus v equals N(v) minus u.
-
-    Twins are adjacent with equal closed neighbourhoods or non-adjacent with
-    equal open ones, and a third vertex cannot be a twin of one kind to u
-    and of the other to v, so the relation is an equivalence.  Every
-    permutation of a class fixes the rest and is an automorphism of g.  An
-    open and a closed neighbourhood are never equal, so one table maps each
-    to the first vertex that has it.
-    """
-    first: dict[int, int] = {}
-    return [
-        min(first.setdefault(row, v), first.setdefault(row | 1 << v, v))
-        for v, row in enumerate(g.adj)
-    ]
-
-
 def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     """An injective map of pattern into host keeping every edge, as the
     host image of each pattern vertex; None if there is none.
@@ -654,11 +635,8 @@ def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     Pattern vertices are placed one per level, most constrained first.  The
     candidates of a level are one host bitmask: the unused host vertices of
     at least the pattern vertex's degree, ANDed with the host row of every
-    placed pattern-neighbour's image.  Permuting a twin class of the
-    pattern is an automorphism, so each class places its images in
-    increasing order, which keeps one embedding of each set of equivalent
-    ones.  The search keeps its levels on a list, not the call stack, so it
-    takes patterns of any order.
+    placed pattern-neighbour's image.  The search keeps its levels on a
+    list, not the call stack, so it takes patterns of any order.
     """
     if pattern.n > host.n or pattern.m > host.m:
         return None
@@ -690,17 +668,10 @@ def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
         at_least[d] |= 1 << w
     for d in range(len(at_least) - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
-    # Per level: the eligible host vertices, the placed pattern vertices
-    # whose images must be adjacent to this one's, and the latest placed
-    # vertex of the same twin class (-1 if none).
-    twin = _twin_classes(pattern)
-    latest: dict[int, int] = {}
-    eligible, joined, previous = [], [], []
-    for i, v in enumerate(order):
-        eligible.append(at_least[pat_degs[v]])
-        joined.append([u for u in _bits(pattern.adj[v]) if level[u] < i])
-        previous.append(latest.get(twin[v], -1))
-        latest[twin[v]] = v
+    # Per level: the eligible host vertices, and the placed pattern
+    # vertices whose images must be adjacent to this one's.
+    eligible = [at_least[pat_degs[v]] for v in order]
+    joined = [[u for u in _bits(pattern.adj[v]) if level[u] < i] for i, v in enumerate(order)]
 
     rows = host.adj
     images = [0] * n  # images[v]: the host vertex of pattern vertex v
@@ -711,8 +682,6 @@ def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
         candidates = eligible[i] & ~used
         for u in joined[i]:
             candidates &= rows[images[u]]
-        if previous[i] >= 0:
-            candidates &= -(2 << images[previous[i]])  # images above the twin's
         while not candidates:  # back to the deepest level with a candidate left
             if not untried:
                 return None

@@ -26,6 +26,7 @@ partial report: queued tasks are dropped, running ones finish.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from bisect import insort
 from collections import Counter, defaultdict
@@ -369,6 +370,21 @@ def _whitney(max_vertices: int) -> _Tally:
     return tally
 
 
+def _end_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker once its parent
+    dies.  The worker is then re-parented, so the thread watches for its
+    own parent pid to change; the parent is the sweep under ``fork`` and
+    the fork server, which exits with the sweep, under ``forkserver``."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tasks: list) -> None:
     """Examine every class of ``config``'s range with ``catalog`` (see
     ``_examine_class``), run ``extra_tasks`` too and merge each tally into
@@ -380,7 +396,8 @@ def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tas
     complete, since none depends on the order.  A failed task or a dead
     worker is kept in ``tally.error``, with ``tally.scanned`` counting the
     classes examined before it in the tallies merged; the queued tasks are
-    dropped and the running ones finish before the pool shuts down.
+    dropped and the running ones finish before the pool shuts down.  A
+    worker whose parent is killed ends too (``_end_with_parent``).
     """
     began = time.perf_counter()
     split = _split_level(config.max_edges)
@@ -391,7 +408,9 @@ def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tas
     tasks = [partial(_examined, above, catalog)]
     tasks += [partial(_subtree, root, catalog, config.max_vertices, config.max_edges) for root in roots]
     tasks += extra_tasks
-    pool = futures.ProcessPoolExecutor(config.worker_count) if config.worker_count > 1 else None
+    pool = None
+    if config.worker_count > 1:
+        pool = futures.ProcessPoolExecutor(config.worker_count, initializer=_end_with_parent)
     try:
         parts = (task() for task in tasks) if pool is None else (
             future.result() for future in futures.as_completed([pool.submit(task) for task in tasks]))

@@ -648,8 +648,11 @@ def test_catalog_validate_and_show(capsys):
 
 def test_catalog_bootstrap_writes_file(capsys, tmp_path, served_sweep_range):
     target = tmp_path / "catalog.txt"
-    code, out, _ = run_cli(capsys, "catalog", "bootstrap", "--output", str(target))
+    code, out, err = run_cli(capsys, "catalog", "bootstrap", "--output", str(target))
     assert code == 0
+    summary = json.loads(out)
+    assert [summary[f"{x}_count"] for x in ("tough", "trace", "wu_meng")] == [18, 9, 21]
+    assert err == f"wrote {target}\n"
     packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
     assert target.read_bytes() == packaged
     code, out, _ = run_cli(capsys, "--catalog", str(target), "catalog", "validate")

@@ -177,3 +177,49 @@ def test_nonzero_padding_keeps_its_offset():
     with pytest.raises(Graph6Error) as err:
         parse_graph6(code[:-1] + chr(63 + 1))
     assert err.value.offset == len(code) - 1
+
+
+_EDGE_LIST_LINES = (
+    "", "   ", "\t", "# comment", "#", "n=0", "n=7", "n= 12", "n=-1", "n=x", "n=", "n=1001",
+    "0 1", "1 0", "2 2", "3   4", " 5 6 ", "0 999", "1000 1", "-1 2", "1", "1 2 3", "a b", "1.5 2",
+    "1_0 2", "٣ 1", "\x00", "0 1 # trailing",
+)
+
+
+def _check_parsed(g: Graph) -> None:
+    assert Graph(g.n, g.adj) == g
+    assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_parsers_raise_only_their_documented_errors():
+    rng = random.Random(7)
+    printable = bytes(range(63, 127))
+    valid = [emit_graph6(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3]))
+             for n in (0, 1, 2, 5, 9, 30, 62, 63, 70)]
+    inputs = []
+    for _ in range(2000):
+        alphabet = printable if rng.random() < 0.7 else bytes(range(256))
+        inputs.append(bytes(rng.choice(alphabet) for _ in range(rng.randrange(12))))
+    for code in valid:
+        data = code.encode("ascii")
+        for _ in range(100):
+            k, byte = rng.randrange(len(data) + 1), rng.randrange(256)
+            inputs.append(rng.choice((
+                data[:k] + bytes([byte]) + data[k + 1:],  # replaced (appended at the end)
+                data[:k] + bytes([byte]) + data[k:],  # inserted
+                data[:k] + data[k + 1:],  # deleted
+            )))
+    for data in inputs:
+        for text in (data, data.decode("latin-1")):
+            try:
+                g = parse_graph6(text)
+            except Graph6Error:
+                continue
+            _check_parsed(g)
+    for _ in range(2000):
+        text = "\n".join(rng.choice(_EDGE_LIST_LINES) for _ in range(rng.randrange(8)))
+        try:
+            g = parse_edge_list(text)
+        except ValueError:
+            continue
+        _check_parsed(g)

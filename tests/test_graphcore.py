@@ -7,10 +7,10 @@ import pytest
 from coline.graph6 import emit_graph6, parse_edge_list, parse_graph6
 from coline.graphcore import (
     Graph,
+    _derived,
     add_dominating_vertex,
     build_named,
     coline,
-    complement,
     components,
     disjoint_union,
     line_graph,
@@ -128,7 +128,6 @@ def _derived_graphs(g: Graph) -> list[Graph]:
     """Every graph the package derives from ``g`` without re-checking it."""
     return [
         line_graph(g)[0],
-        complement(g),
         coline(g)[0],
         canonical_graph(g),
         strip_isolated(g),
@@ -188,28 +187,19 @@ def test_edge_count_is_half_degree_sum():
         assert sum(g.degrees()) == 2 * g.m
 
 
-def test_complement_of_complete_is_edgeless():
-    assert complement(build_named("K5")).m == 0
-
-
 def test_c5_is_self_coline():
     c5 = build_named("C5")
-    assert is_isomorphic(complement(c5), c5)
     assert is_isomorphic(coline(c5)[0], c5)
 
 
 def test_complement_of_c6_is_prism():
-    g = complement(build_named("C6"))
+    # co(C6) is the complement of L(C6), which is C6 again
+    g = coline(build_named("C6"))[0]
     assert g.n == 6 and g.m == 9
     assert set(g.degrees()) == {3}
     # two disjoint triangles joined by a perfect matching: contains K3
-    assert is_isomorphic(g, coline(build_named("C6"))[0])
-
-
-def test_double_complement_is_identity():
-    for name in ("K5", "C6", "P4", "H1", "K1_4", "Petersen"):
-        g = build_named(name)
-        assert complement(complement(g)) == g
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    assert is_isomorphic(g, Graph.from_edges(6, prism))
 
 
 def test_line_graph_examples():
@@ -232,13 +222,19 @@ def large_inputs():
     return sparse, build_named("K100")
 
 
+def _complement(g: Graph) -> Graph:
+    """Reference complement: every non-edge of ``g`` and no loop."""
+    full = (1 << g.n) - 1
+    return _derived(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
+
+
 def test_coline_is_complement_of_line_graph(large_inputs):
     names = ("K4", "C6", "H2", "K1_4", "F4", "K3+P3")
     for g in [build_named(name) for name in names] + list(large_inputs):
         cg, edge_list = coline(g)
         lg, same_list = line_graph(g)
         assert edge_list == same_list == g.edges()
-        assert cg == complement(lg)
+        assert cg == _complement(lg)
         assert cg.n == g.m
 
 
@@ -259,7 +255,7 @@ def test_line_graph_matches_pairwise_definition(classes_up_to_6):
     for g in classes_up_to_6 + [sparse]:
         reference = _pairwise_line_graph(g)
         assert line_graph(g) == (reference, g.edges())
-        assert coline(g) == (complement(reference), g.edges())
+        assert coline(g) == (_complement(reference), g.edges())
 
 
 def _reference_components(g: Graph, within: int | None = None) -> tuple[int, ...]:
@@ -312,14 +308,13 @@ def test_edge_count_is_cached_per_graph():
             assert reader.m == 7
         assert a == b and hash(a) == hash(b)
     derived = [
-        complement(g),
         coline(g)[0],
         strip_isolated(Graph(9, g.adj + (0, 0))),
         strip_isolated(g),
     ]
     for h in derived:
         assert h.m == len(h.edges())
-    assert [h.m for h in derived] == [14, 11, 7, 7]
+    assert [h.m for h in derived] == [11, 7, 7]
     for h in (a, Graph(g.n, g.adj)):  # m read, and not read, before pickling
         copy = pickle.loads(pickle.dumps(h))
         assert copy == h and hash(copy) == hash(h) and copy.m == 7

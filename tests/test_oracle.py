@@ -434,23 +434,37 @@ def test_isomorphism_search_takes_a_thousand_vertices():
     assert all(p1000.has_edge(mapping[u], mapping[v]) for u, v in p1000.edges())
 
 
-def test_is_isomorphic_shares_no_code_with_the_labeller(monkeypatch, classes_sweep_range):
-    """is_isomorphic cross-checks canonical_form, so it must not reach the
+def test_no_verdict_oracle_reaches_the_labeller(monkeypatch, classes_sweep_range):
+    """The verdict oracles, is_isomorphic among them, cross-check
+    canonical_form and the decisions built on it, so none may reach the
     labeller's colour refinement or labelling."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("is_isomorphic reached the canonical labeller")
+        raise AssertionError("a verdict oracle reached the canonical labeller")
 
     for name in ("_refine", "_neighbour_lists", "_canonical_labelling"):
         monkeypatch.setattr(oracle, name, forbidden)
     co_k5, petersen = coline(build_named("K5"))[0], build_named("Petersen")
     assert_isomorphism(co_k5, petersen, is_isomorphic(co_k5, petersen))
+    blockers = [build_named(name) for name in ("K3_plus", "K4_minus", "K3_circ_K1", "K4")]
     rng = random.Random(19)
     for g in rng.sample(classes_sweep_range, 100):
         perm = list(range(g.n))
         rng.shuffle(perm)
         shuffled = relabel(g, perm)
         assert_isomorphism(g, shuffled, is_isomorphic(g, shuffled))
+        l, _ = coline(g)
+        is_tough(l)
+        hamiltonian_cycle(l)
+        hamiltonian_path(l)
+        longest_cycle(l)
+        oracle.spanning_walk(l, True)
+        oracle.spanning_walk(l, False)
+        for blocker in blockers:
+            contains_subgraph(l, blocker)
+        induced_k2_3k1(l)
+        contains_power_ham_cycle(l, 1)
+        cms_exact(g)
 
 
 def test_canonical_form_examples():
@@ -895,7 +909,8 @@ def test_is_induced_free_examples():
 
 
 # Named patterns on at most 5 vertices with a class of twins (u, v with
-# N(u) - v == N(v) - u), which the embedding search breaks by symmetry.
+# N(u) - v == N(v) - u).  Twins give a pattern many equivalent embeddings,
+# so a search rule that wrongly prunes some of them would show here.
 TWIN_PATTERNS = (
     "K2", "3K1", "K2+K1", "P3", "K3", "2K2", "C4", "K1_3", "K3+K1", "P3+K1",
     "K3_plus", "K4_minus", "K4", "K2+3K1", "K1_4", "K5",
@@ -917,14 +932,6 @@ def _labelled_induced_subgraphs(host: Graph, size: int) -> set[int]:
         sum(1 << i for i, (a, b) in enumerate(pairs) if host.has_edge(image[a], image[b]))
         for image in permutations(range(host.n), size)
     }
-
-
-def test_twin_classes_match_pairwise_definition(classes_up_to_6):
-    for g in classes_up_to_6:
-        assert oracle._twin_classes(g) == [
-            next(u for u in range(v + 1) if u == v or g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u))
-            for v in range(g.n)
-        ]
 
 
 def _first_k2_3k1(g: Graph):

@@ -1,5 +1,9 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import weakref
 import zlib
 from collections import Counter
@@ -334,6 +338,46 @@ def test_dead_worker_ends_the_sweep(catalog, monkeypatch, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("partial run after ") and " classes: BrokenProcessPool(" in last
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork"
+    or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="reads the workers from /proc/<pid>/task/<pid>/children, where they are listed only when forked",
+)
+def test_workers_end_when_the_sweep_is_killed():
+    # a sweep killed outright, as by the OOM killer or SIGKILL, leaves no
+    # worker running on without it
+    command = [sys.executable, "-m", "coline.cli", "sweep", "--max-vertices", "10", "--max-edges", "12", "--workers", "2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    sweep = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        children = Path(f"/proc/{sweep.pid}/task/{sweep.pid}/children")
+        deadline = time.monotonic() + 30
+        workers = []
+        while len(workers) < 2 and time.monotonic() < deadline and sweep.poll() is None:
+            time.sleep(0.05)
+            workers = children.read_text().split()
+        assert len(workers) == 2, workers
+        sweep.kill()
+        sweep.wait(timeout=10)
+
+        def running(pid):
+            try:
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers)), workers
+    finally:
+        try:
+            os.killpg(sweep.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        sweep.wait(timeout=10)
 
 
 def test_sweep_parent_does_not_enumerate(catalog, monkeypatch):
