@@ -225,8 +225,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "bootstrap":
         from . import sweep
 
+        if args.workers is not None:  # a bad count exits 2 before the output is checked
+            sweep.SweepConfig(worker_count=args.workers)
         _check_output(args.output)
-        catalog, summary = sweep.bootstrap_catalog()
+        catalog, summary = sweep.bootstrap_catalog(worker_count=args.workers)
         with open(args.output, "w", encoding="ascii") as out:
             out.write(characterize.emit_catalog(catalog))
         print(f"wrote {args.output}", file=sys.stderr)  # stdout is the JSON summary alone
@@ -270,6 +272,7 @@ def _catalog_arguments(parser: argparse.ArgumentParser) -> None:
         "[tough18] and [trace9] sections (the Wu-Meng 21 and named roots are built in)",
     )
     parser.add_argument("--output", default="coline-catalog.txt", help="bootstrap target file")
+    parser.add_argument("--workers", type=int, help="bootstrap worker processes (default: one per CPU)")
 
 
 # name: (help, handler, the function that adds the subcommand's arguments)

@@ -6,7 +6,8 @@ traceability of each coline graph twice (characterisation vs exact oracle)
 and records any disagreement.  It also tags each class with the exception
 censuses its oracle verdicts put it in (``census_tags``) and compares them
 with the catalog, so its report alone says whether a sweep passed; the
-catalog bootstrap runs the same walk and examination without a catalog.
+catalog bootstrap runs the same walk and examination without a catalog, on
+one worker per CPU unless told otherwise.
 
 Verdicts are isomorphism-invariant (a tested property), so checking one
 canonical representative per class is equivalent to checking every
@@ -371,15 +372,15 @@ def _whitney(max_vertices: int) -> _Tally:
 
 
 def _end_with_parent() -> None:
-    """Pool initializer: a daemon thread ends this worker once its parent
-    dies.  The worker is then re-parented, so the thread watches for its
-    own parent pid to change; the parent is the sweep under ``fork`` and
-    the fork server, which exits with the sweep, under ``forkserver``."""
-    parent = os.getppid()
+    """Pool initializer: a daemon thread ends this worker once the process
+    that started the pool dies.  It waits on that process's sentinel, a
+    pipe the process holds open until it dies, under every start method; a
+    parent pid read here would already be the new parent's if the pool's
+    process died before this worker got to run."""
+    from multiprocessing import parent_process  # loaded in any pool worker
 
     def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.2)
+        parent_process().join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -392,12 +393,13 @@ def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tas
     edges and then only merges: the classes above that level make the first
     task, and each class at the level, with its automorphism generators,
     roots one ``_subtree`` task.  One worker runs the tasks in order,
-    in-process; more share a process pool, whose tallies are merged as they
-    complete, since none depends on the order.  A failed task or a dead
-    worker is kept in ``tally.error``, with ``tally.scanned`` counting the
-    classes examined before it in the tallies merged; the queued tasks are
-    dropped and the running ones finish before the pool shuts down.  A
-    worker whose parent is killed ends too (``_end_with_parent``).
+    in-process; more share a process pool of at most one worker per task,
+    whose tallies are merged as they complete, since none depends on the
+    order.  A failed task or a dead worker is kept in ``tally.error``, with
+    ``tally.scanned`` counting the classes examined before it in the tallies
+    merged; the queued tasks are dropped and the running ones finish before
+    the pool shuts down.  A worker whose parent is killed ends too
+    (``_end_with_parent``).
     """
     began = time.perf_counter()
     split = _split_level(config.max_edges)
@@ -408,9 +410,10 @@ def _walk(tally: _Tally, config: SweepConfig, catalog: Catalog | None, extra_tas
     tasks = [partial(_examined, above, catalog)]
     tasks += [partial(_subtree, root, catalog, config.max_vertices, config.max_edges) for root in roots]
     tasks += extra_tasks
+    workers = min(config.worker_count, len(tasks))
     pool = None
-    if config.worker_count > 1:
-        pool = futures.ProcessPoolExecutor(config.worker_count, initializer=_end_with_parent)
+    if workers > 1:
+        pool = futures.ProcessPoolExecutor(workers, initializer=_end_with_parent)
     try:
         parts = (task() for task in tasks) if pool is None else (
             future.result() for future in futures.as_completed([pool.submit(task) for task in tasks]))
@@ -538,20 +541,27 @@ def report_to_text(report: SweepReport) -> str:
 # --- catalog bootstrap ----------------------------------------------------------
 
 def bootstrap_catalog(
-    max_vertices: int = DEFAULT_MAX_VERTICES, max_edges: int = DEFAULT_MAX_EDGES
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    max_edges: int = DEFAULT_MAX_EDGES,
+    worker_count: int | None = None,
 ) -> tuple[Catalog, dict]:
     """Derive the exception catalogs from the oracles alone and validate them.
 
-    ``_walk`` examines the classes of ``SweepConfig(max_vertices,
-    max_edges)`` in-process and without a catalog, so the range has the
-    sweep's bounds (2 to 10 vertices).  The tough18 and trace9 are the
-    classes ``census_tags`` puts there, and every census must equal
-    ``expected_census`` for the derived catalog.  A failed examination, a
-    count other than 18/9 or a census mismatch aborts loudly: that means an
-    oracle or enumeration bug (or a genuine discrepancy), never data to adjust.
+    ``_walk`` examines the classes of ``SweepConfig(max_vertices, max_edges,
+    worker_count)`` without a catalog, so the range and the worker count have
+    the sweep's bounds (2 to 10 vertices, at most max(2, CPUs) workers).
+    ``worker_count`` defaults to one per CPU; 1 runs the walk in-process.
+    The tough18 and trace9 are the classes ``census_tags`` puts there,
+    sorted, so the catalog does not depend on the worker count, and every
+    census must equal ``expected_census`` for the derived catalog.  A failed
+    examination, a count other than 18/9 or a census mismatch aborts loudly:
+    that means an oracle or enumeration bug (or a genuine discrepancy),
+    never data to adjust.
     """
+    if worker_count is None:
+        worker_count = os.cpu_count() or 1
     tally = _Tally()
-    _walk(tally, SweepConfig(max_vertices, max_edges), None, [])
+    _walk(tally, SweepConfig(max_vertices, max_edges, worker_count), None, [])
     if tally.error:
         raise CatalogError(f"bootstrap stopped after {tally.scanned} classes: {tally.error}")
     census = defaultdict(set, tally.census)

@@ -88,11 +88,11 @@ def sweep_9_11(tmp):  # in-process, so that the peak RSS is the sweep parent's
     expect(f"exit code, peak RSS {peak:.1f} MB < 30, passed", [0, 1, 1], [code, peak < 30, passed])
 
 def catalog_bootstrap(tmp):  # in tmp, where the default --output, coline-catalog.txt, goes
-    out = cli("catalog", "bootstrap", seconds=60, cwd=tmp)[0]
     packaged = (ROOT / "src" / "coline" / "data" / "catalog.txt").read_bytes().decode()  # as `cmp`
-    expect("coline-catalog.txt", packaged, Path(tmp, "coline-catalog.txt").read_bytes().decode())
-    counts = json.loads(out)
-    expect("counts", [18, 9, 21], [counts.get(f"{x}_count") for x in ("tough", "trace", "wu_meng")])
+    for workers in ["--workers 1", ""]:  # in-process, then the default: one worker per CPU
+        counts = json.loads(cli("catalog", "bootstrap", *workers.split(), seconds=60, cwd=tmp)[0])
+        expect(f"catalog of {workers!r}", packaged, Path(tmp, "coline-catalog.txt").read_bytes().decode())
+        expect("counts", [18, 9, 21], [counts.get(f"{x}_count") for x in ("tough", "trace", "wu_meng")])
 
 def subcommands(tmp):
     reader, writer = os.pipe()

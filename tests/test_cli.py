@@ -636,6 +636,22 @@ def test_sweep_worker_cap_starts_no_processes(capsys, monkeypatch):
     assert code == 2 and "worker_count must be at most" in err
 
 
+@pytest.mark.parametrize("workers, message", [("1000000", "worker_count must be at most"),
+                                              ("0", "worker_count must be positive")])
+def test_bootstrap_worker_count_is_checked_first(capsys, monkeypatch, tmp_path, workers, message):
+    # a bad count exits 2 before any pool starts or the output is checked
+    import coline.sweep as sweep_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("a worker pool or the bootstrap was started")
+
+    monkeypatch.setattr(sweep_module.futures, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(sweep_module, "bootstrap_catalog", never)
+    target = tmp_path / "absent" / "catalog.txt"
+    code, out, err = run_cli(capsys, "catalog", "bootstrap", "--workers", workers, "--output", str(target))
+    assert code == 2 and message in err and out == ""
+
+
 def test_catalog_validate_and_show(capsys):
     code, out, _ = run_cli(capsys, "catalog", "validate")
     assert code == 0 and "valid" in out

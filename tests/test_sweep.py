@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 import weakref
 import zlib
@@ -340,6 +341,14 @@ def test_dead_worker_ends_the_sweep(catalog, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def _running(pid) -> bool:
+    """Whether process ``pid`` exists and is not a zombie, read from /proc."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork"
     or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
@@ -361,23 +370,50 @@ def test_workers_end_when_the_sweep_is_killed():
         assert len(workers) == 2, workers
         sweep.kill()
         sweep.wait(timeout=10)
-
-        def running(pid):
-            try:
-                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
-
         deadline = time.monotonic() + 5
-        while any(map(running, workers)) and time.monotonic() < deadline:
+        while any(map(_running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not any(map(running, workers)), workers
+        assert not any(map(_running, workers)), workers
     finally:
         try:
             os.killpg(sweep.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
         sweep.wait(timeout=10)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the late initializer is a local function")
+def test_worker_ends_when_its_parent_died_before_it_ran():
+    # a worker whose initializer runs only after the pool's process died,
+    # as on a loaded host, must still see that death and end
+    script = textwrap.dedent("""
+        import os, time
+        from concurrent import futures
+        from coline.sweep import _end_with_parent
+        def late():
+            time.sleep(0.5)
+            _end_with_parent()
+        pool = futures.ProcessPoolExecutor(1, initializer=late)
+        pool.submit(int)
+        print(*pool._processes, flush=True)
+        os._exit(0)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True,
+                              start_new_session=True)
+    try:
+        worker = int(parent.stdout.readline())
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker)
+    finally:
+        try:
+            os.killpg(parent.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        parent.stdout.close()
 
 
 def test_sweep_parent_does_not_enumerate(catalog, monkeypatch):
@@ -442,7 +478,7 @@ def test_bootstrap_checks_wu_meng_exclusions(monkeypatch, served_sweep_range):
     # roots, so the enumerated exclusions no longer equal Catalog.wu_meng_21
     monkeypatch.delitem(characterize.WU_MENG_BLOCKERS, 6)
     with pytest.raises(CatalogError, match=r"wu-meng-21 has 17 members, expected 21"):
-        bootstrap_catalog(8, 10)
+        bootstrap_catalog(8, 10, worker_count=1)  # in-process, the patch reaches it under any start method
 
 
 def test_bootstrap_checks_tough_non_hamiltonian_roots(monkeypatch, served_sweep_range):
@@ -452,7 +488,7 @@ def test_bootstrap_checks_tough_non_hamiltonian_roots(monkeypatch, served_sweep_
 
     monkeypatch.setattr(sweep_module, "NON_HAMILTONIAN_ROOTS", ("K5", "H1", "H2"))
     with pytest.raises(CatalogError, match=r"tough-not-hamiltonian has 4 members, expected 3"):
-        bootstrap_catalog(8, 10)
+        bootstrap_catalog(8, 10, worker_count=1)
 
 
 def test_sweep_census_does_not_repeat_the_catalog(catalog):
@@ -514,7 +550,7 @@ def test_bootstrap_makes_no_decision_and_loads_no_catalog(monkeypatch, served_sw
 
     for name in ("load_catalog", "build_report", "decide_coline_traceable"):
         monkeypatch.setattr(characterize, name, forbidden)
-    rebuilt, _ = bootstrap_catalog(8, 10)
+    rebuilt, _ = bootstrap_catalog(8, 10, worker_count=1)
     packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
     assert emit_catalog(rebuilt).encode("ascii") == packaged
 
@@ -532,7 +568,67 @@ def test_bootstrap_failure_raises_catalog_error(monkeypatch, served_sweep_range)
 
     monkeypatch.setattr(sweep_module, "oracle_verdicts", flaky)
     with pytest.raises(CatalogError, match=r"bootstrap stopped after \d+ classes: .*simulated oracle failure"):
-        bootstrap_catalog(8, 10)
+        bootstrap_catalog(8, 10, worker_count=1)
+
+
+def test_pooled_bootstrap_emits_packaged_catalog(served_sweep_range):
+    rebuilt, _ = bootstrap_catalog(8, 10, worker_count=2)
+    packaged = resources.files("coline").joinpath("data/catalog.txt").read_bytes()
+    assert emit_catalog(rebuilt).encode("ascii") == packaged
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers see the patch only when forked")
+def test_pooled_bootstrap_worker_failure_raises_catalog_error(monkeypatch, served_sweep_range):
+    # C5 has 5 edges, the 8/10 split level, so it roots a task a worker runs
+    import coline.sweep as sweep_module
+
+    real = sweep_module._examine_class
+    parent = os.getpid()
+    failing = canonical_form(build_named("C5")).decode()
+
+    def flaky(g, catalog):
+        if emit_graph6(g) == failing:
+            raise RuntimeError(f"simulated worker failure in {os.getpid()}")
+        return real(g, catalog)
+
+    monkeypatch.setattr(sweep_module, "_examine_class", flaky)
+    stopped = r"bootstrap stopped after \d+ classes: .*simulated worker failure in "
+    with pytest.raises(CatalogError, match=stopped) as raised:
+        bootstrap_catalog(8, 10, worker_count=2)
+    assert f"failure in {parent}'" not in str(raised.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_walk_starts_at_most_one_worker_per_task(catalog, monkeypatch, served_sweep_range):
+    # a stand-in pool records its size and runs each task as it is submitted
+    import coline.sweep as sweep_module
+    from concurrent import futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer=None):
+            started.append(max_workers)
+
+        def submit(self, task):
+            future = futures.Future()
+            future.set_result(task())
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(sweep_module.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # 3/2 makes four tasks: K2 above the split, P3 at it and the two censuses
+    assert run_sweep(SweepConfig(3, 2, worker_count=64), catalog).passed
+    assert started == [4]
+    # the bootstrap's default is one worker per CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rebuilt, _ = bootstrap_catalog()
+    assert started == [4, 3]
+    assert emit_catalog(rebuilt) == emit_catalog(catalog)
 
 
 def test_bootstrap_count_check_fires_on_narrow_range():
