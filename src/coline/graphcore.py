@@ -4,13 +4,17 @@ Graphs are simple, undirected and labelled with dense vertex indices
 0..n-1.  Adjacency is stored as one integer bitmask per vertex, which keeps
 all the small-graph searches in this package fast and allocation-free.
 Graph values are immutable and hashable; every operation returns a new
-graph.  The edge count ``Graph.m`` is counted once per graph, on first use.
+graph.  The edge count ``Graph.m`` and the edge list ``Graph.edges()`` are
+each computed once per graph, on first use.
 
 The operations on the classify path touch each set bit a constant number
 of times: ``coline`` reads each row straight off the incidence masks of
 the input's edges, and ``components`` stops growing a component once no
 vertex is left outside it, so the near-complete coline of a sparse input
-costs one or two row reads.
+costs one or two row reads.  The input's edges are decoded once, for the
+coline, and the canonical labeller reads the same list.  No classify
+caller decodes the edges of a large coline, which has up to m(m-1)/2 of
+them: it reads only ``components(l)``.
 
 Every graph the package builds is valid by construction.  The builders
 (``Graph.from_edges``, the graph6 and edge-list parsers, ``build_named``)
@@ -24,8 +28,9 @@ constructor ``Graph(n, adj)``, where rows come from outside, checks them.
 ``coline`` process never imports ``dataclasses`` (and the ``inspect`` and
 ``ast`` it pulls in) and no decorator compiles methods at import.  It is
 no ``NamedTuple`` either: its constructor checks the rows and it caches
-``m``.  It writes out the equality, hashing and repr the dataclass had,
-and setting or deleting a field raises ``AttributeError``.
+``m`` and the edge list.  It writes out the equality, hashing and repr
+the dataclass had, and setting or deleting a field raises
+``AttributeError``.
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ class Graph:
     ``adj[v]`` is the bitmask of neighbours of ``v``.  The constructor
     stores the rows as a tuple and checks them in time linear in the edges;
     the package's own builders skip that check (see the module docstring).
-    Two graphs are equal when their rows are; fields cannot be set or
-    deleted.
+    ``m`` and ``edges()`` are computed on first use and kept.  Two graphs
+    are equal when their rows are, whatever was kept; fields cannot be set
+    or deleted.
     """
 
     n: int
@@ -109,7 +115,12 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> tuple[Edge, ...]:
-        """Edges as (u, v) with u < v, sorted lexicographically."""
+        """Edges as (u, v) with u < v, sorted lexicographically; decoded
+        once, on first use, like ``m``."""
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> tuple[Edge, ...]:
         out = []
         for u, row in enumerate(self.adj):
             rest = row >> u + 1  # bit b is vertex u + 1 + b

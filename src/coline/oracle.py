@@ -355,58 +355,61 @@ def longest_cycle(g: Graph) -> CycleOrPath | None:
 # --- canonical forms -------------------------------------------------------
 
 def _refine(
-    neighbours: list[list[int]], colors: tuple[int, ...]
+    neighbours: list[list[int]], colors: tuple[int, ...], cells: list[list[int]]
 ) -> tuple[tuple[int, ...], list[list[int]]]:
     """Stable colour refinement; new colour ids depend only on invariants.
     Returns the colours and their cells, in colour order.
 
-    ``neighbours[v]`` lists the neighbours of ``v``.  Each round gives every
-    vertex the rank of its signature (its colour, its sorted neighbour
-    colours) among all signatures, until no colour class splits.  Since the
-    colour comes first, that rank is the number of signatures in earlier
-    cells plus the rank inside the vertex's own cell, so a round splits the
-    cells one by one, in colour order, and a singleton cell needs no
-    neighbour colours.  Refinement only splits cells, so once a round splits
-    none, or leaves every cell a singleton, another round would return the
-    same colours, and the loop stops.
+    ``neighbours[v]`` lists the neighbours of ``v``, and ``cells`` holds the
+    vertices of each colour, in colour order and each in vertex order.  Each
+    round gives every vertex the rank of its signature (its colour, its
+    sorted neighbour colours) among all signatures, until no colour class
+    splits.  Since the colour comes first, that rank is the number of
+    signatures in earlier cells plus the rank inside the vertex's own cell,
+    so a round splits the cells one by one, in colour order, and a
+    singleton cell needs no neighbour colours.  A cell whose vertices share
+    one signature is carried over as it is.  Refinement only splits cells,
+    so once a round splits none, or leaves every cell a singleton, another
+    round would return the same colours, and the loop stops.
     """
-    cells = _cells(colors)
     while True:
         new = [0] * len(colors)
         split: list[list[int]] = []
+        colour_of = colors.__getitem__
         for cell in cells:
-            if len(cell) == 1:
-                parts = [cell]
-            else:
+            if len(cell) > 1:
                 by_signature: dict[tuple[int, ...], list[int]] = {}
                 for v in cell:
-                    signature = tuple(sorted(map(colors.__getitem__, neighbours[v])))
+                    signature = tuple(sorted(map(colour_of, neighbours[v])))
                     part = by_signature.get(signature)
                     if part is None:
                         by_signature[signature] = [v]
                     else:
                         part.append(v)
-                parts = [by_signature[signature] for signature in sorted(by_signature)]
-            for part in parts:
-                for v in part:
-                    new[v] = len(split)
-                split.append(part)
+                if len(by_signature) > 1:
+                    for signature in sorted(by_signature):
+                        part = by_signature[signature]
+                        for v in part:
+                            new[v] = len(split)
+                        split.append(part)
+                    continue
+            colour = len(split)
+            for v in cell:
+                new[v] = colour
+            split.append(cell)
         if len(split) == len(cells) or len(split) == len(new):
             return tuple(new), split
         colors, cells = new, split
 
 
 def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """The neighbours of each vertex, ascending, from the cached edges."""
     # Lists, not tuples: CPython keeps freed small tuples on free lists, and
     # one tuple per vertex raised classify's peak RSS by about 0.4 MB.
-    lists = []
-    for row in g.adj:
-        neighbours = []
-        while row:
-            low = row & -row
-            neighbours.append(low.bit_length() - 1)
-            row ^= low
-        lists.append(neighbours)
+    lists: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        lists[u].append(v)
+        lists[v].append(u)
     return lists
 
 
@@ -474,11 +477,13 @@ def _homogeneous(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
 class _Node:
     """An internal node of the search tree on the current path."""
 
-    __slots__ = ("colors", "cell", "next", "orbits", "joined")
+    __slots__ = ("colors", "cells", "at", "cell", "next", "orbits", "joined")
 
-    def __init__(self, colors: tuple[int, ...], cell: list[int]):
+    def __init__(self, colors: tuple[int, ...], cells: list[list[int]], at: int):
         self.colors = colors
-        self.cell = cell  # the target cell, whose vertices are the children
+        self.cells = cells  # the refined colouring's cells, in colour order
+        self.at = at
+        self.cell = cells[at]  # the target cell, whose vertices are the children
         self.next = 0  # index in cell of the next child
         # Orbits of the generators that fix this node's prefix pointwise, a
         # union-find built when the second child is due.  Each time a child
@@ -522,11 +527,16 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
     generators: list[tuple[int, ...]] = []
     first = best = None  # (rows, ordering, path) of the first and best leaf
     neighbours = _neighbour_lists(g)
-    colors, cells = _refine(neighbours, g.degrees())
+    degrees = g.degrees()
+    colors, cells = _refine(neighbours, degrees, _cells(degrees))
     while True:
-        target = next((cell for cell in cells if len(cell) > 1), None)
+        target = None  # the first non-singleton cell, cells[at]
+        for at, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = cell
+                break
         if target is not None and not _homogeneous(g.adj, cells):
-            stack.append(_Node(colors, target))
+            stack.append(_Node(colors, cells, at))
         else:
             if target is not None:
                 # Every permutation inside the cells is an automorphism that
@@ -592,8 +602,13 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
             node.next = index + 1
             del path[level:]
             path.append(v)
-            individualised = tuple(c if u != v else -1 for u, c in enumerate(node.colors))
-            colors, cells = _refine(neighbours, individualised)
+            # v takes colour -1, first of all, and leaves its cell; the
+            # other cells keep their colours and order
+            individualised = list(node.colors)
+            individualised[v] = -1
+            cells = [[v]] + node.cells
+            cells[node.at + 1] = cell[:index] + cell[index + 1 :]
+            colors, cells = _refine(neighbours, tuple(individualised), cells)
             break
         else:
             return best[0], best[1], generators

@@ -302,10 +302,11 @@ def test_large_sparse_input_has_connected_coline(large_inputs):
 def test_edge_count_is_cached_per_graph():
     g = build_named("H2")
     a, b = Graph(g.n, g.adj), Graph(g.n, g.adj)
-    # equality and hashing see the rows only, whether m was read or not
+    # equality and hashing see the rows only, whether m and the edge list
+    # were read or not
     for reader in (None, a, b):
         if reader is not None:
-            assert reader.m == 7
+            assert reader.m == 7 and len(reader.edges()) == 7
         assert a == b and hash(a) == hash(b)
     derived = [
         coline(g)[0],
@@ -314,10 +315,13 @@ def test_edge_count_is_cached_per_graph():
     ]
     for h in derived:
         assert h.m == len(h.edges())
+        assert h.edges() is h.edges()  # decoded once
     assert [h.m for h in derived] == [11, 7, 7]
-    for h in (a, Graph(g.n, g.adj)):  # m read, and not read, before pickling
+    # m and the edge list read, and not read, before pickling
+    for h in (a, Graph(g.n, g.adj)):
         copy = pickle.loads(pickle.dumps(h))
         assert copy == h and hash(copy) == hash(h) and copy.m == 7
+        assert copy.edges() == h.edges() == g.edges()
 
 
 def test_coline_examples():

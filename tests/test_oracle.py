@@ -529,6 +529,32 @@ def test_canonical_forms_are_pinned(classes_7_9):
     assert _sha1_lines(forms) == "1b3f6922b79c9a8ffc2786fa55dd1b27ccc00bce"
 
 
+def _sparse_with_isolated(n: int, seed: int) -> Graph:
+    """3n random edges among n - 4 of n vertices, labels shuffled: a sparse
+    G(n, 3n) with at least four scattered isolated vertices."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = rng.sample(list(combinations(range(n - 4), 2)), 3 * n)
+    return Graph.from_edges(n, [(order[u], order[v]) for u, v in pairs])
+
+
+def test_sparse_canonical_forms_are_pinned():
+    # The forms of large sparse inputs, which classify prints as their
+    # canonical id: refinement all but discretises them at the root, a path
+    # the small and symmetric pins above barely reach.
+    rng = random.Random(3)
+    forms = []
+    for n, seed in ((60, 1), (120, 2), (200, 3), (300, 4)):
+        g = _sparse_with_isolated(n, seed)
+        form = emit_graph6(canonical_graph(g))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert emit_graph6(canonical_graph(relabel(g, perm))) == form, n
+        forms.append(form)
+    assert _sha1_lines(forms) == "27f58ae3fa9599e2f775cfb2346667ed59eb9844"
+
+
 def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
     classes = _level_sorted(classes_sweep_range)
     assert len(classes) == 1500
@@ -768,10 +794,10 @@ def test_refine_matches_round_reference(monkeypatch):
     calls = 0
     real_refine = oracle._refine
 
-    def checked_refine(neighbours, colors):
+    def checked_refine(neighbours, colors, cells):
         nonlocal calls
         calls += 1
-        refined, cells = real_refine(neighbours, colors)
+        refined, cells = real_refine(neighbours, colors, cells)
         assert refined == _round_refine(neighbours, colors)
         assert cells == _colour_cells(refined)
         return refined, cells
@@ -787,13 +813,19 @@ def test_refine_matches_round_reference(monkeypatch):
         oracle._canonical_adj(parse_graph6(entry["graph6"]))
     monkeypatch.undo()
     rng = random.Random(2014)
-    for g in _gnp_graphs(400, 1981, 14):
+    # the last three: no vertex, one vertex, and isolated vertices 1, 3, 4
+    extra = [Graph(0, ()), Graph(1, (0,)), Graph.from_edges(6, [(0, 2), (2, 5)])]
+    for g in _gnp_graphs(400, 1981, 14) + extra:
         neighbours = oracle._neighbour_lists(g)
+        assert neighbours == [[u for u in range(g.n) if row >> u & 1] for row in g.adj]
+        if g.n == 0:
+            continue
         colors = list(g.degrees())
         colors[rng.randrange(g.n)] = -1
         colors = tuple(colors)
         refined = _round_refine(neighbours, colors)
-        assert oracle._refine(neighbours, colors) == (refined, _colour_cells(refined))
+        got = oracle._refine(neighbours, colors, _colour_cells(colors))
+        assert got == (refined, _colour_cells(refined))
 
 
 def test_canonical_form_invariant_on_symmetric_graphs():
@@ -840,10 +872,10 @@ def test_canonical_search_work_is_polynomial_on_symmetric_graphs(monkeypatch):
     calls = 0
     real_refine = oracle._refine
 
-    def counting_refine(g, colors):
+    def counting_refine(g, colors, cells):
         nonlocal calls
         calls += 1
-        return real_refine(g, colors)
+        return real_refine(g, colors, cells)
 
     monkeypatch.setattr(oracle, "_refine", counting_refine)
     # each refines to a homogeneous colouring at the root, where the search
