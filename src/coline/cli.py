@@ -26,7 +26,7 @@ from contextlib import suppress
 
 from . import __version__, characterize, oracle
 from .characterize import CATALOG_FORMAT, CatalogError, ScopeError
-from .graph6 import Graph6Error, emit_graph6, parse_edge_list, parse_graph6
+from .graph6 import emit_graph6, parse_edge_list, parse_graph6
 from .graphcore import Graph, build_named, coline, components
 
 EXIT_OK = 0
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         # was wanted, so exit cleanly and keep the final flush from raising
         sys.stdout = open(os.devnull, "w")
         return EXIT_OK
-    except (Graph6Error, ScopeError, ValueError) as exc:
+    except ValueError as exc:  # Graph6Error and ScopeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CatalogError as exc:

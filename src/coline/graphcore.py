@@ -58,7 +58,7 @@ class Graph:
     the package's own builders skip that check (see the module docstring).
     ``m`` and ``edges()`` are computed on first use and kept.  Two graphs
     are equal when their rows are, whatever was kept; fields cannot be set
-    or deleted.
+    or deleted.  A pickle holds the rows alone, not what was kept.
     """
 
     n: int
@@ -99,6 +99,10 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        # a pickle holds the rows alone; m and the edge list are recomputed
+        return _derived, (self.n, self.adj)
 
     @cached_property
     def m(self) -> int:

@@ -160,21 +160,21 @@ def is_tough(g: Graph) -> ToughnessResult:
     """1-toughness: connected and c(G - S) <= |S| for every cutset S.
 
     The witness is the lexicographically first violating cutset of the
-    smallest violating size.  Complete graphs have no cutset and come back
-    vacuously tough.  Taking one vertex from each component of G - S gives
-    an independent set, and c(G - S) <= n - |S|, so a violating S has
-    |S| < min(n/2, alpha(G)); larger cutsets are never tried.  A violating
-    S of size s leaves more than s components on n - s vertices, the
-    smallest X of at most floor((n - s)/(s + 1)) vertices, with N(X) inside
-    S.  Where that bound is at most 2, X is a vertex or an edge, so only the
-    sets holding the whole neighbourhood of one are tried (of a vertex only,
-    where the bound is 1); every violating s-set is among them, so the
-    first violating one is unchanged.  Other sizes try every s-set.
+    smallest violating size: () for a disconnected graph, with the one
+    component count that decides connectivity.  Complete graphs, K0 and K1
+    among them, have no cutset and come back vacuously tough.  Taking one
+    vertex from each component of G - S gives an independent set, and
+    c(G - S) <= n - |S|, so a violating S has |S| < min(n/2, alpha(G));
+    larger cutsets are never tried.  A violating S of size s leaves more
+    than s components on n - s vertices, the smallest X of at most
+    floor((n - s)/(s + 1)) vertices, with N(X) inside S.  Where that bound
+    is at most 2, X is a vertex or an edge, so only the sets holding the
+    whole neighbourhood of one are tried (of a vertex only, where the bound
+    is 1); every violating s-set is among them, so the first violating one
+    is unchanged.  Other sizes try every s-set.
     """
-    if g.n == 0:
-        return ToughnessResult(True, None, True)
-    if not is_connected(g):
-        count = len(components(g))
+    count = len(components(g))
+    if count > 1:
         return ToughnessResult(False, ToughnessWitness((), count), False)
     if g.m == g.n * (g.n - 1) // 2:
         return ToughnessResult(True, None, True)
@@ -255,9 +255,8 @@ def hamiltonian_path(g: Graph) -> CycleOrPath | None:
     start vertex in ascending order, so the path is the first in that
     order, and its independence bound is ceil(n/2) on alpha(g + u) =
     alpha(g).  A disconnected ``g`` is not searched: u would connect it.
+    The empty graph counts as connected, and its g + u, K1, has no cycle.
     """
-    if g.n == 0:
-        return None
     if g.n == 1:
         return CycleOrPath((0,), False)
     if not is_connected(g):
@@ -520,8 +519,6 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int
     node's prefix.
     """
     n = g.n
-    if n <= 1:
-        return g.adj, list(range(n)), []
     path: list[int] = []  # path[level]: the vertex individualised at that level
     stack: list[_Node] = []  # stack[level]: the node whose prefix is path[:level]
     generators: list[tuple[int, ...]] = []

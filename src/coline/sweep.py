@@ -38,7 +38,6 @@ from itertools import combinations
 
 from . import characterize, lemmacheck, oracle
 from .characterize import (
-    CATALOG_SECTIONS,
     CORONA,
     DEFAULT_MAX_EDGES,
     DEFAULT_MAX_VERTICES,
@@ -133,12 +132,7 @@ def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
     start = time.perf_counter()
     if g.m >= 3:
         decided = characterize.build_report(g, catalog)
-        trace_verdict = decided.traceable
-    elif g.m == 2:  # below 3 edges build_report is out of scope
-        trace_verdict = characterize.decide_coline_traceable(g, catalog)
-    clock("decisions", start)
-
-    if g.m >= 3:
+        clock("decisions", start)
         compare("toughness", decided.tough, tough)
         compare("hamiltonicity", decided.hamiltonian, hamiltonian)
         compare("wu-meng", decided.wu_meng, hamiltonian)
@@ -147,8 +141,11 @@ def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
             start = time.perf_counter()
             compare("cms-ge2", decided.hamiltonian, oracle.contains_power_ham_cycle(l, 1))
             clock("power_cycle", start)
-    if g.m >= 2:
-        compare("traceability", trace_verdict, traceable)
+        compare("traceability", decided.traceable, traceable)
+    elif g.m == 2:  # below 3 edges build_report is out of scope
+        verdict = characterize.decide_coline_traceable(g, catalog)
+        clock("decisions", start)
+        compare("traceability", verdict, traceable)
 
     start = time.perf_counter()
     klass = characterize.classify_disconnected_coline(g)
@@ -552,11 +549,11 @@ def bootstrap_catalog(
     the sweep's bounds (2 to 10 vertices, at most max(2, CPUs) workers).
     ``worker_count`` defaults to one per CPU; 1 runs the walk in-process.
     The tough18 and trace9 are the classes ``census_tags`` puts there,
-    sorted, so the catalog does not depend on the worker count, and every
-    census must equal ``expected_census`` for the derived catalog.  A failed
-    examination, a count other than 18/9 or a census mismatch aborts loudly:
-    that means an oracle or enumeration bug (or a genuine discrepancy),
-    never data to adjust.
+    sorted, so the catalog does not depend on the worker count.  Every
+    census must equal ``expected_census`` for that catalog, and then
+    ``validate_catalog`` checks it, its 18/9 counts first.  A failure of
+    either, or of an examination, aborts loudly: an oracle or enumeration
+    bug (or a genuine discrepancy), never data to adjust.
     """
     if worker_count is None:
         worker_count = os.cpu_count() or 1
@@ -566,12 +563,6 @@ def bootstrap_catalog(
         raise CatalogError(f"bootstrap stopped after {tally.scanned} classes: {tally.error}")
     census = defaultdict(set, tally.census)
     found = {"toughness_exceptions": census["tough-exceptions"], "trace_exceptions": census["trace-exceptions"]}
-    for section, field, want in CATALOG_SECTIONS:
-        if len(found[field]) != want:
-            raise CatalogError(
-                f"bootstrap found {len(found[field])} {section} members, expected {want}; "
-                "this signals a bug or a genuine discrepancy, not data to adjust"
-            )
     catalog = Catalog(**{field: tuple(parse_graph6(form) for form in sorted(found[field])) for field in found})
     wrong = [
         f"{key} has {len(census[key])} members, expected {len(want)}"

@@ -417,7 +417,7 @@ print(json.dumps([classified, loaded, swept, out.getvalue()]))
     assert swept == 0 and "mismatches: 0" in out
 
 
-def test_cms_command(capsys):
+def test_cms_command(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cms", "--named", "K5")
     assert code == 0
     report = json.loads(out)
@@ -428,6 +428,11 @@ def test_cms_command(capsys):
     code, out, _ = run_cli(capsys, "cms", "--named", "K2")
     report = json.loads(out)
     assert report["cms"] == 1 and report["verdicts"]["hamiltonian"] is None
+    # a decision that disagrees with cms is a mismatch
+    planted = characterize.ClauseVerdict(True, "planted", ("planted",))
+    monkeypatch.setattr(characterize, "decide_coline_hamiltonian", lambda g, catalog: planted)
+    code, out, _ = run_cli(capsys, "cms", "--named", "K5")
+    assert code == 1 and json.loads(out)["cms_ge2_iff_hamiltonian"] is False
 
 
 def test_cms_budget(capsys):
@@ -510,6 +515,11 @@ PLANTED = {
     ),
     "classification-connected": (
         "characterize", "classify_disconnected_coline", "K1_3",
+        _planted_classification(lambda k: {"case": characterize.ColineCase.CONNECTED}),
+        "classification", "connected", "coline disconnected but classified connected",
+    ),
+    "classification-connected-C4": (  # a coline of exactly 2 components
+        "characterize", "classify_disconnected_coline", "C4",
         _planted_classification(lambda k: {"case": characterize.ColineCase.CONNECTED}),
         "classification", "connected", "coline disconnected but classified connected",
     ),

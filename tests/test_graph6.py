@@ -82,6 +82,8 @@ def test_edge_list_format():
         parse_edge_list("0 1 2\n")
     with pytest.raises(ValueError):
         parse_edge_list("n=2\n0 5\n")
+    with pytest.raises(ValueError, match="^edge endpoint 5 exceeds declared n=3$"):
+        parse_edge_list("n=3\n0 5\n")
     with pytest.raises(ValueError):
         parse_edge_list("a b\n")
     with pytest.raises(ValueError, match="^line 1: bad vertex count 'n=x'$"):

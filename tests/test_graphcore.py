@@ -32,11 +32,14 @@ def test_graph_validation():
         Graph.from_edges(-1, [])  # negative vertex count
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])  # endpoint out of range
+    with pytest.raises(ValueError, match=r"^edge \(2, 0\) outside 0\.\.1$"):
+        Graph.from_edges(2, [(2, 0)])  # out of range, first
     with pytest.raises(ValueError, match="^self-loop at 1$"):
         Graph.from_edges(2, [(1, 1)])
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.m == 2
     assert g.degrees() == (1, 2, 1)
+    assert g.max_degree() == 2 and Graph(0, ()).max_degree() == 0
     assert g.edges() == ((0, 1), (1, 2))
     rows = [2, 1]
     g = Graph(2, rows)  # rows given as a list are kept as a tuple
@@ -317,11 +320,15 @@ def test_edge_count_is_cached_per_graph():
         assert h.m == len(h.edges())
         assert h.edges() is h.edges()  # decoded once
     assert [h.m for h in derived] == [11, 7, 7]
-    # m and the edge list read, and not read, before pickling
+    # a pickle holds the rows alone, whether m and the edge list were read
+    fresh = Graph(g.n, g.adj)
+    size = len(pickle.dumps(fresh))
+    assert fresh.m == 7 and len(pickle.dumps(fresh)) == size
+    assert fresh.edges() and len(pickle.dumps(fresh)) == size
     for h in (a, Graph(g.n, g.adj)):
         copy = pickle.loads(pickle.dumps(h))
-        assert copy == h and hash(copy) == hash(h) and copy.m == 7
-        assert copy.edges() == h.edges() == g.edges()
+        assert copy == h and hash(copy) == hash(h) and not vars(copy).keys() - {"n", "adj"}
+        assert copy.m == 7 and copy.edges() == h.edges() == g.edges()
 
 
 def test_coline_examples():
@@ -369,6 +376,10 @@ def test_build_named():
         build_named("0K2")
     with pytest.raises(ValueError, match="bad component '' in 'K2\\+'"):
         build_named("K2+")
+    # the edge limit counts every part: K100 has 4,950 edges and 50K2 fifty more
+    assert build_named("K100+50K2").m == 5000
+    with pytest.raises(ValueError, match="^'K100\\+51K2' has more than 5000 edges$"):
+        build_named("K100+51K2")
 
 
 @pytest.mark.parametrize("name, value", [("C2", 2), ("P0", 0), ("K1_0", 0), ("F1", 1)])

@@ -70,6 +70,8 @@ def test_is_valid_in_rejects_bad_walks():
     assert not is_valid_in(CycleOrPath((0, 3), False), p3)  # vertex 3 outside 0..2
     assert not is_valid_in(CycleOrPath((-1, 0), False), p3)
     assert not is_valid_in(CycleOrPath((0, 1), True), p3)  # two vertices close no cycle
+    assert not is_valid_in(CycleOrPath((3, 0), False), p3)  # out of range, read first
+    assert not is_valid_in(CycleOrPath((0, 1, 2, 0), False), build_named("K3"))  # repeats 0
 
 
 def test_oracles_on_the_empty_graph():
@@ -357,21 +359,28 @@ def test_is_tough_matches_every_cutset_reference(classes_sweep_range):
 def test_is_tough_component_counts_are_bounded(classes_sweep_range, monkeypatch):
     # Only the cutsets holding the whole neighbourhood of a vertex or an edge
     # are tried at sizes where a violation must leave a component of at most
-    # two vertices: 20,695 component counts over the 8/10 colines, where the
-    # vertex rule alone took 67,206 and trying every cutset 195,810.
+    # two vertices: 22,149 component counts over the 8/10 colines, one of
+    # them per coline to decide connectivity, where the vertex rule alone
+    # takes 68,660 and trying every cutset 197,264.  Connectivity tests are
+    # counted too, so the bound, 22,195, is what is_tough made when it
+    # tested connectivity first and then counted the 46 disconnected colines'
+    # components again.
     colines = [coline(g)[0] for g in classes_sweep_range]
     calls = 0
-    real_components = oracle.components
 
-    def counting_components(*args):
-        nonlocal calls
-        calls += 1
-        return real_components(*args)
+    def counting(real):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
 
-    monkeypatch.setattr(oracle, "components", counting_components)
+        return counted
+
+    monkeypatch.setattr(oracle, "components", counting(oracle.components))
+    monkeypatch.setattr(oracle, "is_connected", counting(oracle.is_connected))
     for l in colines:
         is_tough(l)
-    assert calls <= 22_000
+    assert calls <= 22_195
 
 
 def test_complete_graphs_vacuously_tough():
@@ -475,6 +484,10 @@ def test_canonical_form_examples():
         canonical_form(relabel(c5, perm)) for perm in permutations(range(5))
     }
     assert len(forms) == 1
+    # K0 and K1 take the general path: their own rows, in their own order
+    for g in (Graph(0, ()), build_named("K1")):
+        assert canonical_graph(g) == g
+    assert oracle._canonical_labelling(1, (0,)) == (build_named("K1"), (0,), ())
 
 
 def test_canonical_form_agrees_with_permutation_oracle():
@@ -1022,6 +1035,7 @@ def test_contains_power_ham_cycle():
     assert contains_power_ham_cycle(prism, 1)
     assert contains_power_ham_cycle(prism, 0)
     assert not contains_power_ham_cycle(Graph(2, (2, 1)), 1)
+    assert contains_power_ham_cycle(Graph(2, (2, 1)), 0)  # k = 0 holds below 3 vertices too
     with pytest.raises(ValueError, match="power must be non-negative"):
         contains_power_ham_cycle(prism, -1)
 
@@ -1071,6 +1085,7 @@ def test_power_ham_cycle_matches_cyclic_order_reference(classes_up_to_7):
 def test_cms_exact():
     assert cms_exact(build_named("K5")) == 1
     assert cms_exact(build_named("C6")) >= 2
+    assert cms_exact(build_named("C5")) == 2  # co(C5) = C5 holds no square of a cycle
     assert cms_exact(build_named("K2")) == 1
     # a perfect matching has a complete coline graph, so every window works
     assert cms_exact(build_named("5K2")) == 5
@@ -1105,6 +1120,9 @@ def test_find_roots_c5():
     result = find_roots(build_named("C5"))
     assert [canonical_form(g) for g in result.roots] == [canonical_form(build_named("C5"))]
     assert not result.complete  # roots on up to 10 vertices are conceivable
+    assert find_roots(build_named("C4")).complete  # a 4-edge root has at most 8 vertices
+    # K5 minus an edge: its one root, 3K2+P3, has 9 vertices, beyond the budget
+    assert find_roots(coline(build_named("3K2+P3"))[0]) == oracle.RootSearch((), False)
 
 
 def test_find_roots_more_edges_than_fit_skips_enumeration(monkeypatch):

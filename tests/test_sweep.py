@@ -99,6 +99,17 @@ def test_worker_count_is_capped(monkeypatch):
     with pytest.raises(ValueError, match="at most"):
         SweepConfig(worker_count=10**6)
     assert SweepConfig(worker_count=2).worker_count == 2
+    assert SweepConfig().worker_count == 1  # in-process unless asked
+    # the bounds themselves: 2 to 10 vertices, 1 edge up to a complete graph
+    for bounds in ((2, 1), (10, 45)):
+        assert SweepConfig(*bounds).max_edges == bounds[1]
+    for bounds in ((1, 1), (11, 10), (8, 0)):
+        with pytest.raises(ValueError):
+            SweepConfig(*bounds)
+    most = max(2, os.cpu_count() or 1)
+    assert SweepConfig(worker_count=most).worker_count == most
+    with pytest.raises(ValueError, match=f"at most {most}$"):
+        SweepConfig(worker_count=most + 1)
 
 
 def test_small_sweep_is_clean(catalog):
@@ -632,9 +643,11 @@ def test_walk_starts_at_most_one_worker_per_task(catalog, monkeypatch, served_sw
 
 
 def test_bootstrap_count_check_fires_on_narrow_range():
-    # a 6-vertex window cannot contain all 18 exceptions
+    # a 6-vertex window cannot contain all 18 exceptions, nor a 7-vertex one
     with pytest.raises(CatalogError):
         bootstrap_catalog(max_vertices=6, max_edges=9)
+    with pytest.raises(CatalogError, match=r"tough18\b.*\b15\b|\b15 tough18\b"):
+        bootstrap_catalog(7, 9, worker_count=1)
 
 
 def test_self_coline_census():
@@ -645,6 +658,7 @@ def test_self_coline_census():
     }
     assert canonical_form(build_named("C4")) not in forms
     assert canonical_form(build_named("K3")) not in forms
+    assert self_coline_census(8) == forms  # the budget's edge: no 8-vertex one
 
 
 def test_census_budgets():
@@ -655,7 +669,7 @@ def test_census_budgets():
 
 
 def test_whitney_census():
-    pairs = whitney_census(6)
+    pairs = whitney_census()  # the default budget, 6 vertices
     assert len(pairs) == 1
     forms = {canonical_form(g) for g in pairs[0]}
     assert forms == {canonical_form(build_named("K3")), canonical_form(build_named("K1_3"))}
@@ -720,7 +734,7 @@ def test_certified_verdicts_match_the_exhaustive_oracles(classes_sweep_range):
     assert tally["cycle"] and tally["path"] and tally["cutset"]
 
 
-def test_invalid_certificates_decide_nothing(classes_up_to_6, monkeypatch):
+def test_invalid_certificates_decide_nothing(classes_up_to_6, catalog, monkeypatch):
     # a constructor that returns walks that are not walks, and a clause
     # that names the wrong cutset, leave every verdict to the oracles
     import coline.sweep as sweep_module
@@ -731,6 +745,13 @@ def test_invalid_certificates_decide_nothing(classes_up_to_6, monkeypatch):
         if g.m >= 2:
             l, _ = coline(g)
             assert oracle_verdicts(g, l, Counter(), {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
+    # with no walk at all, a sweep searches every Hamiltonicity verdict, so
+    # its cms-ge2 cross-check meets Hamiltonian colines too, co(C5) = C5
+    # among them, which holds a spanning cycle but not its square
+    monkeypatch.setattr(oracle, "spanning_walk", lambda l, closed: None)
+    report = run_sweep(SweepConfig(max_vertices=5, max_edges=6, worker_count=1), catalog)
+    assert report.passed and report.extras["certificates"]["cycle"] == 0
+    assert report.extras["certificates"]["search:hamiltonicity"] > 0
 
 
 def test_flipped_decisions_still_show_as_mismatches(catalog, monkeypatch):
@@ -756,6 +777,20 @@ def test_flipped_decisions_still_show_as_mismatches(catalog, monkeypatch):
         record = _examine_class(g, catalog)
         checks = {check for check, _, _ in record["mismatches"]}
         assert {"toughness", "hamiltonicity", "traceability"} <= checks, emit_graph6(g)
+    # a report lists them in class order, each class's in the order checked,
+    # which is not the order of the check names
+    report = run_sweep(SweepConfig(max_vertices=4, max_edges=4, worker_count=1), catalog)
+    canons = [mismatch[0] for mismatch in report.mismatches]
+    assert canons == sorted(canons) and len(set(canons)) > 1
+    assert [check for canon, check, _, _ in report.mismatches if canon == canons[0]][:2] == [
+        "toughness", "hamiltonicity"]
+    # below 3 edges only traceability is decided, by its own procedure
+    decide = characterize.decide_coline_traceable
+    monkeypatch.setattr(characterize, "decide_coline_traceable",
+                        lambda g, catalog: decide(g, catalog)._replace(value=not decide(g, catalog).value))
+    for name in ("P3", "2K2"):
+        record = _examine_class(canonical_graph(build_named(name)), catalog)
+        assert [check for check, _, _ in record["mismatches"]] == ["traceability"], name
 
 
 def test_sweep_searches_only_where_no_certificate_validates(full_sweep):
