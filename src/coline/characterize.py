@@ -25,10 +25,11 @@ from .graphcore import (
     build_named,
     coline,
     components,
+    disjoint_union,
     strip_isolated,
 )
 
-CATALOG_FORMAT = "coline-catalog v2"
+CATALOG_FORMAT = "coline-catalog v3"
 
 # The range the sweep covers by default and the acceptance tests certify:
 # inside it every verdict has been checked against the exact oracles.
@@ -42,12 +43,6 @@ NAMED_CATALOG_GRAPHS = (
 # The named roots every clause below tests against; the only copy.
 NAMED = {name: build_named(name) for name in NAMED_CATALOG_GRAPHS}
 
-# Catalog sections: (section tag, Catalog field, required member count).
-CATALOG_SECTIONS = (
-    ("tough18", "toughness_exceptions", 18),
-    ("trace9", "trace_exceptions", 9),
-)
-
 # The roots whose coline is tough but not Hamiltonian.
 NON_HAMILTONIAN_ROOTS = ("K5", "H1", "H2", "H3")
 # Wu-Meng clause (iii): roots excluded by isomorphism.
@@ -55,10 +50,12 @@ WU_MENG_NAMED = ("K3+P3", "K3+2K2", "C4+K2")
 # Wu-Meng clause (iv): with m edges, a root containing one of these (as a
 # non-induced subgraph) is excluded.
 WU_MENG_BLOCKERS = {6: ("K3_plus",), 7: ("K4_minus", "K3_circ_K1"), 8: ("K4",)}
-# The corona of K3: traceability clause (iv), never a trace9 member.
-CORONA = "K3_circ_K1"
 # The 4-cycle: a disconnected-coline family of its own.
 _C4 = build_named("C4")
+_K2 = build_named("K2")
+# Traceability clauses of G from the Hamiltonicity clauses of G + K2, where
+# H3 is the corona of K3 plus K2; no other named root has a K2 component.
+_TRACE_CLAUSES = {"not-tough(i)": "(i)", "not-tough(ii)": "(ii)", "not-tough(iii)": "(iii)", "H3": "(iv)"}
 
 
 class ScopeError(ValueError):
@@ -103,7 +100,16 @@ class ClauseVerdict(NamedTuple):
 
 class Catalog(NamedTuple):
     toughness_exceptions: tuple[Graph, ...]
-    trace_exceptions: tuple[Graph, ...]
+
+    @property
+    def trace_exceptions(self) -> tuple[Graph, ...]:
+        """Traceability clause (iii): each tough18 member with a K2
+        component, less one such K2 (see ``plus_k2``)."""
+        return tuple(
+            strip_isolated(Graph(g.n, tuple(0 if w in k2 else row for w, row in enumerate(g.adj))))
+            for g in self.toughness_exceptions
+            for k2 in [(u, v) for u, v in g.edges() if g.adj[u] | g.adj[v] == 1 << u | 1 << v][:1]
+        )
 
     @property
     def wu_meng_21(self) -> tuple[Graph, ...]:
@@ -183,45 +189,43 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
 
 # --- clause machinery ---------------------------------------------------------
 
-def _clause_centres(core: Graph, slack: int) -> tuple[str, tuple[int, ...]] | None:
+def _clause_centres(core: Graph) -> tuple[str, tuple[int, ...]] | None:
     """The counting clause that fires and the maximum-degree vertices it
-    names: "(i)" and one vertex when m < 2*Delta - slack, "(ii)" and two
-    adjacent ones when m = 2*Delta - slack, otherwise None."""
+    names: "(i)" and one vertex when m < 2*Delta, "(ii)" and two adjacent
+    ones when m = 2*Delta, otherwise None."""
     degrees = core.degrees()
     delta = max(degrees, default=0)
-    bound = 2 * delta - slack
-    if core.m < bound:
+    if core.m < 2 * delta:
         return "(i)", (degrees.index(delta),)
-    if core.m == bound:
+    if core.m == 2 * delta:
         for u, v in core.edges():
             if degrees[u] == delta and degrees[v] == delta:
                 return "(ii)", (u, v)
     return None
 
 
-def counting_clause(core: Graph, slack: int) -> str | None:
+def counting_clause(core: Graph) -> str | None:
     """The counting clause that fires for a root without isolated vertices.
 
-    "(i)" when m < 2*Delta - slack, "(ii)" when m = 2*Delta - slack and two
-    maximum-degree vertices are adjacent, otherwise None.  Slack is 0 for
-    toughness and the Wu-Meng criterion, 1 for traceability.
+    "(i)" when m < 2*Delta, "(ii)" when m = 2*Delta and two maximum-degree
+    vertices are adjacent, otherwise None.  On ``plus_k2(core)`` these are
+    the traceability clauses of core.
     """
-    fired = _clause_centres(core, slack)
+    fired = _clause_centres(core)
     return None if fired is None else fired[0]
 
 
-def clause_cutset(core: Graph, slack: int) -> tuple[int, ...] | None:
+def clause_cutset(core: Graph) -> tuple[int, ...] | None:
     """The cutset S the firing counting clause names, as vertices of
     co(core) (edge indices of ``core.edges()``), or None if none fires.
 
     S is every edge off the stars of the clause's vertices.  Removing it
     leaves those stars, whose edges pairwise meet: under (i) Delta isolated
-    vertices, under (ii) the edge uv isolated from the rest.  Within the
-    decisions' scope (3 edges for toughness, 2 for traceability) that is at
-    least |S| + 1 + slack components, and at least 2, so co(core) is not
-    tough and, with slack 1, not traceable.
+    vertices, under (ii) the edge uv isolated from the rest.  From 3 edges,
+    the toughness decision's scope, that is at least |S| + 1 components,
+    and at least 2, so co(core) is not tough.
     """
-    fired = _clause_centres(core, slack)
+    fired = _clause_centres(core)
     if fired is None:
         return None
     centres = fired[1]
@@ -256,7 +260,7 @@ def decide_coline_tough(g: Graph, catalog: Catalog | None = None) -> ClauseVerdi
     m = core.m
     if m < 3:
         raise ScopeError(f"toughness decision needs at least 3 edges, got {m}")
-    matches = [counting_clause(core, 0)]
+    matches = [counting_clause(core)]
     if any(oracle.is_isomorphic(core, h) for h in catalog.toughness_exceptions):
         matches.append("(iii)")
     return _verdict(matches)
@@ -286,25 +290,27 @@ def decide_wu_meng(g: Graph) -> ClauseVerdict:
     m = core.m
     if m < 3:
         raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {m}")
-    matches = [counting_clause(core, 0), wu_meng_blocker(core)]
+    matches = [counting_clause(core), wu_meng_blocker(core)]
     if oracle.is_isomorphic(core, NAMED["K5"]):
         matches.append("(v)")
     return _verdict(matches)
 
 
+def plus_k2(g: Graph) -> Graph:
+    """G + K2.  Its new edge meets no other, so co(G + K2) is co(G) plus
+    one vertex, index g.m, adjacent to all of it: co(G) has a spanning path
+    exactly when co(G + K2) is Hamiltonian."""
+    return disjoint_union(g, _K2)
+
+
 def decide_coline_traceable(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
-    """Does co(G) have a spanning path?  Requires m >= 2."""
-    catalog = catalog or load_catalog()
+    """Does co(G) have a spanning path?  Requires m >= 2, so G + K2 has the
+    3 edges its Hamiltonicity decision needs; its clauses are relabelled."""
     core = strip_isolated(g)
-    m = core.m
-    if m < 2:
-        raise ScopeError(f"traceability decision needs at least 2 edges, got {m}")
-    matches = [counting_clause(core, 1)]
-    if any(oracle.is_isomorphic(core, h) for h in catalog.trace_exceptions):
-        matches.append("(iii)")
-    if oracle.is_isomorphic(core, NAMED[CORONA]):
-        matches.append("(iv)")
-    return _verdict(matches)
+    if core.m < 2:
+        raise ScopeError(f"traceability decision needs at least 2 edges, got {core.m}")
+    verdict = decide_coline_hamiltonian(plus_k2(core), catalog)
+    return _verdict([_TRACE_CLAUSES[label] for label in verdict.all_matches])
 
 
 def build_report(g: Graph, catalog: Catalog | None = None) -> DecisionReport:
@@ -325,65 +331,55 @@ def build_report(g: Graph, catalog: Catalog | None = None) -> DecisionReport:
 # --- catalog file handling ----------------------------------------------------
 
 def emit_catalog(catalog: Catalog) -> str:
-    lines = [CATALOG_FORMAT]
-    for section, field, _ in CATALOG_SECTIONS:
-        lines.append(f"[{section}]")
-        lines.extend(emit_graph6(g) for g in getattr(catalog, field))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CATALOG_FORMAT, "[tough18]", *map(emit_graph6, catalog.toughness_exceptions)]) + "\n"
 
 
 def parse_catalog(text: str) -> Catalog:
     lines = [(k, line.strip()) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1] != CATALOG_FORMAT:
         raise CatalogError(f"bad or missing format header, expected {CATALOG_FORMAT!r}")
-    sections: dict[str, list[Graph]] = {section: [] for section, _, _ in CATALOG_SECTIONS}
-    current = None
+    members: list[Graph] | None = None  # None until the section header
     for number, line in lines[1:]:
         if line.startswith("["):
-            current = line[1:-1] if line.endswith("]") else None
-            if current not in sections:
+            if line != "[tough18]":
                 raise CatalogError(f"line {number}: unknown section header {line!r}")
-            continue
-        if current is None:
+            members = members or []
+        elif members is None:
             raise CatalogError(f"line {number}: data before any section: {line!r}")
-        try:
-            sections[current].append(parse_graph6(line))
-        except Graph6Error as exc:
-            raise CatalogError(f"[{current}] line {number}: {exc}") from exc
-    return Catalog(**{field: tuple(sections[section]) for section, field, _ in CATALOG_SECTIONS})
+        else:
+            try:
+                members.append(parse_graph6(line))
+            except Graph6Error as exc:
+                raise CatalogError(f"[tough18] line {number}: {exc}") from exc
+    return Catalog(tuple(members or ()))
 
 
 def validate_catalog(catalog: Catalog) -> None:
     """Check cardinalities and every member's defining predicate.
 
     Raises CatalogError on the first failure; a failure signals a corrupted
-    file or a bootstrap bug, never something to adjust silently.
+    file or a bootstrap bug, never something to adjust silently.  The
+    tough18 predicates on G + K2 imply the trace9 ones on G, and the corona
+    plus K2 is H3, whose coline is tough, so the corona is not derived.
     """
-    for section, field, expected in CATALOG_SECTIONS:
-        graphs = getattr(catalog, field)
-        if len(graphs) != expected:
-            raise CatalogError(f"{section} has {len(graphs)} members, expected {expected}")
-        # decisions compare members with the stripped core, which never
-        # has an isolated vertex, so such a member could never match
-        for g in graphs:
-            if not all(g.adj):
-                raise CatalogError(f"{section} member {emit_graph6(g)} has an isolated vertex")
-        if any(oracle.is_isomorphic(g, h) for g, h in combinations(graphs, 2)):
-            raise CatalogError(f"{section} contains isomorphic duplicates")
-    for g in catalog.toughness_exceptions:
-        if counting_clause(g, 0):
+    graphs = catalog.toughness_exceptions
+    if len(graphs) != 18:
+        raise CatalogError(f"tough18 has {len(graphs)} members, expected 18")
+    # decisions compare members with the stripped core, which never has an
+    # isolated vertex, so such a member could never match
+    for g in graphs:
+        if not all(g.adj):
+            raise CatalogError(f"tough18 member {emit_graph6(g)} has an isolated vertex")
+    if any(oracle.is_isomorphic(g, h) for g, h in combinations(graphs, 2)):
+        raise CatalogError("tough18 contains isomorphic duplicates")
+    for g in graphs:
+        if counting_clause(g):
             raise CatalogError("tough18 member already covered by a counting clause")
         l, _ = coline(g)
         if oracle.is_tough(l).value:
             raise CatalogError(f"tough18 member {emit_graph6(g)} has a tough coline")
-    for g in catalog.trace_exceptions:
-        if counting_clause(g, 1):
-            raise CatalogError("trace9 member already covered by a counting clause")
-        if oracle.is_isomorphic(g, NAMED[CORONA]):
-            raise CatalogError("trace9 must not contain the corona of K3")
-        l, _ = coline(g)
-        if oracle.hamiltonian_path(l) is not None:
-            raise CatalogError(f"trace9 member {emit_graph6(g)} has a traceable coline")
+    if len(catalog.trace_exceptions) != 9:
+        raise CatalogError(f"tough18 has {len(catalog.trace_exceptions)} members with a K2 component, expected 9")
 
 
 # Read beside this module rather than through importlib.resources, which

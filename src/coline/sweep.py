@@ -38,7 +38,6 @@ from itertools import combinations
 
 from . import characterize, lemmacheck, oracle
 from .characterize import (
-    CORONA,
     DEFAULT_MAX_EDGES,
     DEFAULT_MAX_VERTICES,
     NAMED,
@@ -49,6 +48,7 @@ from .characterize import (
     ColineCase,
     clause_cutset,
     counting_clause,
+    plus_k2,
     validate_catalog,
     wu_meng_blocker,
 )
@@ -218,7 +218,8 @@ def oracle_verdicts(g: Graph, l: Graph, tally: Counter, timings: dict[str, float
     and at least 2, rules out toughness and Hamiltonicity; one that leaves
     |S| + 2 or more rules out traceability too.  The walks come from
     ``oracle.spanning_walk`` and the cutset from the catalog-free
-    ``clause_cutset``; the validation reads no clause, so a wrong clause
+    ``clause_cutset``, of ``plus_k2(g)`` less its vertex g.m if one fires
+    there, else of g; the validation reads no clause, so a wrong clause
     cannot make a verdict.  ``tally`` counts the verdicts by source
     (``CERTIFICATE_KEYS``), and ``timings`` gets a ``certificates`` clock
     and one per search run.
@@ -228,9 +229,8 @@ def oracle_verdicts(g: Graph, l: Graph, tally: Counter, timings: dict[str, float
     start = time.perf_counter()
     tough = hamiltonian = False if g.m < 3 else None  # None: not decided yet
     traceable = None
-    cut = clause_cutset(g, 1)
-    if cut is None:
-        cut = clause_cutset(g, 0)
+    cut = clause_cutset(plus_k2(g))
+    cut = clause_cutset(g) if cut is None else tuple(v for v in cut if v != g.m)
     if cut is not None:
         count = len(components(l, (1 << l.n) - 1 - sum(1 << v for v in cut)))
         if tough is None and count > max(len(cut), 1):
@@ -463,17 +463,18 @@ def census_tags(g: Graph, tough: bool, hamiltonian: bool, traceable: bool) -> li
     """The catalog censuses a class is in, from the oracle verdicts on its
     coline: the only definition of each census.  No verdict is read where
     its counting clause fires (always so below 3 edges for toughness, 2 for
-    traceability), and ``hamiltonian`` only when ``tough``."""
+    traceability, whose clause is that of ``plus_k2(g)``), and
+    ``hamiltonian`` only when ``tough``."""
     tags = []
-    if counting_clause(g, 0) is None:
+    if counting_clause(g) is None:
         if not tough:
             tags.append("tough-exceptions")
         elif not hamiltonian:
             tags.append("tough-not-hamiltonian")
         if wu_meng_blocker(g):
             tags.append("wu-meng-21")
-    if counting_clause(g, 1) is None and not traceable:
-        corona = oracle.is_isomorphic(g, NAMED[CORONA])
+    if not traceable and counting_clause(plus_k2(g)) is None:
+        corona = oracle.is_isomorphic(g, NAMED["K3_circ_K1"])
         tags.append("trace-corona" if corona else "trace-exceptions")
     return tags
 
@@ -488,7 +489,7 @@ def expected_census(catalog: Catalog, max_vertices: int, max_edges: int) -> dict
     return {
         "tough-exceptions": forms(catalog.toughness_exceptions),
         "trace-exceptions": forms(catalog.trace_exceptions),
-        "trace-corona": forms([NAMED[CORONA]]),
+        "trace-corona": forms([NAMED["K3_circ_K1"]]),
         "wu-meng-21": forms(catalog.wu_meng_21),
         "tough-not-hamiltonian": forms(NAMED[name] for name in NON_HAMILTONIAN_ROOTS),
     }
@@ -548,12 +549,12 @@ def bootstrap_catalog(
     worker_count)`` without a catalog, so the range and the worker count have
     the sweep's bounds (2 to 10 vertices, at most max(2, CPUs) workers).
     ``worker_count`` defaults to one per CPU; 1 runs the walk in-process.
-    The tough18 and trace9 are the classes ``census_tags`` puts there,
-    sorted, so the catalog does not depend on the worker count.  Every
-    census must equal ``expected_census`` for that catalog, and then
-    ``validate_catalog`` checks it, its 18/9 counts first.  A failure of
-    either, or of an examination, aborts loudly: an oracle or enumeration
-    bug (or a genuine discrepancy), never data to adjust.
+    The tough18 are the classes ``census_tags`` puts there, sorted, so the
+    catalog does not depend on the worker count.  ``validate_catalog``
+    checks it, its 18/9 counts first, and then every census (the trace one
+    against the derived trace9) must equal ``expected_census`` for it.  A
+    failure of either, or of an examination, aborts loudly: an oracle or
+    enumeration bug (or a genuine discrepancy), never data to adjust.
     """
     if worker_count is None:
         worker_count = os.cpu_count() or 1
@@ -562,8 +563,8 @@ def bootstrap_catalog(
     if tally.error:
         raise CatalogError(f"bootstrap stopped after {tally.scanned} classes: {tally.error}")
     census = defaultdict(set, tally.census)
-    found = {"toughness_exceptions": census["tough-exceptions"], "trace_exceptions": census["trace-exceptions"]}
-    catalog = Catalog(**{field: tuple(parse_graph6(form) for form in sorted(found[field])) for field in found})
+    catalog = Catalog(tuple(parse_graph6(form) for form in sorted(census["tough-exceptions"])))
+    validate_catalog(catalog)
     wrong = [
         f"{key} has {len(census[key])} members, expected {len(want)}"
         for key, want in sorted(expected_census(catalog, max_vertices, max_edges).items())
@@ -571,7 +572,6 @@ def bootstrap_catalog(
     ]
     if wrong:
         raise CatalogError(f"bootstrap census mismatch: {'; '.join(wrong)}")
-    validate_catalog(catalog)
     summary = {
         "tough_count": len(catalog.toughness_exceptions),
         "trace_count": len(catalog.trace_exceptions),

@@ -5,7 +5,7 @@ import pytest
 
 from coline import oracle
 from coline.characterize import (
-    CATALOG_SECTIONS,
+    CATALOG_FORMAT,
     CatalogError,
     ColineCase,
     ScopeError,
@@ -187,8 +187,7 @@ def test_scope_errors(catalog):
     # m = 2 is enough for traceability
     assert not decide_coline_traceable(build_named("P3"), catalog).value
     # the public clause test takes the empty graph, which has no maximum degree
-    assert counting_clause(Graph(0, ()), 0) is None
-    assert counting_clause(Graph(0, ()), 1) is None
+    assert counting_clause(Graph(0, ())) is None
 
 
 def test_verdicts_ignore_isolated_vertices(catalog):
@@ -227,7 +226,8 @@ def test_report_implications(catalog, classes_sweep_range):
 
 def test_report_decides_toughness_once(catalog, monkeypatch):
     # build_report reads Hamiltonicity off its one toughness verdict, as
-    # decide_coline_hamiltonian does off its own
+    # decide_coline_hamiltonian does off its own; traceability decides the
+    # toughness of G + K2
     import coline.characterize as characterize_module
 
     calls = []
@@ -243,7 +243,7 @@ def test_report_decides_toughness_once(catalog, monkeypatch):
         calls.clear()
         hamiltonian = decide_coline_hamiltonian(g, catalog)
         report = build_report(g, catalog)
-        assert len(calls) == 2, name
+        assert calls == [g, g, characterize_module.plus_k2(g)], name
         assert report.hamiltonian == hamiltonian
         assert report.tough == decide(g, catalog)
 
@@ -251,6 +251,10 @@ def test_report_decides_toughness_once(catalog, monkeypatch):
 def test_catalog_counts(catalog):
     assert len(catalog.toughness_exceptions) == 18
     assert len(catalog.trace_exceptions) == 9
+    # the derived trace9 are the forms the v2 catalog file stored
+    assert sorted(canonical_form(g).decode() for g in catalog.trace_exceptions) == (
+        "Cl C~ DKk DUk D`o De{ EGaW E`bG EwF_".split()
+    )
     assert len({canonical_form(g) for g in catalog.wu_meng_21}) == 21
     member_forms = {canonical_form(g) for g in catalog.toughness_exceptions}
     assert canonical_form(build_named("C4+K2")) in member_forms
@@ -295,7 +299,7 @@ def test_catalog_rejects_corruption(catalog, tmp_path):
     with pytest.raises(CatalogError):
         parse_catalog("nonsense v9\n[tough18]\n")
     with pytest.raises(CatalogError, match="line 2: data before any section"):
-        parse_catalog("coline-catalog v2\nD~{\n[tough18]\n")
+        parse_catalog(f"{CATALOG_FORMAT}\nD~{{\n[tough18]\n")
     text = emit_catalog(catalog)
     # drop one toughness exception: cardinality check must fire
     lines = text.splitlines()
@@ -313,8 +317,8 @@ def test_catalog_rejects_corruption(catalog, tmp_path):
         load_catalog(tmp_path / "missing.txt")
 
 
-# In place of a name: the section's last member with its vertices reversed,
-# or its first member with an isolated vertex appended.
+# In place of a name: the last member with its vertices reversed, or the
+# first member with an isolated vertex appended.
 COPY_OF_LAST = "copy-of-last"
 WITH_ISOLATED = "with-isolated"
 
@@ -322,23 +326,19 @@ WITH_ISOLATED = "with-isolated"
 @pytest.mark.parametrize(
     "section, replacement, message",
     [
+        # clause (i) covers K1_3 (m < 2*Delta), clause (ii) 2K2 (m = 2*Delta)
         ("tough18", "K1_3", "tough18 member already covered by a counting clause"),
-        ("trace9", "K1_3", "trace9 member already covered by a counting clause"),
-        # a counting clause covers 2K2 at slack 0 but not 1, and P4 at slack 1 but not 2
         ("tough18", "2K2", "tough18 member already covered by a counting clause"),
-        ("trace9", "P4", "trace9 member already covered by a counting clause"),
-        ("trace9", "K3_circ_K1", "trace9 must not contain the corona"),
-        ("trace9", "C6", "trace9 member E.* has a traceable coline"),
+        # the corona plus K2: with it the derived trace9 would hold the corona
+        ("tough18", "H3", "tough18 member G.* has a tough coline"),
         ("tough18", COPY_OF_LAST, "tough18 contains isomorphic duplicates"),
-        ("trace9", COPY_OF_LAST, "trace9 contains isomorphic duplicates"),
         ("tough18", WITH_ISOLATED, r"tough18 member Els\? has an isolated vertex"),
-        ("trace9", WITH_ISOLATED, "trace9 member .* has an isolated vertex"),
     ],
 )
 def test_catalog_rejects_wrong_member(catalog, section, replacement, message):
     lines = emit_catalog(catalog).splitlines()
     first = lines.index(f"[{section}]") + 1
-    members = getattr(catalog, next(field for tag, field, _ in CATALOG_SECTIONS if tag == section))
+    members = catalog.toughness_exceptions
     if replacement == COPY_OF_LAST:
         g = members[-1]
         copy = Graph.from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])

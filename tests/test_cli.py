@@ -672,6 +672,17 @@ def test_catalog_validate_and_show(capsys):
     assert "[named]" not in out and "[wumeng21]" not in out
 
 
+def test_catalog_of_the_old_format_is_rejected(capsys, tmp_path):
+    # a v2 file stored the trace9 beside the tough18; v3 derives them
+    packaged = resources.files("coline").joinpath("data/catalog.txt").read_text("ascii")
+    old = tmp_path / "catalog-v2.txt"
+    old.write_text("coline-catalog v2\n" + packaged.split("\n", 1)[1]
+                   + "[trace9]\nCl\nC~\nDKk\nDUk\nD`o\nDe{\nEGaW\nE`bG\nEwF_\n")
+    code, out, err = run_cli(capsys, "--catalog", str(old), "catalog", "validate")
+    assert (code, out) == (1, "")
+    assert err == "catalog error: bad or missing format header, expected 'coline-catalog v3'\n"
+
+
 def test_catalog_bootstrap_writes_file(capsys, tmp_path, served_sweep_range):
     target = tmp_path / "catalog.txt"
     code, out, err = run_cli(capsys, "catalog", "bootstrap", "--output", str(target))

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -474,6 +475,44 @@ def test_no_verdict_oracle_reaches_the_labeller(monkeypatch, classes_sweep_range
         induced_k2_3k1(l)
         contains_power_ham_cycle(l, 1)
         cms_exact(g)
+
+
+VERDICT_ORACLES = (
+    "is_isomorphic", "is_tough", "hamiltonian_cycle", "hamiltonian_path", "longest_cycle",
+    "spanning_walk", "contains_subgraph", "induced_k2_3k1", "contains_power_ham_cycle", "cms_exact",
+)
+LABELLER = {"_refine", "_neighbour_lists", "_canonical_adj", "_canonical_labelling"}
+
+
+def _reached_in_oracle_module(names) -> set[str]:
+    """The top-level definitions of oracle.py that ``names`` reach by the
+    names their definitions reference, ``names`` included."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    reached, frontier = set(), list(names)
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier += {n.id for n in ast.walk(defined[name]) if isinstance(n, ast.Name)} & defined.keys()
+    return reached
+
+
+def test_no_verdict_oracle_reaches_the_labeller_statically():
+    """The sampled test above on every path: no name a verdict oracle's
+    definition references leads, through oracle.py, to the labeller."""
+    reached = _reached_in_oracle_module(VERDICT_ORACLES)
+    assert not reached & LABELLER, sorted(reached & LABELLER)
+    # the walk follows calls: into the searches, and from the canonical
+    # form and the class enumeration into every part of the labeller
+    assert {"_cycle_extend", "_independence_number", "_embed"} <= reached
+    assert LABELLER <= _reached_in_oracle_module(["canonical_form", "iter_graph_classes"])
 
 
 def test_canonical_form_examples():

@@ -505,10 +505,7 @@ def test_bootstrap_checks_tough_non_hamiltonian_roots(monkeypatch, served_sweep_
 def test_sweep_census_does_not_repeat_the_catalog(catalog):
     # the census comes from the oracles, so a catalog short of a tough18
     # member in range fails the census instead of agreeing with it
-    short = Catalog(
-        tuple(g for g in catalog.toughness_exceptions if emit_graph6(g) != "Dls"),
-        catalog.trace_exceptions,
-    )
+    short = Catalog(tuple(g for g in catalog.toughness_exceptions if emit_graph6(g) != "Dls"))
     report = run_sweep(SweepConfig(max_vertices=6, max_edges=9), short)
     missing = canonical_form(parse_graph6("Dls")).decode()
     assert missing in report.exception_census["tough-exceptions"]
@@ -549,7 +546,9 @@ def test_sweep_decides_toughness_once_per_class(catalog, monkeypatch):
 
     monkeypatch.setattr(characterize, "decide_coline_tough", counting)
     run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
+    # each class once, and G + K2 once for the traceability of each class
     classes = [emit_graph6(g) for g in oracle.iter_graph_classes(6, 8) if g.m >= 3]
+    classes += [emit_graph6(characterize.plus_k2(g)) for g in oracle.iter_graph_classes(6, 8) if g.m >= 2]
     assert sorted(decided) == sorted(classes)
 
 
@@ -725,11 +724,17 @@ def test_certified_verdicts_match_the_exhaustive_oracles(classes_sweep_range):
             walk = oracle.spanning_walk(l, closed)
             if walk is not None:
                 assert walk.closed == closed and len(walk) == l.n and is_valid_in(walk, l)
-        for slack in (0, 1) if g.m >= 3 else (1,):  # the scope of each decision
-            cut = characterize.clause_cutset(g, slack)
+        # toughness from 3 edges by the cutset of G; traceability from 2 by
+        # that of G + K2 less its added vertex g.m, which it always holds
+        cuts = [(0, characterize.clause_cutset(g))] if g.m >= 3 else []
+        plus_cut = characterize.clause_cutset(characterize.plus_k2(g))
+        if plus_cut is not None:
+            assert g.m in plus_cut, emit_graph6(g)
+            cuts.append((1, tuple(v for v in plus_cut if v != g.m)))
+        for extra, cut in cuts:
             if cut is not None:
                 kept = sum(1 << v for v in range(l.n) if v not in cut)
-                assert len(components(l, kept)) >= max(len(cut) + 1 + slack, 2), emit_graph6(g)
+                assert len(components(l, kept)) >= max(len(cut) + 1 + extra, 2), emit_graph6(g)
     assert set(tally) <= set(CERTIFICATE_KEYS)
     assert tally["cycle"] and tally["path"] and tally["cutset"]
 
@@ -740,7 +745,7 @@ def test_invalid_certificates_decide_nothing(classes_up_to_6, catalog, monkeypat
     import coline.sweep as sweep_module
 
     monkeypatch.setattr(oracle, "spanning_walk", lambda l, closed: oracle.CycleOrPath(tuple(range(l.n)), closed))
-    monkeypatch.setattr(sweep_module, "clause_cutset", lambda g, slack: tuple(range(g.m // 2)))
+    monkeypatch.setattr(sweep_module, "clause_cutset", lambda g: tuple(range(g.m // 2)))
     for g in classes_up_to_6:
         if g.m >= 2:
             l, _ = coline(g)
