@@ -16,9 +16,9 @@ searches are deterministic (ascending vertex order), so returned
 witnesses are reproducible.
 
 One constructor is not exhaustive: ``spanning_walk`` builds a spanning
-cycle or path by rotation and extension within a step budget.  A walk it
-returns is a certificate that ``is_valid_in`` checks; its None answers
-nothing, so a caller that needs a "no" runs the exhaustive search.
+cycle within a step budget (on g plus a dominating vertex for a path).  A
+cycle it returns is a certificate that ``is_valid_in`` checks; its None
+answers nothing, so a caller that needs a "no" runs the exhaustive search.
 """
 
 from __future__ import annotations
@@ -270,10 +270,10 @@ def hamiltonian_path(g: Graph) -> CycleOrPath | None:
 WALK_STARTS = 3  # start vertices spanning_walk tries, each with its own step budget
 
 
-def spanning_walk(g: Graph, closed: bool) -> CycleOrPath | None:
-    """A spanning cycle (``closed``) or spanning path of ``g``, built by
-    rotation and extension (Pósa 1976), or None: None means that no walk
-    was built, never that ``g`` has none.
+def spanning_walk(g: Graph) -> CycleOrPath | None:
+    """A spanning cycle of ``g``, built by rotation and extension (Pósa
+    1976), or None: None means that no cycle was built, never that ``g``
+    has none.
 
     The path grows at its end to the lowest unvisited neighbour, or is
     reversed when only its head can grow.  When the end is adjacent to the
@@ -286,7 +286,7 @@ def spanning_walk(g: Graph, closed: bool) -> CycleOrPath | None:
     vertices gets n*n steps, so the result is deterministic.
     """
     n, rows = g.n, g.adj
-    if n < (3 if closed else 1):
+    if n < 3:
         return None
     full = (1 << n) - 1
     for start in range(min(n, WALK_STARTS)):
@@ -302,9 +302,9 @@ def spanning_walk(g: Graph, closed: bool) -> CycleOrPath | None:
             if rows[head] & ~on:
                 path.reverse()
                 continue
-            if on == full and (not closed or rows[end] >> head & 1):
-                return CycleOrPath(tuple(path), closed)
-            if on != full and rows[end] >> head & 1:
+            if rows[end] >> head & 1:
+                if on == full:
+                    return CycleOrPath(tuple(path), True)
                 j = next((j for j, v in enumerate(path) if rows[v] & ~on), None)
                 if j is None:
                     return None  # g is disconnected

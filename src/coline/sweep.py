@@ -47,13 +47,12 @@ from .characterize import (
     ClauseVerdict,
     ColineCase,
     clause_cutset,
-    counting_clause,
     plus_k2,
     validate_catalog,
     wu_meng_blocker,
 )
 from .graph6 import emit_graph6, parse_graph6
-from .graphcore import Graph, coline, components, is_connected, line_graph
+from .graphcore import Graph, add_dominating_vertex, coline, components, is_connected, line_graph
 
 SLOWEST_SHOWN = 10  # classes listed with their per-check times in a report
 
@@ -122,9 +121,12 @@ def _examine_class(g: Graph, catalog: Catalog | None) -> dict:
             record["mismatches"].append((check, f"{verdict.value} clause={verdict.clause}", str(seen)))
 
     clock("coline", start)
-    tough, hamiltonian, traceable = oracle_verdicts(g, l, record["certificates"], record["timings"])
     start = time.perf_counter()
-    record["census"] = census_tags(g, tough, hamiltonian, traceable)
+    cuts = clause_cutset(g), clause_cutset(plus_k2(g))
+    clock("certificates", start)
+    tough, hamiltonian, traceable = oracle_verdicts(l, cuts, record["certificates"], record["timings"])
+    start = time.perf_counter()
+    record["census"] = census_tags(g, cuts, tough, hamiltonian, traceable)
     clock("census", start)
     if catalog is None:
         return record
@@ -196,41 +198,39 @@ def _classification_problem(g: Graph, l: Graph, klass) -> str | None:
 
 # --- certified oracle verdicts ---------------------------------------------------
 
-# What oracle_verdicts counts: verdicts taken from a validated spanning
-# cycle, spanning path or cutset, and verdicts left to an exhaustive search.
+# What oracle_verdicts counts: verdicts from a spanning cycle of l ("cycle") or of
+# l plus a dominating vertex ("path"), from a cutset, and from exhaustive searches.
 CERTIFICATE_KEYS = (
     "cycle", "path", "cutset", "search:toughness", "search:hamiltonicity", "search:traceability",
 )
 
 
-def _spans(walk: oracle.CycleOrPath | None, l: Graph, closed: bool) -> bool:
-    return walk is not None and walk.closed == closed and len(walk) == l.n and oracle.is_valid_in(walk, l)
+def _spans(l: Graph) -> bool:
+    walk = oracle.spanning_walk(l)
+    return walk is not None and walk.closed and len(walk) == l.n and oracle.is_valid_in(walk, l)
 
 
-def oracle_verdicts(g: Graph, l: Graph, tally: Counter, timings: dict[str, float]) -> tuple[bool, bool, bool]:
+def oracle_verdicts(l: Graph, cuts: tuple, tally: Counter, timings: dict[str, float]) -> tuple[bool, bool, bool]:
     """Toughness and Hamiltonicity (from 3 edges, False below) and
-    traceability (from 2 edges, False below) of ``l`` = co(``g``).
+    traceability (from 2 edges, False below) of ``l`` = co(G), l.n = G.m.
 
     Each verdict comes from a certificate that validates on ``l`` where one
     does, else from its exhaustive oracle.  A spanning cycle gives all
-    three (a Hamiltonian graph is 1-tough, Chvatal 1973), a spanning path
-    traceability.  A cutset S whose removal leaves more than |S| components,
-    and at least 2, rules out toughness and Hamiltonicity; one that leaves
-    |S| + 2 or more rules out traceability too.  The walks come from
-    ``oracle.spanning_walk`` and the cutset from the catalog-free
-    ``clause_cutset``, of ``plus_k2(g)`` less its vertex g.m if one fires
-    there, else of g; the validation reads no clause, so a wrong clause
-    cannot make a verdict.  ``tally`` counts the verdicts by source
-    (``CERTIFICATE_KEYS``), and ``timings`` gets a ``certificates`` clock
-    and one per search run.
+    three (a Hamiltonian graph is 1-tough, Chvatal 1973), one through an
+    added dominating vertex traceability.  A cutset S whose removal leaves
+    more than |S| components, and at least 2, rules out toughness and
+    Hamiltonicity; one that leaves |S| + 2 or more rules out traceability
+    too.  The cycles come from ``oracle.spanning_walk``, the cutset from
+    ``cuts``, what ``clause_cutset`` names for G and for G + K2: the
+    second less its added vertex l.n where it fires, else the first.  The
+    validation reads no clause, so a wrong cutset cannot make a verdict.
+    ``tally`` counts the verdicts by source (``CERTIFICATE_KEYS``), and
+    ``timings`` gets a ``certificates`` clock and one per search run.
     """
-    if g.m < 2:
-        return False, False, False
     start = time.perf_counter()
-    tough = hamiltonian = False if g.m < 3 else None  # None: not decided yet
-    traceable = None
-    cut = clause_cutset(plus_k2(g))
-    cut = clause_cutset(g) if cut is None else tuple(v for v in cut if v != g.m)
+    tough = hamiltonian = False if l.n < 3 else None  # None: not decided yet
+    traceable = False if l.n < 2 else None
+    cut = cuts[0] if cuts[1] is None else tuple(v for v in cuts[1] if v != l.n)
     if cut is not None:
         count = len(components(l, (1 << l.n) - 1 - sum(1 << v for v in cut)))
         if tough is None and count > max(len(cut), 1):
@@ -239,10 +239,10 @@ def oracle_verdicts(g: Graph, l: Graph, tally: Counter, timings: dict[str, float
         if count >= len(cut) + 2:
             traceable = False
             tally["cutset"] += 1
-    if tough is None and _spans(oracle.spanning_walk(l, True), l, True):
+    if tough is None and _spans(l):
         tough = hamiltonian = traceable = True
         tally["cycle"] += 3
-    if traceable is None and _spans(oracle.spanning_walk(l, False), l, False):
+    if traceable is None and _spans(add_dominating_vertex(l)):
         traceable = True
         tally["path"] += 1
     timings["certificates"] = timings.get("certificates", 0.0) + time.perf_counter() - start
@@ -459,21 +459,21 @@ def run_sweep(config: SweepConfig, catalog: Catalog | None = None) -> SweepRepor
     )
 
 
-def census_tags(g: Graph, tough: bool, hamiltonian: bool, traceable: bool) -> list[str]:
+def census_tags(g: Graph, cuts: tuple, tough: bool, hamiltonian: bool, traceable: bool) -> list[str]:
     """The catalog censuses a class is in, from the oracle verdicts on its
     coline: the only definition of each census.  No verdict is read where
-    its counting clause fires (always so below 3 edges for toughness, 2 for
-    traceability, whose clause is that of ``plus_k2(g)``), and
-    ``hamiltonian`` only when ``tough``."""
+    its counting clause names a cutset in ``cuts``, those of g and of
+    ``plus_k2(g)`` (always so below 3 edges for toughness, 2 for
+    traceability), and ``hamiltonian`` only when ``tough``."""
     tags = []
-    if counting_clause(g) is None:
+    if cuts[0] is None:
         if not tough:
             tags.append("tough-exceptions")
         elif not hamiltonian:
             tags.append("tough-not-hamiltonian")
         if wu_meng_blocker(g):
             tags.append("wu-meng-21")
-    if not traceable and counting_clause(plus_k2(g)) is None:
+    if not traceable and cuts[1] is None:
         corona = oracle.is_isomorphic(g, NAMED["K3_circ_K1"])
         tags.append("trace-corona" if corona else "trace-exceptions")
     return tags

@@ -84,8 +84,8 @@ def sweeps(tmp):  # the 8/10 report above its clocks is the golden text at 2 and
 def sweep_9_11(tmp):  # in-process, so that the peak RSS is the sweep parent's
     code = main(f"sweep --max-vertices 9 --max-edges 11 --workers 2 --output {tmp}/r911".split())
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    passed = "\npassed: True\n" in Path(tmp, "r911").read_text()
-    expect(f"exit code, peak RSS {peak:.1f} MB < 30, passed", [0, 1, 1], [code, peak < 30, passed])
+    got = re.findall(r"(?m)^(?:passed|  path|  search:traceability): (.*)$", Path(tmp, "r911").read_text())
+    expect(f"exit code, RSS {peak:.1f} MB < 30, the 3 lines", [0, 1, "True", "477", "7"], [code, peak < 30, *got])
 
 def catalog_bootstrap(tmp):  # in tmp, where the default --output, coline-catalog.txt, goes
     packaged = (ROOT / "src" / "coline" / "data" / "catalog.txt").read_bytes().decode()  # as `cmp`

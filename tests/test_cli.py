@@ -598,7 +598,7 @@ def test_sweep_reports_a_partial_run(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["sweep"], ["catalog", "bootstrap"]])
-@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "denied"])
 def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, command, where):
     import coline.sweep as sweep_module
 
@@ -608,6 +608,9 @@ def test_unwritable_output_fails_before_the_run(capsys, monkeypatch, tmp_path, c
     monkeypatch.setattr(sweep_module, "run_sweep", never)
     monkeypatch.setattr(sweep_module, "bootstrap_catalog", never)
     target = tmp_path / "absent" / "out.txt" if where == "missing-dir" else tmp_path
+    if where == "denied":  # as for a user without write permission: root is never denied
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        target = tmp_path / "out.txt"
     code, out, err = run_cli(capsys, *command, "--output", str(target))
     assert code == 3
     assert err.startswith("i/o error: [Errno") and str(target) in err

@@ -137,32 +137,32 @@ def test_spanning_witnesses_are_the_first_orderings(classes_up_to_6):
 
 
 def test_spanning_walk_builds_valid_walks_or_none(classes_up_to_6):
-    # None only means no walk was built; a built walk is valid and spans,
-    # so it exists only where the exhaustive search finds one
+    # None only means no cycle was built; a built cycle is valid and spans,
+    # so it exists only where the exhaustive search finds one: on g a
+    # spanning cycle, on g plus a dominating vertex a spanning path of g
     built = 0
     for g in classes_up_to_6:
-        for closed, search in ((True, hamiltonian_cycle), (False, hamiltonian_path)):
-            walk = oracle.spanning_walk(g, closed)
+        for host, search in ((g, hamiltonian_cycle), (add_dominating_vertex(g), hamiltonian_path)):
+            walk = oracle.spanning_walk(host)
             if walk is None:
                 continue
             built += 1
-            assert walk.closed == closed and len(walk) == g.n and is_valid_in(walk, g)
+            assert walk.closed and len(walk) == host.n and is_valid_in(walk, host)
             assert search(g) is not None
-            assert oracle.spanning_walk(g, closed) == walk  # deterministic
+            assert oracle.spanning_walk(host) == walk  # deterministic
     assert built > len(classes_up_to_6)
 
 
 def test_spanning_walk_edge_cases():
     petersen, _ = coline(build_named("K5"))
-    assert oracle.spanning_walk(petersen, True) is None
-    assert oracle.spanning_walk(petersen, False) is not None
-    assert oracle.spanning_walk(Graph(1, (0,)), False) == oracle.CycleOrPath((0,), False)
-    assert oracle.spanning_walk(Graph(2, (2, 1)), True) is None
-    assert oracle.spanning_walk(Graph(0, ()), False) is None
-    assert oracle.spanning_walk(build_named("2K3"), False) is None  # disconnected
+    assert oracle.spanning_walk(petersen) is None
+    assert oracle.spanning_walk(add_dominating_vertex(petersen)) is not None
+    assert oracle.spanning_walk(Graph(2, (2, 1))) is None  # K1 plus a dominating vertex
+    assert oracle.spanning_walk(Graph(0, ())) is None
+    assert oracle.spanning_walk(build_named("2K3")) is None  # disconnected
     # co(K100), 4,950 vertices: rotation and extension, no search
     big, _ = coline(build_named("K100"))
-    cycle = oracle.spanning_walk(big, True)
+    cycle = oracle.spanning_walk(big)
     assert cycle is not None and len(cycle) == big.n and is_valid_in(cycle, big)
 
 
@@ -468,8 +468,8 @@ def test_no_verdict_oracle_reaches_the_labeller(monkeypatch, classes_sweep_range
         hamiltonian_cycle(l)
         hamiltonian_path(l)
         longest_cycle(l)
-        oracle.spanning_walk(l, True)
-        oracle.spanning_walk(l, False)
+        oracle.spanning_walk(l)
+        oracle.spanning_walk(add_dominating_vertex(l))
         for blocker in blockers:
             contains_subgraph(l, blocker)
         induced_k2_3k1(l)

@@ -1,3 +1,4 @@
+import ast
 import multiprocessing
 import os
 import signal
@@ -19,7 +20,7 @@ from coline import characterize, oracle
 from coline.characterize import Catalog, CatalogError, emit_catalog
 from coline.graph6 import emit_graph6, parse_graph6
 from coline.cli import main
-from coline.graphcore import Graph, build_named, coline, components, strip_isolated
+from coline.graphcore import Graph, add_dominating_vertex, build_named, coline, components, strip_isolated
 from coline.oracle import canonical_form, canonical_graph, hamiltonian_cycle, hamiltonian_path, is_tough, is_valid_in
 from coline.sweep import (
     CERTIFICATE_KEYS,
@@ -569,12 +570,12 @@ def test_bootstrap_failure_raises_catalog_error(monkeypatch, served_sweep_range)
     import coline.sweep as sweep_module
 
     real = sweep_module.oracle_verdicts
-    failing = canonical_form(build_named("C5")).decode()
+    failing, _ = coline(canonical_graph(build_named("C5")))
 
-    def flaky(g, *args):
-        if emit_graph6(g) == failing:
+    def flaky(l, *args):
+        if l == failing:
             raise RuntimeError("simulated oracle failure")
-        return real(g, *args)
+        return real(l, *args)
 
     monkeypatch.setattr(sweep_module, "oracle_verdicts", flaky)
     with pytest.raises(CatalogError, match=r"bootstrap stopped after \d+ classes: .*simulated oracle failure"):
@@ -711,23 +712,27 @@ def _exhaustive_verdicts(g: Graph, l: Graph) -> tuple[bool, bool, bool]:
     )
 
 
+def _cutsets(g: Graph) -> tuple:
+    return characterize.clause_cutset(g), characterize.clause_cutset(characterize.plus_k2(g))
+
+
 def test_certified_verdicts_match_the_exhaustive_oracles(classes_sweep_range):
-    # every verdict a certificate gives, yes (a walk) or no (a cutset),
+    # every verdict a certificate gives, yes (a cycle) or no (a cutset),
     # equals the exhaustive oracle's, and every certificate is what it claims
     tally: Counter = Counter()
     for g in classes_sweep_range:
         if g.m < 2:
             continue
         l, _ = coline(g)
-        assert oracle_verdicts(g, l, tally, {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
-        for closed in (True, False):
-            walk = oracle.spanning_walk(l, closed)
+        cut, plus_cut = _cutsets(g)
+        assert oracle_verdicts(l, (cut, plus_cut), tally, {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
+        for host in (l, add_dominating_vertex(l)):
+            walk = oracle.spanning_walk(host)
             if walk is not None:
-                assert walk.closed == closed and len(walk) == l.n and is_valid_in(walk, l)
+                assert walk.closed and len(walk) == host.n and is_valid_in(walk, host)
         # toughness from 3 edges by the cutset of G; traceability from 2 by
         # that of G + K2 less its added vertex g.m, which it always holds
-        cuts = [(0, characterize.clause_cutset(g))] if g.m >= 3 else []
-        plus_cut = characterize.clause_cutset(characterize.plus_k2(g))
+        cuts = [(0, cut)] if g.m >= 3 else []
         if plus_cut is not None:
             assert g.m in plus_cut, emit_graph6(g)
             cuts.append((1, tuple(v for v in plus_cut if v != g.m)))
@@ -740,23 +745,83 @@ def test_certified_verdicts_match_the_exhaustive_oracles(classes_sweep_range):
 
 
 def test_invalid_certificates_decide_nothing(classes_up_to_6, catalog, monkeypatch):
-    # a constructor that returns walks that are not walks, and a clause
-    # that names the wrong cutset, leave every verdict to the oracles
-    import coline.sweep as sweep_module
-
-    monkeypatch.setattr(oracle, "spanning_walk", lambda l, closed: oracle.CycleOrPath(tuple(range(l.n)), closed))
-    monkeypatch.setattr(sweep_module, "clause_cutset", lambda g: tuple(range(g.m // 2)))
+    # a constructor that returns cycles that are not cycles, and cutsets
+    # that are wrong, for G and for G + K2, leave every verdict to the oracles
+    monkeypatch.setattr(oracle, "spanning_walk", lambda l: oracle.CycleOrPath(tuple(range(l.n)), True))
     for g in classes_up_to_6:
         if g.m >= 2:
             l, _ = coline(g)
-            assert oracle_verdicts(g, l, Counter(), {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
-    # with no walk at all, a sweep searches every Hamiltonicity verdict, so
+            wrong = tuple(range(g.m // 2))
+            for cuts in ((wrong, None), (None, wrong + (g.m,))):
+                assert oracle_verdicts(l, cuts, Counter(), {}) == _exhaustive_verdicts(g, l), emit_graph6(g)
+    # with no cycle at all, a sweep searches every Hamiltonicity verdict, so
     # its cms-ge2 cross-check meets Hamiltonian colines too, co(C5) = C5
     # among them, which holds a spanning cycle but not its square
-    monkeypatch.setattr(oracle, "spanning_walk", lambda l, closed: None)
+    monkeypatch.setattr(oracle, "spanning_walk", lambda l: None)
     report = run_sweep(SweepConfig(max_vertices=5, max_edges=6, worker_count=1), catalog)
     assert report.passed and report.extras["certificates"]["cycle"] == 0
     assert report.extras["certificates"]["search:hamiltonicity"] > 0
+
+
+def test_traceability_is_searched_only_where_no_spanning_path_exists(classes_sweep_range):
+    # a cycle through a dominating vertex certifies every traceable 8/10
+    # coline, so the search runs only on the non-traceable ones no cutset
+    # certifies: the corona and 6 of the 9 trace exceptions
+    searched = []
+    for g in classes_sweep_range:
+        if g.m >= 2:
+            l, _ = coline(g)
+            tally: Counter = Counter()
+            oracle_verdicts(l, _cutsets(g), tally, {})
+            if tally["search:traceability"]:
+                searched.append(emit_graph6(g))
+                assert hamiltonian_path(l) is None, emit_graph6(g)
+    assert len(searched) == 7
+
+
+def test_certified_verdicts_read_nothing_from_characterize_statically():
+    # oracle_verdicts validates the cutsets it is handed: neither it nor
+    # what it reaches in sweep.py names anything bound from characterize
+    import coline.sweep as sweep_module
+
+    tree = ast.parse(Path(sweep_module.__file__).read_text(encoding="utf-8"))
+    bound = {"characterize"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "characterize":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def referenced(names) -> set[str]:
+        reached, frontier = set(), list(names)
+        while frontier:
+            name = frontier.pop()
+            if name not in reached:
+                reached.add(name)
+                frontier += {n.id for n in ast.walk(defined[name]) if isinstance(n, ast.Name)} & defined.keys()
+        return {n.id for name in reached for n in ast.walk(defined[name]) if isinstance(n, ast.Name)}
+
+    names = referenced(["oracle_verdicts"])
+    assert "_spans" in names and not names & bound, sorted(names & bound)
+    # the examination that hands it the cutsets does name them
+    assert {"clause_cutset", "plus_k2"} <= referenced(["_examine_class"]) & bound
+
+
+def test_sweep_names_the_cutsets_of_each_class_once(catalog, monkeypatch):
+    # one clause_cutset call for G and one for G + K2 per class, shared by
+    # the certified verdicts and the census tags
+    import coline.sweep as sweep_module
+
+    named = []
+    real = sweep_module.clause_cutset
+
+    def counting(g):
+        named.append(emit_graph6(g))
+        return real(g)
+
+    monkeypatch.setattr(sweep_module, "clause_cutset", counting)
+    run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
+    classes = list(oracle.iter_graph_classes(6, 8))
+    assert sorted(named) == sorted(emit_graph6(h) for g in classes for h in (g, characterize.plus_k2(g)))
 
 
 def test_flipped_decisions_still_show_as_mismatches(catalog, monkeypatch):
@@ -800,8 +865,9 @@ def test_flipped_decisions_still_show_as_mismatches(catalog, monkeypatch):
 
 def test_sweep_searches_only_where_no_certificate_validates(full_sweep):
     # 8/10: the 18 catalog non-tough classes and the 4 roots have no
-    # certificate for toughness and Hamiltonicity, the 9 trace exceptions
-    # and the corona none for traceability
+    # certificate for toughness and Hamiltonicity, the corona and 6 of the
+    # 9 trace exceptions none for traceability (the cutset of G certifies
+    # C~, D`o and E`bG)
     counts = full_sweep.extras["certificates"]
     assert list(counts) == list(CERTIFICATE_KEYS)
     assert counts["search:toughness"] <= 25
