@@ -98,8 +98,37 @@ class ClauseVerdict(NamedTuple):
     all_matches: tuple[str, ...]
 
 
-class Catalog(NamedTuple):
+def _by_size(named) -> dict[tuple[int, int], list[tuple[object, Graph]]]:
+    """The ``(key, graph)`` pairs of ``named``, in their order, bucketed by
+    the graph's (n, m).  A graph isomorphic to one of them shares both, so
+    the decisions test isomorphism on the bucket of the core's (n, m) only.
+    """
+    buckets: dict[tuple[int, int], list[tuple[object, Graph]]] = {}
+    for key, g in named:
+        buckets.setdefault((g.n, g.m), []).append((key, g))
+    return buckets
+
+
+_NON_HAMILTONIAN = _by_size((name, NAMED[name]) for name in NON_HAMILTONIAN_ROOTS)
+_WU_MENG_NAMED = _by_size((name, NAMED[name]) for name in WU_MENG_NAMED)
+_K5 = _by_size([("K5", NAMED["K5"])])
+
+
+class _Members(NamedTuple):
     toughness_exceptions: tuple[Graph, ...]
+
+
+class Catalog(_Members):
+    """The tough18, with the members bucketed by (n, m) once, when the
+    catalog is made, for the decisions' isomorphism tests."""
+
+    def __new__(cls, toughness_exceptions: tuple[Graph, ...]):
+        self = super().__new__(cls, toughness_exceptions)
+        self.by_size = _by_size(enumerate(toughness_exceptions))
+        return self
+
+    def __reduce__(self):
+        return Catalog, (self.toughness_exceptions,)
 
     @property
     def trace_exceptions(self) -> tuple[Graph, ...]:
@@ -236,7 +265,7 @@ def wu_meng_blocker(core: Graph) -> str | None:
     """"(iii)" when core is a named Wu-Meng exception, "(iv)" when it has a
     size-gated blocker subgraph, otherwise None.  The two never overlap:
     the named exceptions have 5 edges, the blockers apply at 6 to 8."""
-    if any(oracle.is_isomorphic(core, NAMED[name]) for name in WU_MENG_NAMED):
+    if any(oracle.is_isomorphic(core, h) for _, h in _WU_MENG_NAMED.get((core.n, core.m), ())):
         return "(iii)"
     if any(
         oracle.contains_subgraph(core, NAMED[name])
@@ -261,7 +290,7 @@ def decide_coline_tough(g: Graph, catalog: Catalog | None = None) -> ClauseVerdi
     if m < 3:
         raise ScopeError(f"toughness decision needs at least 3 edges, got {m}")
     matches = [counting_clause(core)]
-    if any(oracle.is_isomorphic(core, h) for h in catalog.toughness_exceptions):
+    if any(oracle.is_isomorphic(core, h) for _, h in catalog.by_size.get((core.n, core.m), ())):
         matches.append("(iii)")
     return _verdict(matches)
 
@@ -270,7 +299,9 @@ def _hamiltonian_from(core: Graph, tough: ClauseVerdict) -> ClauseVerdict:
     """Hamiltonicity of co(core) from its toughness verdict: tough colines
     are Hamiltonian except for four root graphs; non-tough colines never are."""
     matches = [] if tough.value else [f"not-tough{tough.clause}"]
-    matches += [name for name in NON_HAMILTONIAN_ROOTS if oracle.is_isomorphic(core, NAMED[name])]
+    matches += [
+        name for name, h in _NON_HAMILTONIAN.get((core.n, core.m), ()) if oracle.is_isomorphic(core, h)
+    ]
     return _verdict(matches)
 
 
@@ -291,7 +322,7 @@ def decide_wu_meng(g: Graph) -> ClauseVerdict:
     if m < 3:
         raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {m}")
     matches = [counting_clause(core), wu_meng_blocker(core)]
-    if oracle.is_isomorphic(core, NAMED["K5"]):
+    if any(oracle.is_isomorphic(core, h) for _, h in _K5.get((core.n, core.m), ())):
         matches.append("(v)")
     return _verdict(matches)
 

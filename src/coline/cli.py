@@ -7,9 +7,11 @@ agreement or a stdout closed by its reader, 1 verified mismatch or
 internal error, 2 usage error, 3 I/O error.
 
 When the first argument is a subcommand, a call builds only that
-subcommand's parser.  Anything else (help, no command, an unknown one,
-a top-level option such as ``--catalog PATH`` first) builds the full
-tree, so every help text and usage error reads as the full parser's.
+subcommand's parser, a fraction of the full tree's cost.  Anything
+else (help, no command, an unknown one, a top-level option such as
+``--catalog PATH`` first), and an argument that parser leaves over, goes
+to the full tree, so every help text and usage error reads as the full
+parser's.
 
 Only ``sweep`` and ``catalog bootstrap`` import ``coline.sweep``: the
 other commands run on the decision layer and the oracles alone.
@@ -283,31 +285,50 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The coline parser; given ``command``, its only subparser is that one."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full coline parser: every subcommand under the top-level options."""
     parser = argparse.ArgumentParser(
         prog="coline",
         description="Decide Hamiltonicity, toughness and traceability of coline graphs.",
     )
     parser.add_argument("--catalog", help="catalog file path (default: the packaged catalog)")
-    # With one subparser the usage line in errors still lists every command.
-    # The full tree keeps the default, which names "command" when none is given.
-    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, add_arguments) in SUBCOMMANDS.items():
-        if command in (None, name):
-            subparser = sub.add_parser(name, help=help_text)
-            add_arguments(subparser)
-            subparser.set_defaults(func=handler)
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``, parsed by the one subcommand it names.
+
+    That parser is the full tree's subparser: the same prog, arguments,
+    help and errors.  An ``argv`` that names no subcommand first, or that
+    leaves an argument over, which only the full tree reports, is parsed
+    by ``build_parser()``.
+    """
+    if argv and argv[0] in SUBCOMMANDS:
+        _, handler, add_arguments = SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"coline {argv[0]}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler, catalog=None, command=argv[0])
+        args, left_over = parser.parse_known_args(argv[1:])
+        if not left_over:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the subcommand ``argv`` names; the exit code.
+
+    ``argv`` is parsed by that subcommand's parser alone where it can be
+    (``_parse``), so a call pays for the arguments it gives, and the
+    exceptions of a run map onto the exit codes above.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    # help, no command, an unknown one or a top-level option first: the full tree
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

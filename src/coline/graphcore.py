@@ -255,12 +255,19 @@ def add_dominating_vertex(g: Graph) -> Graph:
 def strip_isolated(g: Graph) -> Graph:
     """Drop degree-0 vertices; a graph without any is returned as is.
 
-    The kept vertices keep their order.  A dropped vertex has no neighbour,
-    so every set bit of a kept row is a kept vertex: one lookup each.
+    The kept vertices keep their order.
     """
     if all(g.adj):
         return g
-    kept = [v for v in range(g.n) if g.adj[v]]
+    return _closed_subgraph(g, [v for v in range(g.n) if g.adj[v]])
+
+
+def _closed_subgraph(g: Graph, kept: list[int]) -> Graph:
+    """The subgraph on ``kept``, ascending vertices that no edge leaves (a
+    union of components), relabelled 0, 1, ... in that order.
+
+    Every set bit of a kept row is a kept vertex: one lookup each.
+    """
     bit = [0] * g.n
     for i, v in enumerate(kept):
         bit[v] = 1 << i

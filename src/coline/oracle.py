@@ -10,8 +10,12 @@ cross-checked against.
 The one induced pattern the sweep looks for, K2+3K1, has its own search
 of nested bitmask loops (``induced_k2_3k1``).  The labeller's search tree takes one child at
 a homogeneous node, where every permutation inside the cells is an
-automorphism (see ``_canonical_adj``), so cliques and stars cost one
-refinement.  Practical bound: roughly 16 vertices.  All
+automorphism (see ``_canonical_search``), so cliques and stars cost one
+refinement.  A graph with two or more components that have an edge is
+labelled one component at a time, each distinct component searched once
+(component recursion, see ``_canonical_adj``), so matchings and other
+unions of many equal parts cost one small search.  Practical bound for
+the exact searches: roughly 16 vertices.  All
 searches are deterministic (ascending vertex order), so returned
 witnesses are reproducible.
 
@@ -24,10 +28,19 @@ answers nothing, so a caller that needs a "no" runs the exhaustive search.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph6 import emit_graph6
-from .graphcore import Graph, _bits, _derived, add_dominating_vertex, coline, components, is_connected
+from .graphcore import (
+    Graph,
+    _bits,
+    _closed_subgraph,
+    _derived,
+    add_dominating_vertex,
+    coline,
+    components,
+    is_connected,
+)
 
 
 class CycleOrPath:
@@ -491,7 +504,68 @@ class _Node:
         self.joined = 0
 
 
-def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
+def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], Iterable[tuple[int, ...]]]:
+    """Canonical adjacency rows of ``g``, the vertex ordering that gives
+    them, and automorphisms of ``g`` found on the way, to be read once.
+
+    A graph with at most one component that has an edge, whatever its
+    isolated vertices, is labelled by one search (``_canonical_search``).
+    Otherwise each component is labelled on its own, by component
+    recursion (Junttila & Kaski, "Conflict propagation and component
+    recursion for canonical labeling", TAPAS 2011): components with the
+    same rows share one search, and the labelled components, each isolated
+    vertex one of them, are sorted by (order, rows) and concatenated.
+    That list depends only on the isomorphism class of ``g``.  The
+    generators are those of the first component of each isomorphism
+    class, lifted to ``g``, plus the swap of each consecutive pair of
+    isomorphic components, which matches their vertices by canonical
+    position.  Conjugating by the swaps gives each copy's automorphisms
+    from the first copy's, so these generate Aut(g) whenever each
+    search's generators generate its component's group.
+    """
+    parts = [mask for mask in components(g) if mask & mask - 1]  # those with an edge
+    if len(parts) < 2:
+        return _canonical_search(g)
+    searched: dict[tuple[int, ...], tuple] = {}  # a component's own rows: its search
+    # (canonical rows, vertices in canonical order, vertices, generators)
+    pieces = [((0,), [v], [v], ()) for v in range(g.n) if not g.adj[v]]
+    for mask in parts:
+        kept = list(_bits(mask))
+        part = _closed_subgraph(g, kept)
+        if part.adj not in searched:
+            searched[part.adj] = _canonical_search(part)
+        canon, ordering, generators = searched[part.adj]
+        pieces.append((canon, [kept[i] for i in ordering], kept, generators))
+    pieces.sort(key=lambda piece: (len(piece[0]), piece[0]))
+    rows, ordering = [], []
+    for canon, placed, _, _ in pieces:
+        offset = len(ordering)
+        rows += [row << offset for row in canon]
+        ordering += placed
+    return tuple(rows), ordering, _lifted_generators(g.n, pieces)
+
+
+def _lifted_generators(n: int, pieces: list) -> Iterator[tuple[int, ...]]:
+    """The generators ``_canonical_adj`` gives a graph on ``n`` vertices
+    from its sorted pieces, built as they are read: ``canonical_graph``
+    reads none."""
+    last, last_placed = None, []
+    for canon, placed, kept, own_generators in pieces:
+        if canon == last:
+            swap = list(range(n))
+            for u, v in zip(last_placed, placed):
+                swap[u], swap[v] = v, u
+            yield tuple(swap)
+        else:
+            for gamma in own_generators:
+                lifted = list(range(n))
+                for u, w in zip(kept, gamma):
+                    lifted[u] = kept[w]
+                yield tuple(lifted)
+        last, last_placed = canon, placed
+
+
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
     """Adjacency rows of the minimum leaf of the individualisation-refinement
     tree, the vertex ordering of that leaf, and the automorphisms of ``g``
     found on the way (generators of a subgroup of Aut(g)).

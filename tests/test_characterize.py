@@ -251,9 +251,10 @@ def test_report_decides_toughness_once(catalog, monkeypatch):
 def test_catalog_counts(catalog):
     assert len(catalog.toughness_exceptions) == 18
     assert len(catalog.trace_exceptions) == 9
-    # the derived trace9 are the forms the v2 catalog file stored
+    # the derived trace9: the forms the v2 catalog file stored, four of
+    # them relabelled by component recursion
     assert sorted(canonical_form(g).decode() for g in catalog.trace_exceptions) == (
-        "Cl C~ DKk DUk D`o De{ EGaW E`bG EwF_".split()
+        "Cl C~ DKk DUk D`K De{ E_Gw E`Gw E`Kw".split()
     )
     assert len({canonical_form(g) for g in catalog.wu_meng_21}) == 21
     member_forms = {canonical_form(g) for g in catalog.toughness_exceptions}
@@ -351,6 +352,24 @@ def test_catalog_rejects_wrong_member(catalog, section, replacement, message):
         lines[first] = emit_graph6(build_named(replacement))
     with pytest.raises(CatalogError, match=message):
         validate_catalog(parse_catalog("\n".join(lines) + "\n"))
+
+
+def test_decisions_test_isomorphism_only_at_the_core_size(monkeypatch, catalog):
+    # the catalog members and the named roots are bucketed by (n, m) when
+    # they are made, so no decision compares graphs of another order or size
+    pairs = []
+    real = oracle.is_isomorphic
+    monkeypatch.setattr(oracle, "is_isomorphic", lambda g, h: pairs.append((g, h)) or real(g, h))
+    names = ("K5", "H1", "H2", "H3", "K3+P3", "C4+K2", "K3+2K2", "K4+K2", "C6", "Petersen", "K1_4")
+    reports = {name: build_report(build_named(name), catalog) for name in names}
+    assert all((g.n, g.m) == (h.n, h.m) for g, h in pairs)
+    assert len(pairs) < 40
+    assert [reports[name].hamiltonian.clause for name in ("K5", "H1", "H2", "H3")] == [
+        "K5", "H1", "H2", "H3",
+    ]
+    assert reports["K5"].wu_meng.all_matches == ("(v)",)
+    assert reports["K3+P3"].wu_meng.clause == "(iii)"
+    assert reports["K4+K2"].tough.all_matches == ("(iii)",)
 
 
 def test_loading_the_catalog_labels_nothing(monkeypatch):

@@ -89,7 +89,7 @@ def _verdicts(*verdicts):
 _VERIFY_JSON = {
     # not tough: removing coline vertices 3 and 4 leaves 3 components
     "K3+P3": (
-        {"canonical_graph6": "E_N?", "n": 6, "m": 5, "max_degree": 2, "non_isolated": 6},
+        {"canonical_graph6": "EWCW", "n": 6, "m": 5, "max_degree": 2, "non_isolated": 6},
         {"n": 5, "components": 1},
         _verdicts((False, "(iii)"), (False, "not-tough(iii)"), (False, "(iii)"), (True, "none")),
         {
@@ -125,7 +125,7 @@ _VERIFY_JSON = {
     ),
     # out of scope for toughness, but traceability is decided from 2 edges
     "2K2": (
-        {"canonical_graph6": "CK", "n": 4, "m": 2, "max_degree": 1, "non_isolated": 4},
+        {"canonical_graph6": "C`", "n": 4, "m": 2, "max_degree": 1, "non_isolated": 4},
         {"n": 2, "components": 1},
         {
             "out_of_scope": "toughness decision needs at least 3 edges, got 2",
@@ -341,6 +341,12 @@ PARSER_ARGVS = (
     ["--catalog", "CATALOG", "classify", "--named", "K5"],
     ["--catalog=CATALOG", "classify", "--named", "K5"],
     ["--cat", "CATALOG", "classify", "--named", "K5"],
+    # what the subcommand's own parser leaves over goes to the full tree
+    ["classify", "--graph6", "Bw", "--bogus"],
+    ["classify", "--named", "K5", "--catalog", "CATALOG"],
+    ["sweep", "--workers", "1", "extra"],
+    ["roots", "--named", "K3", "-x"],
+    ["catalog", "show", "extra"],
 )
 
 
@@ -359,8 +365,7 @@ def test_cli_text_matches_the_full_parser(capsys, monkeypatch, tmp_path, argv):
     catalog.write_bytes(resources.files("coline").joinpath("data/catalog.txt").read_bytes())
     argv = [arg.replace("CATALOG", str(catalog)) for arg in argv]
     got = _outcome(capsys, argv)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
     assert got == _outcome(capsys, argv)
 
 
@@ -374,7 +379,7 @@ def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["classify", "--named", "K5"]) == 0
-    assert built == ["coline", "coline classify"]
+    assert built == ["coline classify"]
     built.clear()
     with pytest.raises(SystemExit):
         main(["--help"])

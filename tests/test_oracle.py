@@ -187,7 +187,7 @@ def test_spanning_witnesses_are_pinned(classes_sweep_range):
         l, _ = coline(g)
         cycle, path = hamiltonian_cycle(l), hamiltonian_path(l)
         lines.append(repr((cycle and cycle.vertices, path and path.vertices)))
-    assert _sha1_lines(lines) == "2a013ecd1fab864600d3721d3c7565a8fde2a9e7"
+    assert _sha1_lines(lines) == "aad910663bc334183c515ff47b11589b400d0def"
 
 
 def test_independence_number_matches_all_subsets(classes_up_to_6):
@@ -253,7 +253,7 @@ def test_longest_cycles_of_the_sweep_range_are_pinned(classes_sweep_range):
         if hamiltonian_cycle(l) is None and (best := longest_cycle(l)) is not None:
             cycles.append(repr(best.vertices))
     assert len(cycles) == 285
-    assert _sha1_lines(cycles) == "c397345bfd68f330fe26a575bf9b63730e9717f1"
+    assert _sha1_lines(cycles) == "96c3ee40a5299e84f17e728a8f2da44d0e27f231"
 
 
 # --- toughness and connectivity -------------------------------------------------
@@ -481,7 +481,10 @@ VERDICT_ORACLES = (
     "is_isomorphic", "is_tough", "hamiltonian_cycle", "hamiltonian_path", "longest_cycle",
     "spanning_walk", "contains_subgraph", "induced_k2_3k1", "contains_power_ham_cycle", "cms_exact",
 )
-LABELLER = {"_refine", "_neighbour_lists", "_canonical_adj", "_canonical_labelling"}
+LABELLER = {
+    "_refine", "_neighbour_lists", "_canonical_adj", "_canonical_search", "_lifted_generators",
+    "_canonical_labelling",
+}
 
 
 def _reached_in_oracle_module(names) -> set[str]:
@@ -570,15 +573,16 @@ def _level_sorted(classes) -> list[str]:
 
 
 def test_canonical_forms_are_pinned(classes_7_9):
-    # Digests of the forms an unpruned search gives: the packaged catalog
-    # and every sweep key depend on them, so pruning must not move them.
+    # Digests of the forms an unpruned search gives, of each component on
+    # its own where two or more have an edge: the packaged catalog and
+    # every sweep key depend on them, so pruning must not move them.
     classes = _level_sorted(classes_7_9)
     assert len(classes) == 373
-    assert _sha1_lines(classes) == "b81cddbacf4567f4c30a2b3b373a0f4b3f3e2d77"
+    assert _sha1_lines(classes) == "2276a3f4ec228bc7eab4e8d0539ef3ec84ab6be2"
     inputs = json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]
     assert len(inputs) == 46
     forms = [emit_graph6(canonical_graph(parse_graph6(entry["graph6"]))) for entry in inputs]
-    assert _sha1_lines(forms) == "1b3f6922b79c9a8ffc2786fa55dd1b27ccc00bce"
+    assert _sha1_lines(forms) == "62ec0c4f35d8021617afdec5f40a0bd01d641af5"
 
 
 def _sparse_with_isolated(n: int, seed: int) -> Graph:
@@ -614,10 +618,10 @@ def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
     for g in classes_sweep_range:
         levels[g.m] = levels.get(g.m, 0) + 1
     assert levels == {1: 1, 2: 2, 3: 5, 4: 11, 5: 24, 6: 56, 7: 115, 8: 221, 9: 402, 10: 663}
-    assert _sha1_lines(classes) == "06ff6237a2467835e9d591ebadd12b71b6a37249"
+    assert _sha1_lines(classes) == "fa8c3c15c0d1c783f815735f02998767953274e0"
     # the order the walk yields them in, which its subtrees follow
     yielded = [emit_graph6(g) for g in classes_sweep_range]
-    assert _sha1_lines(yielded) == "ffd7597818d9ae0c2502b2db0b2c56ebe4e1f055"
+    assert _sha1_lines(yielded) == "a8042f2d5a3b886494e3321c72e63d804d4263cf"
 
 
 def test_class_tree_splits_into_subtrees(classes_7_9):
@@ -782,7 +786,13 @@ def test_labelling_generators_generate_the_automorphism_group(classes_up_to_7):
     # Canonical augmentation accepts a child only when its added edge is in
     # the orbit of the canonical deletion edge under the found generators,
     # so every class is reached only if they generate all of Aut(child).
-    for g in classes_up_to_7:
+    # Component recursion labels each disconnected one by its components,
+    # and isolated vertices join the small ones as components of their own.
+    graphs = classes_up_to_7 + [
+        Graph(g.n + 2, g.adj + (0, 0)) for g in classes_up_to_7 if g.n <= 6 and len(components(g)) > 1
+    ]
+    assert sum(len(components(g)) > 1 for g in graphs) == 48 + 13
+    for g in graphs:
         _, _, generators = oracle._canonical_labelling(g.n, g.adj)
         assert _group_order(g.n, generators) == _automorphism_count(g), emit_graph6(g)
 
@@ -859,7 +869,7 @@ def test_refine_matches_round_reference(monkeypatch):
     assert sum(1 for _ in iter_graph_classes(8, 10)) == 1500
     # the search tree of an 8/10 enumeration: a change in the number of
     # refinements means the labeller explores a different tree
-    assert calls == 3483
+    assert calls == 3403
     assert len(labellings) <= 1800
     for entry in json.loads(SYMMETRIC_CORPUS.read_text())["inputs"]:
         oracle._canonical_adj(parse_graph6(entry["graph6"]))
@@ -944,6 +954,8 @@ def test_canonical_search_trees_are_pinned(monkeypatch):
     # a different set of children changes its refinement count.  The two
     # seeded random cubic graphs find automorphisms that move the prefix
     # of a node pushed later, which that node's orbits must leave out.
+    # The disconnected ones are searched whole, as ``canonical_graph``
+    # no longer does (below).
     refinements = _counted(monkeypatch, "_refine")
     named = {
         "8K2": 64, "20K2": 400, "10K3": 252, "C40": 6,
@@ -954,8 +966,79 @@ def test_canonical_search_trees_are_pinned(monkeypatch):
     pinned += [(form, parse_graph6(form), want) for form, want in cubic.items()]
     for name, g, want in pinned:
         refinements.clear()
-        canonical_graph(g)
+        oracle._canonical_search(g)
         assert len(refinements) == want, name
+
+
+def test_component_recursion_searches_each_component_once(monkeypatch):
+    # Components with the same rows share one search, so the refinements
+    # are those of one component.  One search over the whole graph took
+    # 10,000, 90,000 and 4,959 on 100K2, 300P3 and 40C25.
+    refinements = _counted(monkeypatch, "_refine")
+    named = {
+        "8K2": 1, "20K2": 1, "10K3": 1, "6C4": 3, "4K1_3": 1, "K3+2K2": 2,
+        "100K2": 1, "300P3": 1, "40C25": 6, "2C4+K3+5K1": 4,
+    }
+    for name, want in named.items():
+        refinements.clear()
+        canonical_graph(build_named(name))
+        assert len(refinements) == want, name
+
+
+def test_one_component_with_edges_is_searched_whole(monkeypatch):
+    # isolated vertices alone start no component recursion, which would
+    # relabel the giant component of a sparse input to split them off
+    searched = []
+    real = oracle._canonical_search
+    monkeypatch.setattr(oracle, "_canonical_search", lambda g: searched.append(g) or real(g))
+    for g in (build_named("K5+3K1"), build_named("C11"), _sparse_with_isolated(60, 1)):
+        assert sum(1 for mask in components(g) if mask & mask - 1) == 1
+        searched.clear()
+        canonical_graph(g)
+        assert searched == [g], emit_graph6(g)
+
+
+# Disconnected graphs that mix isomorphic and non-isomorphic components,
+# with and without isolated vertices; the last two have one component
+# with an edge, which is searched whole with its isolated vertices.
+DISCONNECTED_SPECS = (
+    "2K2", "3K2", "2K2+K1", "K3+2K2", "K3+P3", "C4+K2", "2C4+K3+5K1", "K1_3+K1_3+K2+2K1",
+    "P4+P4+C4+C4+4K1", "3K3+2P3+2K1", "Petersen+Petersen+K2", "C5+C6", "C11", "K4+3K1",
+)
+
+
+def test_component_recursion_forms_are_canonical():
+    rng = random.Random(2011)
+    forms = {}
+    for spec in DISCONNECTED_SPECS:
+        g = build_named(spec)
+        canon = canonical_graph(g)
+        assert is_isomorphic(g, canon) is not None, spec
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_graph(relabel(g, perm)) == canon, spec
+        forms[spec] = canon
+    assert len(set(forms.values())) == len(DISCONNECTED_SPECS)
+
+
+# Forms that component recursion moved, old: new.  The catalog members
+# and the census of the 8/10 report (H3 is G@@CG[), the derived trace9,
+# and classify's canonical_graph6 of 2K2.
+REPINNED_FORMS = {
+    "E_N?": "EWCW", "E`QG": "E`Cg", "EwF_": "E`Kw", "F?YCg": "FW?Ow", "FGECW": "F_C`W",
+    "FGaSW": "F_GpW", "F_Ce?": "F`?GW", "F_MEG": "FWCOw", "F`BEW": "F`?pw", "Fw?^?": "FWCWw",
+    "G@OCCK": "G`??O[", "G_CcEC": "G`?GO[", "Gw?Gf?": "G`?GW[", "G@@CG[": "G_?PG[",
+    "D`o": "D`K", "EGaW": "E_Gw", "E`bG": "E`Gw", "CK": "C`",
+}
+
+
+def test_repinned_forms_are_isomorphic_to_their_old_forms():
+    # by the embedding search, which shares no code with the labeller
+    for old, new in REPINNED_FORMS.items():
+        g, h = parse_graph6(old), parse_graph6(new)
+        assert is_isomorphic(g, h) is not None, (old, new)
+        assert emit_graph6(canonical_graph(g)) == new, old
 
 
 def test_homogeneous_shortcut_keeps_every_form_and_group(monkeypatch, classes_7_9):

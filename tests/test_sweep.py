@@ -867,7 +867,7 @@ def test_sweep_searches_only_where_no_certificate_validates(full_sweep):
     # 8/10: the 18 catalog non-tough classes and the 4 roots have no
     # certificate for toughness and Hamiltonicity, the corona and 6 of the
     # 9 trace exceptions none for traceability (the cutset of G certifies
-    # C~, D`o and E`bG)
+    # C~, D`K and E`Gw)
     counts = full_sweep.extras["certificates"]
     assert list(counts) == list(CERTIFICATE_KEYS)
     assert counts["search:toughness"] <= 25
