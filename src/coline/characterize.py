@@ -24,7 +24,7 @@ from .graphcore import (
     _f_graph,
     build_named,
     coline,
-    components,
+    coline_components,
     disjoint_union,
     strip_isolated,
 )
@@ -98,20 +98,21 @@ class ClauseVerdict(NamedTuple):
     all_matches: tuple[str, ...]
 
 
-def _by_size(named) -> dict[tuple[int, int], list[tuple[object, Graph]]]:
-    """The ``(key, graph)`` pairs of ``named``, in their order, bucketed by
-    the graph's (n, m).  A graph isomorphic to one of them shares both, so
-    the decisions test isomorphism on the bucket of the core's (n, m) only.
+def _by_size(named) -> dict[tuple[int, int], list[tuple[str, Graph]]]:
+    """The ``(clause, graph)`` pairs of ``named``, in their order, bucketed
+    by the graph's (n, m).  A graph isomorphic to one of them shares both,
+    so the decisions test isomorphism on the bucket of the core's (n, m)
+    only, and a match fires its clause.
     """
-    buckets: dict[tuple[int, int], list[tuple[object, Graph]]] = {}
+    buckets: dict[tuple[int, int], list[tuple[str, Graph]]] = {}
     for key, g in named:
         buckets.setdefault((g.n, g.m), []).append((key, g))
     return buckets
 
 
 _NON_HAMILTONIAN = _by_size((name, NAMED[name]) for name in NON_HAMILTONIAN_ROOTS)
-_WU_MENG_NAMED = _by_size((name, NAMED[name]) for name in WU_MENG_NAMED)
-_K5 = _by_size([("K5", NAMED["K5"])])
+_WU_MENG_NAMED = _by_size(("(iii)", NAMED[name]) for name in WU_MENG_NAMED)
+_K5 = _by_size([("(v)", NAMED["K5"])])
 
 
 class _Members(NamedTuple):
@@ -124,7 +125,7 @@ class Catalog(_Members):
 
     def __new__(cls, toughness_exceptions: tuple[Graph, ...]):
         self = super().__new__(cls, toughness_exceptions)
-        self.by_size = _by_size(enumerate(toughness_exceptions))
+        self.by_size = _by_size(("(iii)", g) for g in toughness_exceptions)
         return self
 
     def __reduce__(self):
@@ -169,7 +170,7 @@ def _has_dominating_edge(g: Graph) -> bool:
 
 def is_type_A(g: Graph) -> bool:
     """Some edge meets every other edge, and co(G) has exactly 2 components."""
-    return _has_dominating_edge(g) and len(components(coline(g)[0])) == 2
+    return _has_dominating_edge(g) and len(coline_components(g)) == 2
 
 
 def rho(g: Graph) -> int | None:
@@ -190,8 +191,7 @@ def classify_disconnected_coline(g: Graph) -> ColineClass:
     matched before the type-A fallback.
     """
     core = strip_isolated(g)
-    l, _ = coline(core)
-    count = len(components(l))
+    count = len(coline_components(core))
     if count < 2:
         return ColineClass(ColineCase.CONNECTED, None, count, None)
     value = core.m + count
@@ -234,7 +234,8 @@ def _clause_centres(core: Graph) -> tuple[str, tuple[int, ...]] | None:
 
 
 def counting_clause(core: Graph) -> str | None:
-    """The counting clause that fires for a root without isolated vertices.
+    """The counting clause that fires for a root; isolated vertices change
+    none of what it reads.
 
     "(i)" when m < 2*Delta, "(ii)" when m = 2*Delta and two maximum-degree
     vertices are adjacent, otherwise None.  On ``plus_k2(core)`` these are
@@ -261,18 +262,54 @@ def clause_cutset(core: Graph) -> tuple[int, ...] | None:
     return tuple(i for i, (a, b) in enumerate(core.edges()) if a not in centres and b not in centres)
 
 
-def wu_meng_blocker(core: Graph) -> str | None:
-    """"(iii)" when core is a named Wu-Meng exception, "(iv)" when it has a
-    size-gated blocker subgraph, otherwise None.  The two never overlap:
-    the named exceptions have 5 edges, the blockers apply at 6 to 8."""
-    if any(oracle.is_isomorphic(core, h) for _, h in _WU_MENG_NAMED.get((core.n, core.m), ())):
-        return "(iii)"
-    if any(
-        oracle.contains_subgraph(core, NAMED[name])
-        for name in WU_MENG_BLOCKERS.get(core.m, ())
-    ):
-        return "(iv)"
-    return None
+class _Core:
+    """G as the decisions read it.  ``n`` and ``m`` are the order and size
+    of G without its isolated vertices; the counting clauses and the
+    blocker subgraphs read ``g``, G itself, since isolated vertices change
+    neither m, nor Delta, nor which maximum-degree vertices are adjacent,
+    nor the edge indices.  ``graph()``, G relabelled without them, is
+    built by ``strip`` the first time ``match`` finds a non-empty bucket;
+    a G without isolated vertices is its own."""
+
+    __slots__ = ("g", "n", "m", "_strip", "_graph")
+
+    def __init__(self, g: Graph, n: int, strip) -> None:
+        self.g, self.n, self.m, self._strip, self._graph = g, n, g.m, strip, None
+
+    @classmethod
+    def of(cls, g: Graph) -> _Core:
+        return cls(g, sum(map(bool, g.adj)), lambda: strip_isolated(g))
+
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph = self.g if self.n == self.g.n else self._strip()
+        return self._graph
+
+    def plus_k2(self) -> _Core:
+        """The core of G + K2, whose graph is built from this one's."""
+        return _Core(plus_k2(self.g), self.n + 2, lambda: plus_k2(self.graph()))
+
+    def match(self, buckets: dict) -> str | None:
+        """The clause of the graph in ``buckets`` (see ``_by_size``) that G
+        less its isolated vertices is isomorphic to, or None.  A bucket's
+        graphs are pairwise non-isomorphic, so at most one matches."""
+        for clause, h in buckets.get((self.n, self.m), ()):
+            if oracle.is_isomorphic(self.graph(), h):
+                return clause
+        return None
+
+
+def wu_meng_blocker(g: Graph) -> str | None:
+    """"(iii)" when G, isolated vertices ignored, is a named Wu-Meng
+    exception, "(iv)" when it has a size-gated blocker subgraph, otherwise
+    None.  The two never overlap: the named exceptions have 5 edges, the
+    blockers apply at 6 to 8."""
+    return _wu_meng_blocker(_Core.of(g))
+
+
+def _wu_meng_blocker(core: _Core) -> str | None:
+    blocked = any(oracle.contains_subgraph(core.g, NAMED[name]) for name in WU_MENG_BLOCKERS.get(core.m, ()))
+    return core.match(_WU_MENG_NAMED) or ("(iv)" if blocked else None)
 
 
 def _verdict(matches: list[str | None]) -> ClauseVerdict:
@@ -284,31 +321,26 @@ def _verdict(matches: list[str | None]) -> ClauseVerdict:
 
 def decide_coline_tough(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     """Is co(G) tough?  Requires m >= 3 (smaller colines are degenerate)."""
+    return _tough(_Core.of(g), catalog)
+
+
+def _tough(core: _Core, catalog: Catalog | None) -> ClauseVerdict:
     catalog = catalog or load_catalog()
-    core = strip_isolated(g)
-    m = core.m
-    if m < 3:
-        raise ScopeError(f"toughness decision needs at least 3 edges, got {m}")
-    matches = [counting_clause(core)]
-    if any(oracle.is_isomorphic(core, h) for _, h in catalog.by_size.get((core.n, core.m), ())):
-        matches.append("(iii)")
-    return _verdict(matches)
+    if core.m < 3:
+        raise ScopeError(f"toughness decision needs at least 3 edges, got {core.m}")
+    return _verdict([counting_clause(core.g), core.match(catalog.by_size)])
 
 
-def _hamiltonian_from(core: Graph, tough: ClauseVerdict) -> ClauseVerdict:
+def _hamiltonian_from(core: _Core, tough: ClauseVerdict) -> ClauseVerdict:
     """Hamiltonicity of co(core) from its toughness verdict: tough colines
     are Hamiltonian except for four root graphs; non-tough colines never are."""
-    matches = [] if tough.value else [f"not-tough{tough.clause}"]
-    matches += [
-        name for name, h in _NON_HAMILTONIAN.get((core.n, core.m), ()) if oracle.is_isomorphic(core, h)
-    ]
-    return _verdict(matches)
+    return _verdict([None if tough.value else f"not-tough{tough.clause}", core.match(_NON_HAMILTONIAN)])
 
 
 def decide_coline_hamiltonian(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     """Is co(G) Hamiltonian?  Decides toughness, then reads Hamiltonicity off it."""
-    core = strip_isolated(g)
-    return _hamiltonian_from(core, decide_coline_tough(core, catalog))
+    core = _Core.of(g)
+    return _hamiltonian_from(core, _tough(core, catalog))
 
 
 def decide_wu_meng(g: Graph) -> ClauseVerdict:
@@ -317,14 +349,13 @@ def decide_wu_meng(g: Graph) -> ClauseVerdict:
     Subgraph tests in clause (iv) are non-induced containment.  Every
     clause is a count or a named root, so no catalog is read.
     """
-    core = strip_isolated(g)
-    m = core.m
-    if m < 3:
-        raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {m}")
-    matches = [counting_clause(core), wu_meng_blocker(core)]
-    if any(oracle.is_isomorphic(core, h) for _, h in _K5.get((core.n, core.m), ())):
-        matches.append("(v)")
-    return _verdict(matches)
+    return _wu_meng(_Core.of(g))
+
+
+def _wu_meng(core: _Core) -> ClauseVerdict:
+    if core.m < 3:
+        raise ScopeError(f"Hamiltonicity decision needs at least 3 edges, got {core.m}")
+    return _verdict([counting_clause(core.g), _wu_meng_blocker(core), core.match(_K5)])
 
 
 def plus_k2(g: Graph) -> Graph:
@@ -337,25 +368,30 @@ def plus_k2(g: Graph) -> Graph:
 def decide_coline_traceable(g: Graph, catalog: Catalog | None = None) -> ClauseVerdict:
     """Does co(G) have a spanning path?  Requires m >= 2, so G + K2 has the
     3 edges its Hamiltonicity decision needs; its clauses are relabelled."""
-    core = strip_isolated(g)
+    return _traceable(_Core.of(g), catalog)
+
+
+def _traceable(core: _Core, catalog: Catalog | None) -> ClauseVerdict:
     if core.m < 2:
         raise ScopeError(f"traceability decision needs at least 2 edges, got {core.m}")
-    verdict = decide_coline_hamiltonian(plus_k2(core), catalog)
+    with_k2 = core.plus_k2()
+    verdict = _hamiltonian_from(with_k2, _tough(with_k2, catalog))
     return _verdict([_TRACE_CLAUSES[label] for label in verdict.all_matches])
 
 
 def build_report(g: Graph, catalog: Catalog | None = None) -> DecisionReport:
     """Full per-graph verdict bundle.  Toughness is decided once and
-    Hamiltonicity follows from that verdict."""
-    core = strip_isolated(g)
-    tough = decide_coline_tough(core, catalog)
+    Hamiltonicity follows from that verdict; G is relabelled without its
+    isolated vertices at most once, and only for an isomorphism test."""
+    core = _Core.of(g)
+    tough = _tough(core, catalog)
     return DecisionReport(
         m=core.m,
-        max_degree=core.max_degree(),
+        max_degree=g.max_degree(),
         tough=tough,
         hamiltonian=_hamiltonian_from(core, tough),
-        wu_meng=decide_wu_meng(core),
-        traceable=decide_coline_traceable(core, catalog),
+        wu_meng=_wu_meng(core),
+        traceable=_traceable(core, catalog),
     )
 
 

@@ -14,7 +14,11 @@ to the full tree, so every help text and usage error reads as the full
 parser's.
 
 Only ``sweep`` and ``catalog bootstrap`` import ``coline.sweep``: the
-other commands run on the decision layer and the oracles alone.
+other commands run on the decision layer and the oracles alone.  A plain
+``classify`` builds only what its report reads: the canonical id is
+written from the labeller's vertex order, co(G)'s components are counted
+without building its rows, and ``coline(g)`` is built under ``--verify``
+alone, for the exact oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from contextlib import suppress
 from . import __version__, characterize, oracle
 from .characterize import CATALOG_FORMAT, CatalogError, ScopeError
 from .graph6 import emit_graph6, parse_edge_list, parse_graph6
-from .graphcore import Graph, build_named, coline, components
+from .graphcore import Graph, build_named, coline, coline_components
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -101,7 +105,7 @@ def _oracle_json(l: Graph, decision: characterize.DecisionReport | None) -> dict
 
 def _graph_json(g: Graph) -> dict:
     return {
-        "canonical_graph6": emit_graph6(oracle.canonical_graph(g)),
+        "canonical_graph6": oracle.canonical_form(g).decode("ascii"),
         "n": g.n,
         "m": g.m,
         "max_degree": g.max_degree(),
@@ -109,20 +113,19 @@ def _graph_json(g: Graph) -> dict:
     }
 
 
-def _base_report(g: Graph) -> tuple[dict, Graph]:
-    """The report fields every input gets, and the coline they describe."""
-    l, _ = coline(g)
+def _base_report(g: Graph) -> dict:
+    """The report fields every input gets; co(G)'s are counted without
+    building it."""
     graph = _graph_json(g)
-    report = {
+    return {
         "graph": graph,
-        "coline": {"n": l.n, "components": len(components(l))},
+        "coline": {"n": g.m, "components": len(coline_components(g))},
         # inside the exhaustively swept range verdicts are oracle-verified;
         # beyond it they are asserted by the characterisations alone
         "within_verified_range": graph["non_isolated"] <= characterize.DEFAULT_MAX_VERTICES
         and g.m <= characterize.DEFAULT_MAX_EDGES,
         "versions": {"tool": __version__, "catalog": CATALOG_FORMAT},
     }
-    return report, l
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -130,7 +133,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.verify and g.m > VERIFY_MAX_EDGES:
         raise ScopeError(f"--verify search budget is {VERIFY_MAX_EDGES} edges, got {g.m}")
-    report, l = _base_report(g)
+    report = _base_report(g)
     try:
         decision = characterize.build_report(g, catalog)
     except ScopeError as exc:
@@ -144,7 +147,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             for key in ("tough", "hamiltonian", "wu_meng", "traceable")
         }
     if args.verify:
-        report["oracle"] = _oracle_json(l, decision)
+        report["oracle"] = _oracle_json(coline(g)[0], decision)
     print(json.dumps(report, indent=2))
     if args.verify and decision is not None:
         if not all(entry["agrees"] for entry in report["oracle"].values()):
@@ -157,7 +160,7 @@ def cmd_cms(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if g.m > 12:
         raise ScopeError(f"cms search budget is 12 edges, got {g.m}")
-    report, _ = _base_report(g)
+    report = _base_report(g)
     value = oracle.cms_exact(g)
     report["cms"] = value
     try:

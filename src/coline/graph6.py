@@ -33,7 +33,12 @@ _SET_POSITIONS = tuple(tuple(j for j in range(6) if value >> 5 - j & 1) for valu
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string."""
-    n = g.n
+    return graph6_from_edges(g.n, g.edges()).decode("ascii")
+
+
+def graph6_from_edges(n: int, edges) -> bytes:
+    """graph6 of the graph on ``n`` vertices with ``edges``, pairs in either
+    order, written one edge at a time."""
     if n < 0 or n > 258047:
         raise ValueError("graph6 size header supports 0 <= n <= 258047 here")
     if n <= 62:
@@ -41,17 +46,12 @@ def emit_graph6(g: Graph) -> str:
     else:
         header = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     # Bit k of the upper triangle, taken column by column, is bit 5 - k % 6
-    # of body byte k // 6; column col holds rows 0..col-1.
+    # of body byte k // 6; column col holds rows 0..col-1, from k = col(col-1)/2.
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for col in range(1, n):
-        rows = g.adj[col] & ((1 << col) - 1)
-        base = col * (col - 1) // 2
-        while rows:
-            low = rows & -rows
-            rows ^= low
-            k = base + low.bit_length() - 1
-            body[k // 6] |= 32 >> k % 6
-    return (header + body.translate(_PLUS_63)).decode("ascii")
+    for u, v in edges:
+        k = (v * (v - 1) >> 1) + u if u < v else (u * (u - 1) >> 1) + v
+        body[k // 6] |= 32 >> k % 6
+    return header + body.translate(_PLUS_63)
 
 
 def parse_graph6(text: str | bytes) -> Graph:

@@ -8,13 +8,14 @@ graph.  The edge count ``Graph.m`` and the edge list ``Graph.edges()`` are
 each computed once per graph, on first use.
 
 The operations on the classify path touch each set bit a constant number
-of times: ``coline`` reads each row straight off the incidence masks of
-the input's edges, and ``components`` stops growing a component once no
-vertex is left outside it, so the near-complete coline of a sparse input
-costs one or two row reads.  The input's edges are decoded once, for the
-coline, and the canonical labeller reads the same list.  No classify
-caller decodes the edges of a large coline, which has up to m(m-1)/2 of
-them: it reads only ``components(l)``.
+of times.  A plain classify builds no coline rows at all:
+``coline_components`` feeds ``components`` the rows of co(G) as it
+reaches them, each read off the incidence masks of the input's edges, and
+``components`` stops growing a component once no vertex is left outside
+it, so the near-complete coline of a sparse input costs one or two row
+reads.  The input's edges are decoded once; the incidence masks, the
+canonical labeller and the graph6 writer read the same list.  Only
+``classify --verify`` builds ``coline(g)``, for its exact oracles.
 
 Every graph the package builds is valid by construction.  The builders
 (``Graph.from_edges``, the graph6 and edge-list parsers, ``build_named``)
@@ -228,6 +229,31 @@ def coline(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
     full = (1 << len(edge_list)) - 1
     adj = tuple(full ^ (incident[a] | incident[b]) for a, b in edge_list)
     return _derived(len(edge_list), adj), edge_list
+
+
+def coline_components(g: Graph) -> tuple[int, ...]:
+    """``components(coline(g)[0])`` without building co(g): the count reads
+    each row it reaches off g's incidence masks, so the near-complete
+    coline of a sparse g costs one or two rows, not m of m bits each."""
+    return components(_ColineRows(g))
+
+
+class _ColineRows:
+    """co(g) as ``components`` reads it: ``n`` and rows ``adj[i]``, each
+    computed as ``coline`` computes it, from the incidence masks of g's
+    edges, when it is read."""
+
+    __slots__ = ("n", "adj", "edges", "incident", "full")
+
+    def __init__(self, g: Graph) -> None:
+        self.edges, self.incident = _incidence(g)
+        self.n = len(self.edges)
+        self.full = (1 << self.n) - 1
+        self.adj = self
+
+    def __getitem__(self, i: int) -> int:
+        a, b = self.edges[i]
+        return self.full ^ (self.incident[a] | self.incident[b])
 
 
 def _incidence(g: Graph) -> tuple[tuple[Edge, ...], list[int]]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph6 import emit_graph6
+from .graph6 import emit_graph6, graph6_from_edges
 from .graphcore import (
     Graph,
     _bits,
@@ -432,16 +432,22 @@ def _cells(colors: tuple[int, ...]) -> list[list[int]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def _adjacency_rows(neighbours: list[list[int]], ordering: list[int]) -> tuple[int, ...]:
+def _positions(ordering: list[int]) -> list[int]:
+    """``position[v]``: the index of ``v`` in ``ordering``."""
     position = [0] * len(ordering)
     for i, v in enumerate(ordering):
         position[v] = i
-    rows = []
-    for v in ordering:
-        row = 0
-        for u in neighbours[v]:
-            row |= 1 << position[u]
-        rows.append(row)
+    return position
+
+
+def _adjacency_rows(g: Graph, position: list[int]) -> tuple[int, ...]:
+    """The rows of ``g`` relabelled so that each vertex v becomes
+    ``position[v]``, written from the cached edges."""
+    rows = [0] * g.n
+    for u, v in g.edges():
+        a, b = position[u], position[v]
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     return tuple(rows)
 
 
@@ -452,18 +458,34 @@ def _orbit_root(parent: list[int], v: int) -> int:
     return v
 
 
-def _join_orbits(parent: list[int], gamma: tuple[int, ...]) -> None:
-    """Merge the orbits of ``gamma`` into the union-find ``parent``.
+def _join_orbits(parent: list[int], pairs: Iterable[tuple[int, int]]) -> None:
+    """Merge each pair ``(v, w)``, a vertex and its image, into the
+    union-find ``parent``: ``enumerate(gamma)`` merges the orbits of gamma.
 
     Each root is the smallest vertex of its orbit.
     """
-    for v, w in enumerate(gamma):
+    for v, w in pairs:
         if v != w:
             a, b = _orbit_root(parent, v), _orbit_root(parent, w)
             if a < b:
                 parent[b] = a
             elif b < a:
                 parent[a] = b
+
+
+def _permutations(n: int, found: list) -> Iterator[tuple[int, ...]]:
+    """The automorphisms ``_canonical_search`` found, as permutations of
+    0..n-1, built as they are read.  A homogeneous node's entry is its
+    cells, a list, and stands for the adjacent transpositions of each."""
+    for gamma in found:
+        if gamma.__class__ is list:
+            for cell in gamma:
+                for u, v in zip(cell, cell[1:]):
+                    mapping = list(range(n))
+                    mapping[u], mapping[v] = v, u
+                    yield tuple(mapping)
+        else:
+            yield gamma
 
 
 def _homogeneous(adj: tuple[int, ...], cells: list[list[int]]) -> bool:
@@ -504,9 +526,10 @@ class _Node:
         self.joined = 0
 
 
-def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], Iterable[tuple[int, ...]]]:
-    """Canonical adjacency rows of ``g``, the vertex ordering that gives
-    them, and automorphisms of ``g`` found on the way, to be read once.
+def _canonical_adj(g: Graph) -> tuple[tuple[int, ...] | None, list[int], Iterable[tuple[int, ...]]]:
+    """Canonical adjacency rows of ``g`` where the search built them, else
+    None; the vertex ordering that gives them; and automorphisms of ``g``
+    found on the way, built as they are read, once.
 
     A graph with at most one component that has an edge, whatever its
     isolated vertices, is labelled by one search (``_canonical_search``).
@@ -515,8 +538,9 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], Iterable[tuple
     recursion for canonical labeling", TAPAS 2011): components with the
     same rows share one search, and the labelled components, each isolated
     vertex one of them, are sorted by (order, rows) and concatenated.
-    That list depends only on the isomorphism class of ``g``.  The
-    generators are those of the first component of each isomorphism
+    That list depends only on the isomorphism class of ``g``.  Each
+    component's rows are built for the sort; the whole graph's are not.
+    The generators are those of the first component of each isomorphism
     class, lifted to ``g``, plus the swap of each consecutive pair of
     isomorphic components, which matches their vertices by canonical
     position.  Conjugating by the swaps gives each copy's automorphisms
@@ -525,24 +549,24 @@ def _canonical_adj(g: Graph) -> tuple[tuple[int, ...], list[int], Iterable[tuple
     """
     parts = [mask for mask in components(g) if mask & mask - 1]  # those with an edge
     if len(parts) < 2:
-        return _canonical_search(g)
+        rows, ordering, found = _canonical_search(g)
+        return rows, ordering, _permutations(g.n, found)
     searched: dict[tuple[int, ...], tuple] = {}  # a component's own rows: its search
-    # (canonical rows, vertices in canonical order, vertices, generators)
+    # (canonical rows, vertices in canonical order, vertices, what its search found)
     pieces = [((0,), [v], [v], ()) for v in range(g.n) if not g.adj[v]]
     for mask in parts:
         kept = list(_bits(mask))
         part = _closed_subgraph(g, kept)
         if part.adj not in searched:
-            searched[part.adj] = _canonical_search(part)
-        canon, ordering, generators = searched[part.adj]
-        pieces.append((canon, [kept[i] for i in ordering], kept, generators))
+            canon, ordering, found = _canonical_search(part)
+            if canon is None:
+                canon = _adjacency_rows(part, _positions(ordering))
+            searched[part.adj] = canon, ordering, found
+        canon, ordering, found = searched[part.adj]
+        pieces.append((canon, [kept[i] for i in ordering], kept, found))
     pieces.sort(key=lambda piece: (len(piece[0]), piece[0]))
-    rows, ordering = [], []
-    for canon, placed, _, _ in pieces:
-        offset = len(ordering)
-        rows += [row << offset for row in canon]
-        ordering += placed
-    return tuple(rows), ordering, _lifted_generators(g.n, pieces)
+    ordering = [v for _, placed, _, _ in pieces for v in placed]
+    return None, ordering, _lifted_generators(g.n, pieces)
 
 
 def _lifted_generators(n: int, pieces: list) -> Iterator[tuple[int, ...]]:
@@ -550,14 +574,14 @@ def _lifted_generators(n: int, pieces: list) -> Iterator[tuple[int, ...]]:
     from its sorted pieces, built as they are read: ``canonical_graph``
     reads none."""
     last, last_placed = None, []
-    for canon, placed, kept, own_generators in pieces:
+    for canon, placed, kept, found in pieces:
         if canon == last:
             swap = list(range(n))
             for u, v in zip(last_placed, placed):
                 swap[u], swap[v] = v, u
             yield tuple(swap)
         else:
-            for gamma in own_generators:
+            for gamma in _permutations(len(kept), found):
                 lifted = list(range(n))
                 for u, w in zip(kept, gamma):
                     lifted[u] = kept[w]
@@ -565,10 +589,15 @@ def _lifted_generators(n: int, pieces: list) -> Iterator[tuple[int, ...]]:
         last, last_placed = canon, placed
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...] | None, list[int], list]:
     """Adjacency rows of the minimum leaf of the individualisation-refinement
-    tree, the vertex ordering of that leaf, and the automorphisms of ``g``
-    found on the way (generators of a subgroup of Aut(g)).
+    tree, or None where the tree has one leaf; the vertex ordering of that
+    leaf; and the automorphisms of ``g`` found on the way (generators of a
+    subgroup of Aut(g)), for ``_permutations`` to build.
+
+    A leaf's rows are built only when a second leaf is compared with it,
+    so a graph whose refinement is discrete, or homogeneous at the root,
+    builds none: its caller writes its canonical id from the ordering.
 
     A node individualises each vertex of the first non-singleton cell of its
     refined colouring in turn; a leaf's colouring is discrete and orders the
@@ -585,18 +614,20 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[
     At a homogeneous node (``_homogeneous``), the permutations inside the
     cells are automorphisms that fix the prefix, and they map any leaf
     below onto any other, so all those leaves have the same rows.  The
-    search appends the adjacent transpositions of each cell to the
-    generators, builds the leaf that descending the first child would
-    reach, with no further refinement, and does not branch there.  So the
-    minimum leaf is unchanged, and the generators still generate the group
-    they did: those transpositions generate every automorphism fixing that
-    node's prefix.
+    search takes the adjacent transpositions of each cell as generators,
+    builds the leaf that descending the first child would reach, with no
+    further refinement, and does not branch there.  So the minimum leaf is
+    unchanged, and the generators still generate the group they did: those
+    transpositions generate every automorphism fixing that node's prefix.
+    They are recorded as the node's cells, not as permutations: an
+    ancestor's orbit join reads their vertex pairs, and only a caller that
+    iterates the generators builds them (``_permutations``).
     """
     n = g.n
     path: list[int] = []  # path[level]: the vertex individualised at that level
     stack: list[_Node] = []  # stack[level]: the node whose prefix is path[:level]
-    generators: list[tuple[int, ...]] = []
-    first = best = None  # (rows, ordering, path) of the first and best leaf
+    generators: list = []  # permutations, and the cells of homogeneous nodes
+    first = best = None  # [rows or None, ordering, path] of the first and best leaf
     neighbours = _neighbour_lists(g)
     degrees = g.degrees()
     colors, cells = _refine(neighbours, degrees, _cells(degrees))
@@ -614,40 +645,39 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[
                 # fixes the prefix, so every leaf below has the same rows:
                 # take the first, where each individualised vertex moves to
                 # the front and nothing else splits.
-                for cell in cells:
-                    for u, v in zip(cell, cell[1:]):
-                        mapping = list(range(n))
-                        mapping[u], mapping[v] = v, u
-                        generators.append(tuple(mapping))
+                generators.append(cells)
                 descent = [v for cell in cells for v in cell[:-1]]
                 path += descent
                 ordering = descent[::-1] + [cell[-1] for cell in cells]
             else:
                 ordering = [cell[0] for cell in cells]
-            rows = _adjacency_rows(neighbours, ordering)
             if first is None:
-                first = best = (rows, ordering, path[:])
-            elif rows == first[0] or rows == best[0]:
-                _, ref_ordering, ref_path = first if rows == first[0] else best
-                mapping = [0] * n
-                for u, v in zip(ref_ordering, ordering):
-                    mapping[u] = v
-                gamma = tuple(mapping)
-                fixed = 0  # gamma fixes path[:fixed] pointwise
-                while fixed < len(path) and gamma[path[fixed]] == path[fixed]:
-                    fixed += 1
-                if fixed < len(path):  # otherwise gamma is the identity
-                    generators.append(gamma)
-                # Neither path of two distinct leaves is a prefix of the
-                # other.  Where they part, gamma maps the explored child's
-                # subtree onto the current one: go back to that node.
-                split = 0
-                while path[split] == ref_path[split]:
-                    split += 1
-                if split <= fixed and gamma[ref_path[split]] == path[split]:
-                    del stack[split + 1 :]
-            elif rows < best[0]:
-                best = (rows, ordering, path[:])
+                first = best = [None, ordering, path[:]]
+            else:
+                if first[0] is None:  # the first leaf, compared for the first time
+                    first[0] = _adjacency_rows(g, _positions(first[1]))
+                rows = _adjacency_rows(g, _positions(ordering))
+                if rows == first[0] or rows == best[0]:
+                    _, ref_ordering, ref_path = first if rows == first[0] else best
+                    mapping = [0] * n
+                    for u, v in zip(ref_ordering, ordering):
+                        mapping[u] = v
+                    gamma = tuple(mapping)
+                    fixed = 0  # gamma fixes path[:fixed] pointwise
+                    while fixed < len(path) and gamma[path[fixed]] == path[fixed]:
+                        fixed += 1
+                    if fixed < len(path):  # otherwise gamma is the identity
+                        generators.append(gamma)
+                    # Neither path of two distinct leaves is a prefix of the
+                    # other.  Where they part, gamma maps the explored child's
+                    # subtree onto the current one: go back to that node.
+                    split = 0
+                    while path[split] == ref_path[split]:
+                        split += 1
+                    if split <= fixed and gamma[ref_path[split]] == path[split]:
+                        del stack[split + 1 :]
+                elif rows < best[0]:
+                    best = [rows, ordering, path[:]]
         # Advance to the next child that no automorphism rules out.
         while stack:
             level = len(stack) - 1
@@ -658,8 +688,15 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[int], list[tuple[
                     orbits = node.orbits = list(range(n))
                 prefix = path[:level]
                 for gamma in generators[node.joined :]:
-                    if all(gamma[p] == p for p in prefix):
-                        _join_orbits(orbits, gamma)
+                    if gamma.__class__ is list:  # a homogeneous node's cells
+                        _join_orbits(orbits, [
+                            (u, v)  # a transposition, kept where it fixes the prefix
+                            for cell in gamma
+                            for u, v in zip(cell, cell[1:])
+                            if u not in prefix and v not in prefix
+                        ])
+                    elif all(gamma[p] == p for p in prefix):
+                        _join_orbits(orbits, enumerate(gamma))
                 node.joined = len(generators)
                 # Every earlier vertex of the cell was explored or is in the
                 # orbit of one that was, so a vertex that is not the smallest
@@ -694,22 +731,27 @@ def _canonical_labelling(
     Only the class enumeration calls this, and nothing is cached: it labels
     each child once, so a cache keyed on labelled rows would only grow.
     """
-    rows, ordering, generators = _canonical_adj(_derived(n, adj))
-    position = [0] * n
-    for i, v in enumerate(ordering):
-        position[v] = i
+    g = _derived(n, adj)
+    rows, ordering, generators = _canonical_adj(g)
+    position = _positions(ordering)
     conjugated = tuple(tuple(position[gamma[v]] for v in ordering) for gamma in generators)
+    if rows is None:
+        rows = _adjacency_rows(g, position)
     return _derived(n, rows), tuple(position), conjugated
 
 
 def canonical_graph(g: Graph) -> Graph:
     """A canonically relabelled copy; equal for isomorphic inputs."""
-    return _derived(g.n, _canonical_adj(g)[0])
+    rows, ordering, _ = _canonical_adj(g)
+    return _derived(g.n, _adjacency_rows(g, _positions(ordering)) if rows is None else rows)
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string (graph6 of the canonical relabelling)."""
-    return emit_graph6(canonical_graph(g)).encode("ascii")
+    """Canonical byte string: the graph6 of ``canonical_graph(g)``, written
+    straight from the labeller's vertex order applied to ``g.edges()``, with
+    no rows built where the search built none."""
+    position = _positions(_canonical_adj(g)[1])
+    return graph6_from_edges(g.n, [(position[u], position[v]) for u, v in g.edges()])
 
 
 # --- subgraph containment and isomorphism ----------------------------------
@@ -970,7 +1012,7 @@ def _augmentations(g: Graph, generators, max_vertices: int):
     if n + 1 <= max_vertices and max(degrees) >= need:
         orbits = list(range(n))
         for gamma in generators:
-            _join_orbits(orbits, gamma)
+            _join_orbits(orbits, enumerate(gamma))
         for u in range(n):
             if orbits[u] == u and degrees[u] >= need:
                 yield extended(g.adj + (0,), u, n), (u, n)

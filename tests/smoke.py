@@ -30,7 +30,7 @@ def cli(*args, seconds, code=0, cwd=ROOT, stdout=subprocess.PIPE):  # its stdout
     return done.stdout, done.stderr
 
 def classify_named(tmp):  # each within its bound in s, under a timeout of at least 10 s
-    for args, bound in [("P1000", 60), ("K1_999", 10), ("K1_300", 10), ("K1_200", 10), ("K100", 10),
+    for args, bound in [("P1000", 60), ("K1_999", 1), ("K1_300", 10), ("K1_200", 10), ("K100", 10),
                         ("H1+3K1 --verify", 10), ("K1_8+6K2 --verify", 20)] + [(name, 1) for name in (
             "500K2 333K3 4K1_100 25K1_20 166K1_3 300P3 200P4 250K3 200C4 150C5 K1_500+200K2 "
             "3K1_100 100K4 40C25 60K5 K50+100K2 200K2").split()]:  # disconnected: once 9 s to over 60 s

@@ -224,6 +224,29 @@ def test_report_implications(catalog, classes_sweep_range):
         assert report.hamiltonian.value == report.wu_meng.value
 
 
+def test_padded_classes_get_their_cores_verdicts(catalog, classes_sweep_range):
+    # the decisions read the core's order and size without relabelling it
+    # and build the stripped core only for an isomorphism test: each 8/10
+    # class with 0 to 2 isolated vertices, under a seeded relabelling, gets
+    # the verdicts of the class itself
+    rng = random.Random(45)
+    for g in classes_sweep_range:
+        report = build_report(g, catalog) if g.m >= 3 else None
+        traceable = decide_coline_traceable(g, catalog) if g.m >= 2 else None
+        for pad in range(3):
+            order = list(range(g.n + pad))
+            rng.shuffle(order)
+            padded = Graph.from_edges(g.n + pad, [(order[u], order[v]) for u, v in g.edges()])
+            name = f"{emit_graph6(g)} + {pad}K1"
+            if report is None:
+                with pytest.raises(ScopeError):
+                    build_report(padded, catalog)
+            else:
+                assert build_report(padded, catalog) == report, name
+            if traceable is not None:
+                assert decide_coline_traceable(padded, catalog) == traceable, name
+
+
 def test_report_decides_toughness_once(catalog, monkeypatch):
     # build_report reads Hamiltonicity off its one toughness verdict, as
     # decide_coline_hamiltonian does off its own; traceability decides the
@@ -231,13 +254,13 @@ def test_report_decides_toughness_once(catalog, monkeypatch):
     import coline.characterize as characterize_module
 
     calls = []
-    decide = characterize_module.decide_coline_tough
+    decide = characterize_module._tough
 
-    def counting(g, catalog=None):
-        calls.append(g)
-        return decide(g, catalog)
+    def counting(core, catalog):
+        calls.append(core.g)
+        return decide(core, catalog)
 
-    monkeypatch.setattr(characterize_module, "decide_coline_tough", counting)
+    monkeypatch.setattr(characterize_module, "_tough", counting)
     for name in ("K5", "H1", "C6", "C4+K2", "K1_4"):
         g = build_named(name)
         calls.clear()
@@ -245,7 +268,7 @@ def test_report_decides_toughness_once(catalog, monkeypatch):
         report = build_report(g, catalog)
         assert calls == [g, g, characterize_module.plus_k2(g)], name
         assert report.hamiltonian == hamiltonian
-        assert report.tough == decide(g, catalog)
+        assert report.tough == decide_coline_tough(g, catalog)
 
 
 def test_catalog_counts(catalog):

@@ -1,9 +1,12 @@
 import argparse
+import gc
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from itertools import combinations
 
@@ -66,13 +69,13 @@ def test_classify_c6_all_true(capsys):
 
 
 def test_classify_verify_checks_wu_meng(capsys, monkeypatch):
-    decide = characterize.decide_wu_meng
+    decide = characterize._wu_meng  # what build_report decides Wu-Meng with
 
-    def flipped(g):
-        verdict = decide(g)
+    def flipped(core):
+        verdict = decide(core)
         return characterize.ClauseVerdict(not verdict.value, "flipped", ("flipped",))
 
-    monkeypatch.setattr(characterize, "decide_wu_meng", flipped)
+    monkeypatch.setattr(characterize, "_wu_meng", flipped)
     code, out, _ = run_cli(capsys, "classify", "--named", "C6", "--verify")
     assert code == 1
     assert json.loads(out)["oracle"]["wu_meng"] == {"value": True, "agrees": False}
@@ -201,6 +204,48 @@ def test_classify_padded_input_relabels_once(capsys, monkeypatch):
     assert padded["graph"]["n"] == 9 and padded["graph"]["non_isolated"] == 6
     assert padded["within_verified_range"] is True
     assert len(relabels) == 1
+
+
+# sha1 of each classify report, byte for byte what it was while classify
+# built co(G)'s rows, the canonical graph and the stripped core
+_REPORTS_WITHOUT_COLINE = {
+    "G(300,900)": "c8c661fa5e41c1b5c3a54246b47b0f3edae964be",
+    "K100": "65bdf0483a9b6a5681f64faa4aa68b0dbece8c31",
+    "5K2": "b60584a1df51f38d8b43e8f695f7c2fc080966e5",
+    "H1+3K1": "07f99cfcbd5900427ac87d5eec7eff516cccfd81",
+}
+
+
+def test_classify_builds_no_coline_without_verify(capsys, monkeypatch):
+    rng = random.Random(900)
+    sparse = Graph.from_edges(300, rng.sample(list(combinations(range(300), 2)), 900))
+    assert sum(map(bool, sparse.adj)) == 299  # one isolated vertex
+    built = []
+    monkeypatch.setattr(cli, "coline", lambda g: built.append(g) or coline(g))
+    for name, digest in _REPORTS_WITHOUT_COLINE.items():
+        source = ["--graph6", emit_graph6(sparse)] if name == "G(300,900)" else ["--named", name]
+        code, out, _ = run_cli(capsys, "classify", *source)
+        assert code == 0 and built == [], name
+        assert hashlib.sha1(out.encode()).hexdigest() == digest, name
+    code, _, _ = run_cli(capsys, "classify", "--named", "H1+3K1", "--verify")
+    assert code == 0 and len(built) == 1  # the exact oracles read its rows
+
+
+def test_classify_traced_peak_is_bounded(capsys):
+    # the peaks were 4.09 MB for K100, nearly all of it co(K100)'s 4,950
+    # rows, and 32.2 MB for K1_999, nearly all of it 998 transpositions
+    # of 1,000 entries each
+    characterize.load_catalog()
+    for name, bound in (("K100", 2), ("K1_999", 8)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["classify", "--named", name])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0 and peak < bound * 1024 * 1024, (name, peak)
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

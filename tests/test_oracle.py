@@ -12,7 +12,7 @@ import pytest
 
 from coline import oracle
 from coline.graph6 import emit_graph6, parse_graph6
-from coline.graphcore import Graph, add_dominating_vertex, build_named, coline, components
+from coline.graphcore import Graph, add_dominating_vertex, build_named, coline, coline_components, components
 from coline.oracle import (
     CycleOrPath,
     canonical_form,
@@ -611,6 +611,38 @@ def test_sparse_canonical_forms_are_pinned():
     assert _sha1_lines(forms) == "27f58ae3fa9599e2f775cfb2346667ed59eb9844"
 
 
+def _sparse_gnm(n: int, m: int, seed: int) -> Graph:
+    """m distinct random edges on n vertices, drawn with ``seed``."""
+    return Graph.from_edges(n, random.Random(seed).sample(list(combinations(range(n), 2)), m))
+
+
+def test_canonical_form_builds_rows_only_where_they_are_read(monkeypatch):
+    # refinement discretises G(300, 900) at the root, so its search has one
+    # leaf: the form is written from the leaf's order and g's edges, and
+    # only canonical_graph, which returns rows, builds them
+    rows = _counted(monkeypatch, "_adjacency_rows")
+    g = _sparse_gnm(300, 900, 900)
+    form = canonical_form(g)
+    assert rows == []
+    assert emit_graph6(canonical_graph(g)).encode() == form
+    assert len(rows) == 1
+
+
+def test_sparse_classify_paths_equal_the_full_builds(classes_sweep_range):
+    # what classify reads without building, against what it used to build
+    rng = random.Random(45)
+    graphs = list(classes_sweep_range) + [Graph(0, ()), build_named("K2")]
+    graphs += [build_named(f"{m}K2") for m in range(1, 31)]
+    graphs += [build_named(f"{kind}{n}") for kind in ("K1_", "K") for n in range(1, 15)]
+    for seed in range(20):
+        n = rng.randint(10, 120)
+        graphs.append(_sparse_gnm(n, min(3 * n, n * (n - 1) // 2), seed))
+    for g in graphs:
+        name = emit_graph6(g)
+        assert coline_components(g) == components(coline(g)[0]), name
+        assert canonical_form(g) == emit_graph6(canonical_graph(g)).encode(), name
+
+
 def test_class_enumeration_8_10_is_pinned(classes_sweep_range):
     classes = _level_sorted(classes_sweep_range)
     assert len(classes) == 1500
@@ -677,7 +709,7 @@ def _unpruned_augmentations(g: Graph, generators, max_vertices: int):
     if n + 1 <= max_vertices:
         orbits = list(range(n))
         for gamma in generators:
-            oracle._join_orbits(orbits, gamma)
+            oracle._join_orbits(orbits, enumerate(gamma))
         for u in range(n):
             if orbits[u] == u:
                 yield extended(g.adj + (0,), u, n), (u, n)

@@ -539,13 +539,13 @@ def test_sweep_certifies_the_report_bundle(catalog, monkeypatch):
 
 def test_sweep_decides_toughness_once_per_class(catalog, monkeypatch):
     decided = []
-    decide = characterize.decide_coline_tough
+    decide = characterize._tough  # what every toughness decision runs
 
-    def counting(g, catalog=None):
-        decided.append(emit_graph6(g))
-        return decide(g, catalog)
+    def counting(core, catalog):
+        decided.append(emit_graph6(core.g))
+        return decide(core, catalog)
 
-    monkeypatch.setattr(characterize, "decide_coline_tough", counting)
+    monkeypatch.setattr(characterize, "_tough", counting)
     run_sweep(SweepConfig(max_vertices=6, max_edges=8, worker_count=1), catalog)
     # each class once, and G + K2 once for the traceability of each class
     classes = [emit_graph6(g) for g in oracle.iter_graph_classes(6, 8) if g.m >= 3]
